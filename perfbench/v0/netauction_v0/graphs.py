@@ -1,0 +1,355 @@
+"""Reported diffusion graphs and their dominator structure.
+
+Every bidder's action is a bid plus the set of neighbours it forwards the
+sale information to. The seller's own outgoing links travel in the same
+profile as a bid-less report row (its id equals the seller id), because the
+seller starts the diffusion but never bids. Only bidders reachable from the
+seller through reported links can take part.
+
+The dominator tree rooted at the seller captures the control structure of
+the diffusion: agent u is an ancestor of agent v exactly when every reported
+path from the seller to v passes through u, so u can cut v (and v's whole
+subtree) out of the market by staying silent. Dominators are computed with
+the iterative data-flow algorithm over a reverse postorder, O(V*E) worst
+case and effectively linear on the shallow graphs used here.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+
+from .errors import ValidationError
+
+__all__ = [
+    "AgentAction",
+    "ActionProfile",
+    "DiffusionGraph",
+    "Pot",
+    "SubtreeProfile",
+    "build_graph",
+    "build_pot",
+    "dcs",
+    "ddg",
+    "subtree_profile",
+    "profile_to_dict",
+    "profile_from_dict",
+    "load_profile",
+    "save_profile",
+]
+
+
+@dataclass(frozen=True)
+class AgentAction:
+    """One report: a bid and the neighbours the reporter informs."""
+
+    agent: str
+    bid: float
+    neighbors: frozenset[str]
+
+    def __post_init__(self):
+        if not isinstance(self.agent, str) or not self.agent:
+            raise ValidationError(f"agent id must be a non-empty string, got {self.agent!r}")
+        if not math.isfinite(self.bid) or self.bid < 0.0:
+            raise ValidationError(f"bid for {self.agent!r} must be finite and >= 0, got {self.bid}")
+        object.__setattr__(self, "neighbors", frozenset(self.neighbors))
+
+
+@dataclass(frozen=True)
+class ActionProfile:
+    """The seller id plus every report, the seller's included.
+
+    ``agents`` may contain one row whose id equals the seller; that row
+    carries the seller's outgoing links and its bid is ignored. All other
+    rows are bidders. Ids must be unique. Reported neighbours pointing at
+    unknown ids are kept in the action but contribute nothing to diffusion.
+    """
+
+    seller: str
+    agents: tuple[AgentAction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "agents", tuple(self.agents))
+        if not isinstance(self.seller, str) or not self.seller:
+            raise ValidationError(f"seller id must be a non-empty string, got {self.seller!r}")
+        seen: set[str] = set()
+        for a in self.agents:
+            if a.agent in seen:
+                raise ValidationError(f"duplicate agent id {a.agent!r}")
+            seen.add(a.agent)
+
+    def bidders(self) -> tuple[AgentAction, ...]:
+        return tuple(a for a in self.agents if a.agent != self.seller)
+
+    def seller_report(self) -> frozenset[str]:
+        for a in self.agents:
+            if a.agent == self.seller:
+                return a.neighbors
+        return frozenset()
+
+    def ids(self) -> frozenset[str]:
+        """Bidder ids; the seller's report row is not a bidder."""
+        return frozenset(a.agent for a in self.agents if a.agent != self.seller)
+
+    def bids(self) -> dict[str, float]:
+        return {a.agent: a.bid for a in self.agents if a.agent != self.seller}
+
+    def action(self, agent: str) -> AgentAction:
+        for a in self.agents:
+            if a.agent == agent and agent != self.seller:
+                return a
+        raise KeyError(agent)
+
+    def replace_action(self, agent: str, bid: float, neighbors) -> "ActionProfile":
+        """Copy of the profile with one bidder's action swapped out."""
+        self.action(agent)  # KeyError for unknown or seller ids
+        replaced = tuple(
+            AgentAction(agent, bid, frozenset(neighbors)) if a.agent == agent else a
+            for a in self.agents
+        )
+        return ActionProfile(self.seller, replaced)
+
+
+@dataclass(frozen=True)
+class DiffusionGraph:
+    """Reported links restricted to what the seller can actually reach.
+
+    ``successors`` maps the seller and every reachable bidder to the
+    reachable bidders they inform; links aimed at the seller, at self, or at
+    ids that never report are inert and dropped here.
+    """
+
+    seller: str
+    reachable: frozenset[str]
+    successors: dict[str, tuple[str, ...]] = field(compare=False)
+
+
+def build_graph(profile: ActionProfile) -> DiffusionGraph:
+    """BFS the reported links outward from the seller."""
+    known = profile.ids()
+    reports = {a.agent: a.neighbors for a in profile.bidders()}
+    seller_out = tuple(sorted(v for v in profile.seller_report() if v in known))
+    succ: dict[str, tuple[str, ...]] = {profile.seller: seller_out}
+    reachable: set[str] = set(seller_out)
+    frontier = list(seller_out)
+    while frontier:
+        nxt: list[str] = []
+        for u in frontier:
+            out = tuple(sorted(v for v in reports[u] if v in known and v != u))
+            succ[u] = out
+            for v in out:
+                if v not in reachable:
+                    reachable.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return DiffusionGraph(
+        seller=profile.seller,
+        reachable=frozenset(reachable),
+        successors={u: succ[u] for u in [profile.seller, *sorted(reachable)]},
+    )
+
+
+@dataclass(frozen=True)
+class Pot:
+    """Dominator tree of a diffusion graph, rooted at the seller.
+
+    ``parent`` maps each reachable bidder to its immediate dominator (the
+    seller for top-level bidders). ``order`` lists bidders parent-before-
+    child so subtree aggregates fall out of one reversed sweep.
+    """
+
+    seller: str
+    parent: dict[str, str] = field(compare=False)
+    children: dict[str, tuple[str, ...]] = field(compare=False)
+    subtree_size: dict[str, int] = field(compare=False)
+    order: tuple[str, ...] = ()
+
+
+def _reverse_postorder(graph: DiffusionGraph) -> list[str]:
+    seen = {graph.seller}
+    post: list[str] = []
+    stack: list[tuple[str, int]] = [(graph.seller, 0)]
+    while stack:
+        node, idx = stack[-1]
+        out = graph.successors.get(node, ())
+        if idx < len(out):
+            stack[-1] = (node, idx + 1)
+            nxt = out[idx]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, 0))
+        else:
+            stack.pop()
+            post.append(node)
+    post.reverse()
+    return post
+
+
+def build_pot(graph: DiffusionGraph) -> Pot:
+    """Immediate dominators by iterative data-flow over reverse postorder."""
+    order = _reverse_postorder(graph)  # order[0] is the seller
+    index = {v: i for i, v in enumerate(order)}
+    preds: dict[str, list[str]] = {v: [] for v in order}
+    for u in order:
+        for v in graph.successors.get(u, ()):
+            preds[v].append(u)
+
+    idom: dict[int, int] = {0: 0}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while a > b:
+                a = idom[a]
+            while b > a:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            vi = index[v]
+            new = -1
+            for p in preds[v]:
+                pi = index[p]
+                if pi in idom:
+                    new = pi if new < 0 else intersect(pi, new)
+            if new >= 0 and idom.get(vi) != new:
+                idom[vi] = new
+                changed = True
+
+    parent = {order[i]: order[p] for i, p in idom.items() if i != 0}
+    children: dict[str, list[str]] = {v: [] for v in order}
+    for child in sorted(parent):
+        children[parent[child]].append(child)
+
+    # parent-before-child ordering via DFS over id-sorted children
+    tree_order: list[str] = []
+    stack = list(reversed(children[graph.seller]))
+    while stack:
+        node = stack.pop()
+        tree_order.append(node)
+        stack.extend(reversed(children[node]))
+
+    size = {v: 1 for v in tree_order}
+    for v in reversed(tree_order):
+        for c in children[v]:
+            size[v] += size[c]
+
+    return Pot(
+        seller=graph.seller,
+        parent=parent,
+        children={v: tuple(children[v]) for v in order},
+        subtree_size=size,
+        order=tuple(tree_order),
+    )
+
+
+def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
+    """Dominator chain from the seller's side down to the agent.
+
+    Starts at the agent's top-level dominator and ends at the agent itself;
+    the seller is not included. Every member controls the agent's access to
+    the market.
+    """
+    if agent not in pot.parent:
+        raise KeyError(agent)
+    chain = [agent]
+    while pot.parent[chain[-1]] != pot.seller:
+        chain.append(pot.parent[chain[-1]])
+    chain.reverse()
+    return tuple(chain)
+
+
+def ddg(pot: Pot, agent: str) -> frozenset[str]:
+    """All bidders whose participation the agent controls, itself included."""
+    if agent not in pot.parent:
+        raise KeyError(agent)
+    out = []
+    stack = [agent]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(pot.children[v])
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class SubtreeProfile:
+    """Branch sizes of the tree below the seller: n bidders in m branches."""
+
+    n: int
+    m: int
+    sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        if not self.sizes:
+            raise ValidationError("a branch profile needs at least one branch")
+        if any(k < 1 for k in self.sizes):
+            raise ValidationError(f"every branch size must be >= 1, got {self.sizes}")
+        if self.n != sum(self.sizes) or self.m != len(self.sizes):
+            raise ValidationError(
+                f"inconsistent profile: n={self.n}, m={self.m}, sizes={self.sizes}"
+            )
+
+    @classmethod
+    def from_sizes(cls, sizes) -> "SubtreeProfile":
+        sizes = tuple(int(k) for k in sizes)
+        return cls(n=sum(sizes), m=len(sizes), sizes=sizes)
+
+
+def subtree_profile(pot: Pot) -> SubtreeProfile:
+    """Sizes of the seller's top-level dominator subtrees."""
+    tops = pot.children[pot.seller]
+    sizes = tuple(pot.subtree_size[c] for c in tops)
+    return SubtreeProfile(n=sum(sizes), m=len(sizes), sizes=sizes)
+
+
+# --- JSON interchange -------------------------------------------------------
+#
+# {"seller": "s", "agents": [{"id": "a", "bid": 30.0, "neighbors": ["b"]}]}
+# The seller's report row, when present, uses the seller id and bid 0.
+
+
+def profile_to_dict(profile: ActionProfile) -> dict:
+    return {
+        "seller": profile.seller,
+        "agents": [
+            {"id": a.agent, "bid": a.bid, "neighbors": sorted(a.neighbors)}
+            for a in profile.agents
+        ],
+    }
+
+
+def profile_from_dict(data: dict) -> ActionProfile:
+    try:
+        seller = data["seller"]
+        raw_agents = data["agents"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"profile JSON missing top-level key: {exc}") from None
+    agents = []
+    for entry in raw_agents:
+        try:
+            agents.append(
+                AgentAction(
+                    agent=entry["id"],
+                    bid=float(entry["bid"]),
+                    neighbors=frozenset(entry["neighbors"]),
+                )
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed agent entry {entry!r}: {exc}") from None
+    return ActionProfile(seller=seller, agents=tuple(agents))
+
+
+def load_profile(path) -> ActionProfile:
+    with open(path, "r", encoding="utf-8") as fh:
+        return profile_from_dict(json.load(fh))
+
+
+def save_profile(profile: ActionProfile, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(profile_to_dict(profile), fh, indent=2, sort_keys=True)
+        fh.write("\n")

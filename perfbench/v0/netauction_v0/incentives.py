@@ -1,0 +1,280 @@
+"""Deviation search: does any bidder profit from lying or staying silent?
+
+Utilities are piecewise constant in a bidder's own bid, with breakpoints
+only at the other bids and at the reserve, so a finite candidate set (a
+coarse grid plus every breakpoint, probed a hair on each side) finds the
+exact best bid deviation. Propagation deviations are enumerated outright:
+every subset of the bidder's informative neighbors. Links back to the
+seller carry no information, so they are excluded from the subset universe.
+
+The search confirms truthfulness for the deployable reserve policies and
+demonstrates its failure for the profile-dependent global optimum: on the
+three-chain counterexample network, the agent controlling one branch can
+shrink the market, drag the optimal reserve down past its own value, and
+buy at the lower price.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
+
+import numpy as np
+
+from .distributions import Uniform, ValueDistribution
+from .errors import DomainError, ValidationError
+from .graphs import (
+    ActionProfile,
+    AgentAction,
+    SubtreeProfile,
+    build_graph,
+    build_pot,
+    subtree_profile,
+)
+from .mechanism import run_apx_r, utilities
+from .reserve import (
+    ReservePolicy,
+    RootSolveSettings,
+    global_optimal_reserve,
+    resolve_reserve,
+)
+
+__all__ = [
+    "DeviationGrid",
+    "DeviationReport",
+    "CounterexampleReport",
+    "enumerate_deviations",
+    "check_dsic",
+    "counterexample_instance",
+    "ropt_counterexample",
+    "report_to_dict",
+]
+
+_SUBSET_CAP = 12
+
+_CE_DIST = Uniform(vbar=1.0)
+_CE_FULL = SubtreeProfile.from_sizes((2, 2, 2))
+_CE_WITHHELD = SubtreeProfile.from_sizes((2, 2, 1))
+
+
+@dataclass(frozen=True)
+class DeviationGrid:
+    """Bid grid resolution; critical bids are always added on top."""
+
+    points: int = 21
+
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValidationError(f"grid needs at least 2 points, got {self.points}")
+
+
+@dataclass(frozen=True)
+class DeviationReport:
+    """Best enumerated deviation for one agent, against truthful opponents.
+
+    The truthful action is part of the enumeration, so best_gain is never
+    negative; truthfulness means it is (numerically) zero.
+    """
+
+    agent: str
+    truthful_utility: float
+    best_gain: float
+    best_bid: float
+    best_report: frozenset[str]
+    deviations_tested: int
+
+
+def enumerate_deviations(
+    value: float,
+    neighbors,
+    grid: DeviationGrid,
+    vbar: float,
+    others_bids=(),
+    reserve: float | None = None,
+    seller: str | None = None,
+) -> tuple[tuple[float, frozenset[str]], ...]:
+    """Candidate (bid, reported-neighbors) pairs for one agent.
+
+    Bids: an even grid on [0, vbar], every opponent bid, the agent's own
+    value, and the reserve probed exactly and a hair on each side. Reports:
+    every subset of the informative neighbors.
+    """
+    informative = sorted(frozenset(neighbors) - {seller})
+    if len(informative) > _SUBSET_CAP:
+        raise DomainError(
+            f"{len(informative)} neighbors exceed the 2^{_SUBSET_CAP} subset cap"
+        )
+    eps = 1e-6 * vbar
+    raw = list(np.linspace(0.0, vbar, grid.points))
+    raw.extend(others_bids)
+    raw.append(value)
+    if reserve is not None:
+        raw.extend((reserve, reserve - eps, reserve + eps))
+    bids = sorted({min(max(float(b), 0.0), vbar) for b in raw})
+    subsets = [
+        frozenset(chosen)
+        for size in range(len(informative) + 1)
+        for chosen in combinations(informative, size)
+    ]
+    return tuple((b, s) for b in bids for s in subsets)
+
+
+def check_dsic(
+    truth: ActionProfile,
+    d: ValueDistribution,
+    policy: ReservePolicy,
+    grid: DeviationGrid | None = None,
+    settings: RootSolveSettings | None = None,
+) -> tuple[DeviationReport, ...]:
+    """Best-response search for every bidder, holding the others truthful.
+
+    ``truth`` is the truthful profile: bids are true values, reports are
+    full propagation. For the global-optimum policy the reserve is resolved
+    against each deviated profile, since that feedback is precisely what a
+    deviator exploits; every other policy resolves once and stays fixed.
+    """
+    grid = grid or DeviationGrid()
+    values = truth.bids()
+    for agent, v in values.items():
+        if v > d.vbar:
+            raise ValidationError(f"true value {v} of {agent!r} exceeds vbar={d.vbar}")
+
+    graph = build_graph(truth)
+    if not graph.reachable:
+        # nobody hears of the sale and no report can change that, since
+        # bidders cannot add links out of the seller
+        return ()
+    base_profile = subtree_profile(build_pot(graph))
+    reserve_cache: dict[tuple[int, ...], float] = {}
+
+    def reserve_for(profile) -> float:
+        if policy.kind != "global_opt":
+            return base_reserve
+        key = tuple(sorted(profile.sizes))
+        if key not in reserve_cache:
+            reserve_cache[key] = global_optimal_reserve(profile, d, settings)
+        return reserve_cache[key]
+
+    base_reserve = resolve_reserve(policy, base_profile, d, settings)
+    if policy.kind == "global_opt":
+        reserve_cache[tuple(sorted(base_profile.sizes))] = base_reserve
+    truth_outcome = run_apx_r(truth, base_reserve)
+    truth_utils = utilities(truth, values, truth_outcome)
+
+    reports = []
+    for agent in sorted(values):
+        u_truth = truth_utils[agent]
+        best_gain = 0.0
+        best_bid = values[agent]
+        best_report = truth.action(agent).neighbors
+        tested = 0
+        if agent in graph.reachable:
+            others = [b for a, b in values.items() if a != agent]
+            deviations = enumerate_deviations(
+                values[agent],
+                truth.action(agent).neighbors,
+                grid,
+                d.vbar,
+                others_bids=others,
+                reserve=base_reserve,
+                seller=truth.seller,
+            )
+            tested = len(deviations)
+            for bid, subset in deviations:
+                deviated = truth.replace_action(agent, bid, subset)
+                dev_graph = build_graph(deviated)
+                r = reserve_for(subtree_profile(build_pot(dev_graph)))
+                outcome = run_apx_r(deviated, r)
+                paid = outcome.payments.get(agent, 0.0)
+                u = values[agent] - paid if outcome.winner == agent else -paid
+                if u - u_truth > best_gain:
+                    best_gain = u - u_truth
+                    best_bid, best_report = bid, subset
+        reports.append(
+            DeviationReport(
+                agent=agent,
+                truthful_utility=u_truth,
+                best_gain=best_gain,
+                best_bid=best_bid,
+                best_report=best_report,
+                deviations_tested=tested,
+            )
+        )
+    return tuple(reports)
+
+
+def counterexample_instance(top_value: float | None = None) -> ActionProfile:
+    """Three two-bidder chains under one seller, uniform values on [0, 1].
+
+    Agent c heads the third chain; its value is the only knob. With the
+    default (None) it lands halfway between the full-market and the
+    withheld-market optimal reserves, the window where withholding pays.
+    """
+    if top_value is None:
+        r_full = global_optimal_reserve(_CE_FULL, _CE_DIST)
+        r_less = global_optimal_reserve(_CE_WITHHELD, _CE_DIST)
+        top_value = 0.5 * (r_full + r_less)
+    values = {"a": 0.30, "b": 0.40, "c": top_value, "d": 0.20, "e": 0.25, "f": 0.10}
+    agents = [AgentAction("s", 0.0, frozenset("abc"))]
+    for head, tail in (("a", "d"), ("b", "e"), ("c", "f")):
+        agents.append(AgentAction(head, values[head], frozenset([tail])))
+        agents.append(AgentAction(tail, values[tail], frozenset()))
+    return ActionProfile(seller="s", agents=tuple(agents))
+
+
+@dataclass(frozen=True)
+class CounterexampleReport:
+    """Why the profile-dependent optimal reserve is not truthful."""
+
+    agent: str
+    value: float
+    reserve_full: float
+    reserve_withheld: float
+    truthful_utility: float
+    deviant_utility: float
+    gain: float
+
+
+def ropt_counterexample() -> CounterexampleReport:
+    """Demonstrate the profitable silence of agent c, end to end.
+
+    Under full propagation the market is three branches of two and the
+    optimal reserve sits above c's value, so the auction fails and c earns
+    nothing. Withholding the sale information from f shrinks one branch,
+    pulls the optimal reserve below c's value, and c wins at that lower
+    reserve for a strictly positive utility.
+    """
+    truth = counterexample_instance()
+    r_full = global_optimal_reserve(_CE_FULL, _CE_DIST)
+    r_less = global_optimal_reserve(_CE_WITHHELD, _CE_DIST)
+    value = truth.action("c").bid
+
+    truthful = run_apx_r(truth, r_full)
+    u_truth = utilities(truth, truth.bids(), truthful)["c"]
+
+    deviated = truth.replace_action("c", value, frozenset())
+    sizes = subtree_profile(build_pot(build_graph(deviated)))
+    outcome = run_apx_r(deviated, global_optimal_reserve(sizes, _CE_DIST))
+    paid = outcome.payments.get("c", 0.0)
+    u_dev = value - paid if outcome.winner == "c" else -paid
+
+    return CounterexampleReport(
+        agent="c",
+        value=value,
+        reserve_full=r_full,
+        reserve_withheld=r_less,
+        truthful_utility=u_truth,
+        deviant_utility=u_dev,
+        gain=u_dev - u_truth,
+    )
+
+
+def report_to_dict(report: DeviationReport) -> dict:
+    return {
+        "agent": report.agent,
+        "truthful_utility": report.truthful_utility,
+        "best_gain": report.best_gain,
+        "best_bid": report.best_bid,
+        "best_report": sorted(report.best_report),
+        "deviations_tested": report.deviations_tested,
+    }

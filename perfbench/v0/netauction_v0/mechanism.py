@@ -1,0 +1,183 @@
+"""The reserve-price diffusion auction and its benchmark mechanisms.
+
+The core mechanism sells one item over a reported diffusion graph. Winner
+selection walks the highest bidder's dominator chain from the seller's side
+outward: the first member whose bid clears the reserve and equals the best
+bid found outside its own subtree takes the item. Members of the chain
+before the winner are paid (not charged) the marginal value of the market
+they unlocked, which is what makes forwarding the sale information a
+dominant strategy. Payments telescope, so the seller nets
+max(best bid outside the first critical node's subtree, reserve).
+
+At reserve 0 the mechanism is the classic information diffusion mechanism;
+a second-price auction with reserve over a fixed bidder set is included as
+the no-diffusion benchmark.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from .errors import DomainError, ValidationError
+from .graphs import ActionProfile, build_graph, build_pot, dcs
+
+__all__ = [
+    "Outcome",
+    "run_apx_r",
+    "run_idm",
+    "run_spa_reserve",
+    "utilities",
+    "outcome_to_dict",
+    "outcome_from_dict",
+]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """Result of one auction run.
+
+    ``payments`` carries one entry per participating bidder; positive only
+    ever for the winner, negative entries are diffusion rewards to the
+    winner's critical predecessors. ``revenue`` is the sum of payments.
+    A failed run (every relevant bid under the reserve) has no winner, no
+    payments, and zero revenue.
+    """
+
+    winner: str | None
+    payments: dict[str, float] = field(compare=False)
+    revenue: float = 0.0
+    failed: bool = False
+
+
+def _failed_outcome() -> Outcome:
+    return Outcome(winner=None, payments={}, revenue=0.0, failed=True)
+
+
+def _check_reserve(reserve: float) -> None:
+    if not math.isfinite(reserve) or reserve < 0.0:
+        raise DomainError(f"reserve must be finite and >= 0, got {reserve}")
+
+
+def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
+    """Sell one item over the reported diffusion graph at the given reserve.
+
+    Bids exactly equal to the reserve still clear it. Bidders unreachable
+    under the reported links are excluded entirely: they cannot win, pay,
+    or earn. The empty market (or every reachable bid under the reserve)
+    fails the auction.
+    """
+    _check_reserve(reserve)
+    graph = build_graph(profile)
+    bids = {a.agent: a.bid for a in profile.bidders() if a.agent in graph.reachable}
+    if not bids:
+        return _failed_outcome()
+
+    # highest bidder; ties broken toward the smaller id
+    h = min(bids, key=lambda a: (-bids[a], a))
+    if bids[h] < reserve:
+        return _failed_outcome()
+
+    pot = build_pot(graph)
+    chain = dcs(pot, h)
+
+    sub_max: dict[str, float] = {}
+    for v in reversed(pot.order):
+        sub_max[v] = max([bids[v]] + [sub_max[c] for c in pot.children[v]])
+
+    # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone.
+    # The best bid over an empty set is 0, which keeps the telescoping sum
+    # equal to the seller's revenue when one branch holds the whole market.
+    excl = [0.0] * (len(chain) + 1)
+    tops = pot.children[pot.seller]
+    excl[0] = max((sub_max[c] for c in tops if c != chain[0]), default=0.0)
+    for t, z in enumerate(chain):
+        succ = chain[t + 1] if t + 1 < len(chain) else None
+        off_chain = max(
+            (sub_max[c] for c in pot.children[z] if c != succ), default=0.0
+        )
+        excl[t + 1] = max(excl[t], bids[z], off_chain)
+
+    w_idx = len(chain) - 1  # h itself always qualifies
+    for t, z in enumerate(chain):
+        if bids[z] >= reserve and bids[z] == excl[t + 1]:
+            w_idx = t
+            break
+    winner = chain[w_idx]
+
+    payments = {a: 0.0 for a in sorted(graph.reachable)}
+    payments[winner] = max(excl[w_idx], reserve)
+    for t in range(w_idx):
+        payments[chain[t]] = max(excl[t], reserve) - max(excl[t + 1], reserve)
+    revenue = max(excl[0], reserve)
+    return Outcome(winner=winner, payments=payments, revenue=revenue, failed=False)
+
+
+def run_idm(profile: ActionProfile) -> Outcome:
+    """Information diffusion mechanism: the reserve-price auction at 0."""
+    return run_apx_r(profile, 0.0)
+
+
+def run_spa_reserve(bids: dict[str, float], reserve: float) -> Outcome:
+    """Second-price auction with reserve over an explicit bidder set.
+
+    No diffusion: the item goes to the highest bidder unless every bid is
+    under the reserve, at the larger of the second-highest bid and the
+    reserve. A lone bidder pays the reserve.
+    """
+    _check_reserve(reserve)
+    for agent, bid in bids.items():
+        if not math.isfinite(bid) or bid < 0.0:
+            raise ValidationError(f"bid for {agent!r} must be finite and >= 0, got {bid}")
+    if not bids:
+        return _failed_outcome()
+    winner = min(bids, key=lambda a: (-bids[a], a))
+    if bids[winner] < reserve:
+        return _failed_outcome()
+    second = max((b for a, b in bids.items() if a != winner), default=0.0)
+    price = max(second, reserve)
+    payments = {a: 0.0 for a in sorted(bids)}
+    payments[winner] = price
+    return Outcome(winner=winner, payments=payments, revenue=price, failed=False)
+
+
+def utilities(
+    profile: ActionProfile,
+    true_values: dict[str, float],
+    outcome: Outcome,
+) -> dict[str, float]:
+    """Quasilinear utilities: allocation value minus payment, per bidder.
+
+    Bidders absent from the outcome's payment map paid nothing and get 0.
+    """
+    ids = profile.ids()
+    if set(true_values) != set(ids):
+        raise ValidationError("true value ids do not match the profile's bidders")
+    stray = set(outcome.payments) - set(ids)
+    if stray or (outcome.winner is not None and outcome.winner not in ids):
+        raise ValidationError("outcome does not belong to this profile")
+    out = {i: 0.0 - outcome.payments.get(i, 0.0) for i in ids}
+    if outcome.winner is not None:
+        out[outcome.winner] = true_values[outcome.winner] - outcome.payments[outcome.winner]
+    return out
+
+
+def outcome_to_dict(outcome: Outcome) -> dict:
+    return {
+        "winner": outcome.winner,
+        "payments": dict(sorted(outcome.payments.items())),
+        "revenue": outcome.revenue,
+        "failed": outcome.failed,
+    }
+
+
+def outcome_from_dict(data: dict) -> Outcome:
+    try:
+        return Outcome(
+            winner=data["winner"],
+            payments={str(k): float(v) for k, v in data["payments"].items()},
+            revenue=float(data["revenue"]),
+            failed=bool(data["failed"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed outcome payload: {exc}") from None
