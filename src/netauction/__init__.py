@@ -28,7 +28,7 @@ from .graphs import (
     subtree_profile,
 )
 from .incentives import check_dsic, ropt_counterexample
-from .mechanism import Outcome, run_apx_r, run_idm, run_spa_reserve, utilities
+from .mechanism import Outcome, run_apx_r, run_spa_reserve, utilities
 from .reserve import (
     ReservePolicy,
     gamma_general,
@@ -80,7 +80,6 @@ __all__ = [
     "save_profile",
     "Outcome",
     "run_apx_r",
-    "run_idm",
     "run_spa_reserve",
     "utilities",
     "ReservePolicy",

@@ -155,8 +155,10 @@ class Pot:
     """Dominator tree of a diffusion graph, rooted at the seller.
 
     ``parent`` maps each reachable bidder to its immediate dominator (the
-    seller for top-level bidders). ``order`` lists bidders parent-before-
-    child so subtree aggregates fall out of one reversed sweep.
+    seller for top-level bidders). ``order`` is a depth-first preorder:
+    parents come before children, so subtree aggregates fall out of one
+    reversed sweep, and every subtree is the contiguous slice of
+    ``subtree_size`` entries starting at its root.
     """
 
     seller: str

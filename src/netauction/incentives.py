@@ -7,6 +7,12 @@ exact best bid deviation. Propagation deviations are enumerated outright:
 every subset of the bidder's informative neighbors. Links back to the
 seller carry no information, so they are excluded from the subset universe.
 
+A reported subset alone fixes the deviated graph, its dominator tree, the
+branch profile and hence every policy's reserve, since a bidder's own links
+never change whether the bidder itself is reachable. The search therefore
+builds that structure once per subset and clears every bid candidate on it
+with ``mechanism.clear``, the same clearing ``run_apx_r`` uses.
+
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
 three-chain counterexample network, the agent controlling one branch can
@@ -31,7 +37,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import run_apx_r, utilities
+from .mechanism import clear, run_apx_r, utilities
 from .reserve import (
     ReservePolicy,
     RootSolveSettings,
@@ -132,6 +138,11 @@ def check_dsic(
     full propagation. For the global-optimum policy the reserve is resolved
     against each deviated profile, since that feedback is precisely what a
     deviator exploits; every other policy resolves once and stays fixed.
+
+    Each reported-neighbour subset's graph, dominator tree and reserve are
+    built once, and the subset's bid candidates are cleared on that
+    structure. Of equally good deviations, the first in
+    ``enumerate_deviations`` order is reported.
     """
     grid = grid or DeviationGrid()
     values = truth.bids()
@@ -144,7 +155,8 @@ def check_dsic(
         # nobody hears of the sale and no report can change that, since
         # bidders cannot add links out of the seller
         return ()
-    base_profile = subtree_profile(build_pot(graph))
+    pot = build_pot(graph)
+    base_profile = subtree_profile(pot)
     reserve_cache: dict[tuple[int, ...], float] = {}
 
     def reserve_for(profile) -> float:
@@ -158,7 +170,8 @@ def check_dsic(
     base_reserve = resolve_reserve(policy, base_profile, d, settings)
     if policy.kind == "global_opt":
         reserve_cache[tuple(sorted(base_profile.sizes))] = base_reserve
-    truth_outcome = run_apx_r(truth, base_reserve)
+    truth_bids = {a: values[a] for a in graph.reachable}
+    truth_outcome = clear(pot, truth_bids, base_reserve)
     truth_utils = utilities(truth, values, truth_outcome)
 
     reports = []
@@ -180,15 +193,27 @@ def check_dsic(
                 seller=truth.seller,
             )
             tested = len(deviations)
-            for bid, subset in deviations:
-                deviated = truth.replace_action(agent, bid, subset)
-                dev_graph = build_graph(deviated)
-                r = reserve_for(subtree_profile(build_pot(dev_graph)))
-                outcome = run_apx_r(deviated, r)
-                paid = outcome.payments.get(agent, 0.0)
-                u = values[agent] - paid if outcome.winner == agent else -paid
-                if u - u_truth > best_gain:
-                    best_gain = u - u_truth
+            by_subset: dict[frozenset[str], list[int]] = {}
+            for i, (_, subset) in enumerate(deviations):
+                by_subset.setdefault(subset, []).append(i)
+            # the agent's own links never decide whether it is reachable, so
+            # one subset's tree and reserve serve every bid candidate
+            gains = [0.0] * tested
+            for subset, members in by_subset.items():
+                dev_graph = build_graph(truth.replace_action(agent, values[agent], subset))
+                dev_pot = build_pot(dev_graph)
+                r = reserve_for(subtree_profile(dev_pot))
+                bids = {a: values[a] for a in dev_graph.reachable}
+                for i in members:
+                    bids[agent] = deviations[i][0]
+                    outcome = clear(dev_pot, bids, r)
+                    paid = outcome.payments.get(agent, 0.0)
+                    u = values[agent] - paid if outcome.winner == agent else -paid
+                    gains[i] = u - u_truth
+            # strict improvement in enumeration order: the first best wins ties
+            for (bid, subset), gain in zip(deviations, gains):
+                if gain > best_gain:
+                    best_gain = gain
                     best_bid, best_report = bid, subset
         reports.append(
             DeviationReport(

@@ -8,6 +8,9 @@ before the winner are paid (not charged) the marginal value of the market
 they unlocked, which is what makes forwarding the sale information a
 dominant strategy. Payments telescope, so the seller nets
 max(best bid outside the first critical node's subtree, reserve).
+``run_apx_r`` builds the graph and its dominator tree from a profile;
+``clear`` runs the sale on a prebuilt tree, so a caller that varies only
+the bids over one set of reported links builds the tree once.
 
 At reserve 0 the mechanism is the classic information diffusion mechanism;
 a second-price auction with reserve over a fixed bidder set is included as
@@ -18,18 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import DomainError, ValidationError
-from .graphs import ActionProfile, build_graph, build_pot, dcs
+from .graphs import ActionProfile, Pot, build_graph, build_pot, dcs
 
 __all__ = [
     "Outcome",
     "run_apx_r",
-    "run_idm",
+    "clear",
     "run_spa_reserve",
     "utilities",
     "outcome_to_dict",
-    "outcome_from_dict",
 ]
 
 
@@ -67,9 +70,19 @@ def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
     or earn. The empty market (or every reachable bid under the reserve)
     fails the auction.
     """
-    _check_reserve(reserve)
     graph = build_graph(profile)
     bids = {a.agent: a.bid for a in profile.bidders() if a.agent in graph.reachable}
+    return clear(build_pot(graph), bids, reserve)
+
+
+def clear(pot: Pot, bids: dict[str, float], reserve: float) -> Outcome:
+    """Winner and payments on a prebuilt dominator tree.
+
+    ``bids`` maps every bidder in ``pot`` (the reachable bidders) to its
+    bid, so one tree serves any number of bid vectors over the same
+    reported links.
+    """
+    _check_reserve(reserve)
     if not bids:
         return _failed_outcome()
 
@@ -78,25 +91,23 @@ def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
     if bids[h] < reserve:
         return _failed_outcome()
 
-    pot = build_pot(graph)
     chain = dcs(pot, h)
 
-    sub_max: dict[str, float] = {}
-    for v in reversed(pot.order):
-        sub_max[v] = max([bids[v]] + [sub_max[c] for c in pot.children[v]])
-
     # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone.
-    # The best bid over an empty set is 0, which keeps the telescoping sum
-    # equal to the seller's revenue when one branch holds the whole market.
-    excl = [0.0] * (len(chain) + 1)
-    tops = pot.children[pot.seller]
-    excl[0] = max((sub_max[c] for c in tops if c != chain[0]), default=0.0)
-    for t, z in enumerate(chain):
-        succ = chain[t + 1] if t + 1 < len(chain) else None
-        off_chain = max(
-            (sub_max[c] for c in pot.children[z] if c != succ), default=0.0
-        )
-        excl[t + 1] = max(excl[t], bids[z], off_chain)
+    # Every subtree is a contiguous slice of the preorder pot.order, so
+    # excl[t] is the larger of a prefix and a suffix maximum. The best bid
+    # over an empty set is 0, which keeps the telescoping sum equal to the
+    # seller's revenue when one branch holds the whole market.
+    order = pot.order
+    vals = [bids[v] for v in order]
+    before = list(accumulate(vals, max, initial=0.0))
+    after = list(accumulate(reversed(vals), max, initial=0.0))
+    excl = []
+    i = 0
+    for z in chain:
+        i = order.index(z, i)  # each member lies inside the last one's slice
+        excl.append(max(before[i], after[len(order) - i - pot.subtree_size[z]]))
+    excl.append(bids[h])  # everyone: the top bid
 
     w_idx = len(chain) - 1  # h itself always qualifies
     for t, z in enumerate(chain):
@@ -105,17 +116,12 @@ def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
             break
     winner = chain[w_idx]
 
-    payments = {a: 0.0 for a in sorted(graph.reachable)}
+    payments = {a: 0.0 for a in sorted(bids)}
     payments[winner] = max(excl[w_idx], reserve)
     for t in range(w_idx):
         payments[chain[t]] = max(excl[t], reserve) - max(excl[t + 1], reserve)
     revenue = max(excl[0], reserve)
     return Outcome(winner=winner, payments=payments, revenue=revenue, failed=False)
-
-
-def run_idm(profile: ActionProfile) -> Outcome:
-    """Information diffusion mechanism: the reserve-price auction at 0."""
-    return run_apx_r(profile, 0.0)
 
 
 def run_spa_reserve(bids: dict[str, float], reserve: float) -> Outcome:
@@ -170,14 +176,3 @@ def outcome_to_dict(outcome: Outcome) -> dict:
         "failed": outcome.failed,
     }
 
-
-def outcome_from_dict(data: dict) -> Outcome:
-    try:
-        return Outcome(
-            winner=data["winner"],
-            payments={str(k): float(v) for k, v in data["payments"].items()},
-            revenue=float(data["revenue"]),
-            failed=bool(data["failed"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed outcome payload: {exc}") from None

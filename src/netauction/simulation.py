@@ -311,19 +311,17 @@ def monte_carlo(
     failures = 0
     zeros = 0
     bins = np.zeros(100, dtype=np.int64)
-    if threads == 1:
-        partials = map(one_batch, range(n_batches))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        partials = pool.map(one_batch, range(n_batches))
-    for s1, s2, fail, zero, hist in partials:  # merged in batch order
-        total += s1
-        total_sq += s2
-        failures += fail
-        zeros += zero
-        bins += hist
-    if threads != 1:
-        pool.shutdown()
+    # the with block shuts the pool down even when a batch raises; one
+    # thread runs the batches inline and never starts a worker
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        batches = map if threads == 1 else pool.map
+        partials = batches(one_batch, range(n_batches))
+        for s1, s2, fail, zero, hist in partials:  # merged in batch order
+            total += s1
+            total_sq += s2
+            failures += fail
+            zeros += zero
+            bins += hist
 
     mean = total / runs
     if runs > 1:

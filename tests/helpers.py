@@ -65,6 +65,29 @@ def random_sparse_profile(rng, n_max=12, vbar=100.0):
     return ActionProfile(SELLER, tuple(agents))
 
 
+def random_large_profile(rng, n, extra_per_node, window=50):
+    """Random instance with n bidders, every one reachable from the seller.
+
+    Bidder i is informed by one of the `window` bidders before it (or by
+    the seller), which makes long dominator chains; extra links between
+    uniformly drawn pairs, some pointing backwards, then merge paths so
+    that many immediate dominators sit above the bidder that informed them.
+    """
+    ids = [f"x{i}" for i in range(n)]
+    reports = {SELLER: {ids[0]}}
+    reports.update({i: set() for i in ids})
+    for k in range(1, n):
+        j = int(rng.integers(max(-1, k - window), k))
+        reports[SELLER if j < 0 else ids[j]].add(ids[k])
+    for _ in range(int(extra_per_node * n)):
+        u, v = rng.integers(0, n, size=2)
+        if u != v:
+            reports[ids[u]].add(ids[v])
+    agents = [AgentAction(SELLER, 0.0, frozenset(reports[SELLER]))]
+    agents += [AgentAction(i, 1.0, frozenset(reports[i])) for i in ids]
+    return ActionProfile(SELLER, tuple(agents))
+
+
 def truthful_from_values(values, reports, seller=SELLER):
     """Assemble a truthful ActionProfile from value and report dicts."""
     agents = [AgentAction(seller, 0.0, frozenset(reports.get(seller, ())))]
@@ -179,3 +202,78 @@ def naive_apx_r(profile, reserve):
         )
     revenue = max(excl_after(0), reserve)
     return w, payments, revenue, False
+
+
+def slow_check_dsic(truth, d, policy, grid=None, settings=None):
+    """Reference deviation search: every candidate built and run from scratch.
+
+    For each (bid, report) candidate the deviated profile is assembled with
+    ``replace_action``, its graph, dominator tree, branch profile and
+    reserve are rebuilt, and ``run_apx_r`` sells the item over it. The
+    first strictly best candidate in enumeration order is reported, exactly
+    as ``check_dsic`` promises.
+    """
+    from netauction.graphs import build_pot, subtree_profile
+    from netauction.incentives import (
+        DeviationGrid,
+        DeviationReport,
+        enumerate_deviations,
+    )
+    from netauction.mechanism import run_apx_r, utilities
+    from netauction.reserve import global_optimal_reserve, resolve_reserve
+
+    grid = grid or DeviationGrid()
+    values = truth.bids()
+    graph = build_graph(truth)
+    if not graph.reachable:
+        return ()
+    base_profile = subtree_profile(build_pot(graph))
+    base_reserve = resolve_reserve(policy, base_profile, d, settings)
+    # global optima memoized by sorted branch sizes, filled in visiting order
+    cache = {tuple(sorted(base_profile.sizes)): base_reserve}
+
+    def reserve_for(profile):
+        if policy.kind != "global_opt":
+            return base_reserve
+        key = tuple(sorted(profile.sizes))
+        if key not in cache:
+            cache[key] = global_optimal_reserve(profile, d, settings)
+        return cache[key]
+
+    truth_utils = utilities(truth, values, run_apx_r(truth, base_reserve))
+    reports = []
+    for agent in sorted(values):
+        u_truth = truth_utils[agent]
+        best_gain, best_bid = 0.0, values[agent]
+        best_report = truth.action(agent).neighbors
+        deviations = ()
+        if agent in graph.reachable:
+            deviations = enumerate_deviations(
+                values[agent],
+                truth.action(agent).neighbors,
+                grid,
+                d.vbar,
+                others_bids=[b for a, b in values.items() if a != agent],
+                reserve=base_reserve,
+                seller=truth.seller,
+            )
+        for bid, subset in deviations:
+            deviated = truth.replace_action(agent, bid, subset)
+            r = reserve_for(subtree_profile(build_pot(build_graph(deviated))))
+            outcome = run_apx_r(deviated, r)
+            paid = outcome.payments.get(agent, 0.0)
+            u = values[agent] - paid if outcome.winner == agent else -paid
+            if u - u_truth > best_gain:
+                best_gain = u - u_truth
+                best_bid, best_report = bid, subset
+        reports.append(
+            DeviationReport(
+                agent=agent,
+                truthful_utility=u_truth,
+                best_gain=best_gain,
+                best_bid=best_bid,
+                best_report=best_report,
+                deviations_tested=len(deviations),
+            )
+        )
+    return tuple(reports)

@@ -8,7 +8,6 @@ import pytest
 
 from netauction.cli import main
 from netauction.graphs import load_profile, profile_to_dict, save_profile
-from netauction.mechanism import outcome_from_dict
 from netauction.simulation import Scenario, chains_profile, generate_scenario
 
 
@@ -214,9 +213,10 @@ class TestAuction:
             ]
         )
         assert code == 0
-        outcome = outcome_from_dict(json.loads(out_path.read_text()))
-        assert outcome.winner == "a2"
-        assert outcome.revenue == 50.0
+        outcome = json.loads(out_path.read_text())
+        assert outcome["winner"] == "a2"
+        assert outcome["revenue"] == 50.0
+        assert outcome["failed"] is False
 
     def test_missing_profile_is_usage_error(self, capsys):
         assert main(["auction", "--profile", "/nope/missing.json"]) == 2

@@ -205,12 +205,39 @@ class TestPot:
             pot = build_pot(g)
             assert pot.parent == helpers.oracle_parents(g)
 
+    @pytest.mark.parametrize(
+        "n, extra", [(1000, 0.3), (1500, 0.15), (2000, 0.1), (3000, 0.05)]
+    )
+    def test_matches_networkx_on_large_graphs(self, n, extra):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(n)
+        g = build_graph(helpers.random_large_profile(rng, n, extra))
+        assert len(g.reachable) == n
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(g.successors)
+        digraph.add_edges_from(
+            (u, v) for u, out in g.successors.items() for v in out
+        )
+        want = {
+            v: p
+            for v, p in nx.immediate_dominators(digraph, g.seller).items()
+            if v != g.seller
+        }
+        pot = build_pot(g)
+        assert pot.parent == want
+        # deep chains, not a flat star under the seller
+        depth = max(len(dcs(pot, v)) for v in pot.order)
+        assert depth > 10
+
     def test_subtree_sizes_consistent_with_ddg(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
             pot = build_pot(build_graph(helpers.random_sparse_profile(rng)))
-            for node in pot.order:
+            for i, node in enumerate(pot.order):
                 assert pot.subtree_size[node] == len(ddg(pot, node))
+                # preorder: the subtree is the slice starting at its root
+                size = pot.subtree_size[node]
+                assert frozenset(pot.order[i : i + size]) == ddg(pot, node)
 
 
 class TestSubtreeProfile:

@@ -193,6 +193,38 @@ class TestDsicPolicies:
         assert seen == {"wins", "relays", "bystander"}
 
 
+class TestAgainstSlowReference:
+    """check_dsic builds each reported subset once and clears every bid on
+    it; the reference rebuilds the profile, graph, tree and reserve for
+    every candidate. Reports must agree on every field."""
+
+    POLICIES = DSIC_POLICIES + [ReservePolicy(kind="global_opt")]
+
+    def test_random_profiles(self):
+        rng = np.random.default_rng(61)
+        gains = 0
+        for k in range(40):
+            if k % 2:
+                truth = helpers.random_sparse_profile(rng, n_max=6)
+            else:
+                truth = helpers.random_connected_profile(rng, n_max=5)
+            for policy in self.POLICIES:
+                fast = check_dsic(truth, UNI, policy, DeviationGrid(5))
+                slow = helpers.slow_check_dsic(truth, UNI, policy, DeviationGrid(5))
+                assert fast == slow, (policy.kind, truth)
+                gains += sum(r.best_gain > 0.0 for r in fast)
+        # the global optimum is manipulable, so the tie rule is exercised
+        assert gains > 0
+
+    def test_counterexample(self):
+        truth = counterexample_instance()
+        d = Uniform(vbar=1.0)
+        policy = ReservePolicy(kind="global_opt")
+        fast = check_dsic(truth, d, policy)
+        assert fast == helpers.slow_check_dsic(truth, d, policy)
+        assert {r.agent: r for r in fast}["c"].best_gain > 0.0
+
+
 class TestCounterexample:
     def test_instance_shape(self):
         truth = counterexample_instance()

@@ -1,6 +1,7 @@
 """Scenario construction, Monte Carlo determinism/accuracy, edge lists."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ class TestMonteCarlo:
         assert a == b == c
         d = monte_carlo(template, UNI, FIX50, runs=20_000, master_seed=6)
         assert d.mean != a.mean
+
+    def test_pool_shut_down_when_a_batch_raises(self):
+        class Exploding(Uniform):
+            def quantile(self, p):
+                raise RuntimeError("quantile failed")
+
+        before = set(threading.enumerate())
+        # excinfo keeps the failed call's frames alive, so garbage
+        # collection cannot stand in for an explicit shutdown
+        with pytest.raises(RuntimeError, match="quantile failed") as excinfo:
+            monte_carlo(
+                chains_profile((3, 3)), Exploding(vbar=100.0), NONE,
+                runs=5_000, master_seed=1, threads=2,
+            )
+        workers = [
+            t for t in threading.enumerate()
+            if t not in before and t.name.startswith("ThreadPoolExecutor")
+        ]
+        for t in workers:
+            t.join(timeout=2.0)
+        assert not [t for t in workers if t.is_alive()], excinfo.value
 
     def test_single_replicate_matches_mechanism(self):
         template = generate_scenario(Scenario("md", n=9, md=4))
