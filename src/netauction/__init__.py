@@ -12,7 +12,6 @@ from .distributions import (
     TruncatedNormal,
     Uniform,
     parse_distribution,
-    sample,
 )
 from .errors import NetAuctionError
 from .graphs import (
@@ -36,7 +35,6 @@ from .reserve import (
     global_optimal_reserve,
     parse_policy,
     resolve_reserve,
-    secure_global_bound,
     subtree_optimal_reserve,
     sup_gamma_x,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "TruncatedNormal",
     "TruncatedExponential",
     "parse_distribution",
-    "sample",
     "ActionProfile",
     "AgentAction",
     "SubtreeProfile",
@@ -88,7 +85,6 @@ __all__ = [
     "subtree_optimal_reserve",
     "global_optimal_reserve",
     "sup_gamma_x",
-    "secure_global_bound",
     "resolve_reserve",
     "parse_policy",
     "expected_subtree_revenue",

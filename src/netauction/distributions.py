@@ -32,14 +32,10 @@ __all__ = [
     "ValueDistribution",
     "RegularityReport",
     "virtual_value",
-    "hazard_rate",
     "subtree_high_cdf",
     "subtree_high_pdf",
-    "subtree_hazard",
-    "odds_against_all_below",
     "subtree_critical_value",
     "regularity_check",
-    "sample",
     "parse_distribution",
 ]
 
@@ -64,16 +60,24 @@ class ValueDistribution:
 
     def _check_value(self, v) -> bool:
         """Validate support, return True when the input is scalar."""
-        arr = np.asarray(v, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > self.vbar):
-            raise DomainError(f"value outside support [0, {self.vbar}]")
-        return arr.ndim == 0
+        return _scalar_within(v, self.vbar, "value outside support")
 
     def _check_prob(self, p) -> bool:
-        arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise DomainError("probability outside [0, 1]")
-        return arr.ndim == 0
+        return _scalar_within(p, 1, "probability outside")
+
+
+def _scalar_within(x, top, what: str) -> bool:
+    """True when x is a scalar; DomainError when an element lies below 0 or
+    above top (NaN passes). A Python scalar is compared directly, without
+    the 0-d array and reductions an array input needs."""
+    if isinstance(x, (float, int)):
+        scalar, bad = True, x < 0.0 or x > top
+    else:
+        arr = np.asarray(x, dtype=float)
+        scalar, bad = arr.ndim == 0, np.any(arr < 0.0) or np.any(arr > top)
+    if bad:
+        raise DomainError(f"{what} [0, {top}]")
+    return scalar
 
 
 @dataclass(frozen=True)
@@ -178,11 +182,6 @@ class TruncatedExponential(ValueDistribution):
         return _ret(np.clip(out, 0.0, self.vbar), scalar)
 
 
-def sample(d: ValueDistribution, rng: np.random.Generator, size=None):
-    """Draw values via the inverse cdf applied to uniform draws from rng."""
-    return d.quantile(rng.random(size))
-
-
 def _check_k(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError(f"group size k must be a positive integer, got {k!r}")
@@ -198,14 +197,6 @@ def virtual_value(d: ValueDistribution, v: float) -> float:
     return float(v) - (1.0 - F) / f
 
 
-def hazard_rate(d: ValueDistribution, v: float) -> float:
-    """Hazard f(v) / (1 - F(v)); undefined at the top of the support."""
-    F = d.cdf(float(v))
-    if F >= 1.0:
-        raise DomainError(f"hazard rate undefined at v={v} where F(v)=1")
-    return d.pdf(float(v)) / (1.0 - F)
-
-
 def subtree_high_cdf(d: ValueDistribution, v: float, k: int) -> float:
     """Cdf of the highest of k i.i.d. values: F(v)^k."""
     k = _check_k(k)
@@ -216,24 +207,6 @@ def subtree_high_pdf(d: ValueDistribution, v: float, k: int) -> float:
     """Density of the highest of k i.i.d. values: k f(v) F(v)^(k-1)."""
     k = _check_k(k)
     return k * d.pdf(float(v)) * d.cdf(float(v)) ** (k - 1)
-
-
-def subtree_hazard(d: ValueDistribution, v: float, k: int) -> float:
-    """Hazard rate of the highest of k i.i.d. values."""
-    k = _check_k(k)
-    H = subtree_high_cdf(d, v, k)
-    if H >= 1.0:
-        raise DomainError(f"group hazard undefined at v={v} where F(v)^k=1")
-    return subtree_high_pdf(d, v, k) / (1.0 - H)
-
-
-def odds_against_all_below(d: ValueDistribution, v: float, k: int) -> float:
-    """Odds that the best of k values clears v: (1 - F^k) / F^k."""
-    k = _check_k(k)
-    H = subtree_high_cdf(d, v, k)
-    if H <= 0.0:
-        raise DomainError(f"odds undefined at v={v} where F(v)=0")
-    return (1.0 - H) / H
 
 
 def subtree_critical_value(d: ValueDistribution, v: float, k: int) -> float:
@@ -269,6 +242,10 @@ def regularity_check(
 ) -> RegularityReport:
     """Probe monotonicity of the virtual value on a regular grid.
 
+    The virtual value is evaluated on the whole grid with one cdf and one
+    pdf call; a grid point where the pdf vanishes raises SingularityError,
+    as virtual_value does.
+
     Args:
         d: distribution to probe.
         grid_step: spacing of the evaluation grid over [0, vbar];
@@ -282,14 +259,16 @@ def regularity_check(
     if not (0 < grid_step < d.vbar):
         raise DomainError(f"grid_step must lie in (0, vbar), got {grid_step}")
     steps = int(round(d.vbar / grid_step))
-    points = [min(i * grid_step, d.vbar) for i in range(steps)] + [d.vbar]
-    psi = [virtual_value(d, v) for v in points]
-    slopes = [
-        (psi[i + 1] - psi[i]) / (points[i + 1] - points[i])
-        for i in range(len(points) - 1)
-        if points[i + 1] > points[i]
-    ]
-    min_slope = min(slopes)
+    points = np.append(np.minimum(np.arange(steps) * grid_step, d.vbar), d.vbar)
+    F, f = d.cdf(points), d.pdf(points)
+    flat = np.flatnonzero(f <= 0.0)
+    if flat.size:
+        v = float(points[flat[0]])
+        raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
+    psi = points - (1.0 - F) / f
+    rise = np.diff(points)
+    keep = rise > 0.0
+    min_slope = float(np.min(np.diff(psi)[keep] / rise[keep]))
     return RegularityReport(
         grid_step=grid_step, min_slope=min_slope, is_regular_on_grid=min_slope > 0.0
     )

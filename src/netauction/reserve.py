@@ -7,9 +7,14 @@ mechanism incentive compatible. The analysis-only one, the global optimum
 r_opt, reads the realised branch sizes and is known to break truthfulness;
 it is exposed for study and for the counterexample tooling.
 
-All roots are found by bisection. The subtree critical value phi can blow
-up as the cdf approaches 0, so the default bracket stays a hair inside
-(0, vbar) and bisection, unlike Newton steps, cannot escape it.
+All roots are found by bisection, inside a default bracket a hair inside
+(0, vbar) that bisection, unlike Newton steps, cannot escape. The subtree
+critical value phi(v; k) = v - (1 - F^k) / (k f F^(k-1)) diverges to -inf
+as the cdf approaches 0, and for k in the hundreds F^(k-1) underflows to 0
+over much of the bracket. gamma therefore bisects phi times its density
+term, which is finite with the same sign, and the global optimum counts a
+vanishing density term as phi = -inf; only the sign of either function
+steers the bisection.
 """
 
 from __future__ import annotations
@@ -18,12 +23,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .distributions import (
-    Uniform,
-    ValueDistribution,
-    regularity_check,
-    subtree_critical_value,
-)
+import numpy as np
+
+from .distributions import Uniform, ValueDistribution, regularity_check
 from .errors import ConfigError, DomainError, SolverError, ValidationError
 from .graphs import SubtreeProfile
 
@@ -35,7 +37,6 @@ __all__ = [
     "subtree_optimal_reserve",
     "global_optimal_reserve",
     "sup_gamma_x",
-    "secure_global_bound",
     "resolve_reserve",
     "parse_policy",
 ]
@@ -148,13 +149,20 @@ def gamma_general(
     settings: RootSolveSettings | None = None,
 ) -> float:
     """Near-optimal reserve for a general regular distribution: the root of
-    the subtree critical value phi(v; kmin)."""
+    the subtree critical value phi(v; kmin).
+
+    Bisection runs on phi times its denominator, v k f F^(k-1) - (1 - F^k),
+    which has phi's sign wherever phi is finite and stays finite where
+    F^(k-1) underflows near 0, as it does for k in the hundreds."""
     _check_count("kmin", kmin)
     settings = settings or RootSolveSettings()
     tol, max_iter, lo, hi = settings.resolved(d.vbar)
-    return _bisect(
-        lambda v: float(subtree_critical_value(d, v, kmin)), lo, hi, tol, max_iter
-    )
+
+    def scaled_phi(v: float) -> float:
+        F = d.cdf(v)
+        return v * kmin * d.pdf(v) * F ** (kmin - 1) - (1.0 - F**kmin)
+
+    return _bisect(scaled_phi, lo, hi, tol, max_iter)
 
 
 def subtree_optimal_reserve(
@@ -188,11 +196,19 @@ def global_optimal_reserve(
     settings = settings or RootSolveSettings()
     tol, max_iter, lo, hi = settings.resolved(d.vbar)
     weights = sorted(Counter(profile.sizes).items())
+    ks = np.array([k for k, _ in weights])
+    mass = np.array([count * k for k, count in weights])
 
     def beta(r: float) -> float:
-        return sum(
-            count * k * float(subtree_critical_value(d, r, k)) for k, count in weights
-        )
+        # phi(r; k) for every distinct size at once; where the density term
+        # k f F^(k-1) vanishes (F^(k-1) underflows near 0) phi tends to
+        # -inf, which is all the bisection needs to know
+        F, f = d.cdf(r), d.pdf(r)
+        with np.errstate(all="ignore"):
+            denom = ks * f * F ** (ks - 1)
+            phi = np.where(denom > 0.0, r - (1.0 - F**ks) / denom, -np.inf)
+            # summed in size order, one term at a time, as a scalar loop would
+            return sum((mass * phi).tolist())
 
     return _bisect(beta, lo, hi, tol, max_iter)
 
@@ -208,12 +224,6 @@ def sup_gamma_x(n: int, kx: int, vbar: float) -> float:
     if kx > n:
         raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
     return vbar * ((n + 1) / ((kx + 1) * (n - kx + 1))) ** (1.0 / kx)
-
-
-def secure_global_bound(n: int, kmin: int, vbar: float) -> float:
-    """Ceiling under which one global reserve is safe for every branch of
-    size >= kmin; gamma_uniform(kmin, vbar) always sits below it."""
-    return sup_gamma_x(n, kmin, vbar)
 
 
 def resolve_reserve(

@@ -9,7 +9,10 @@ market of n bidders contributes
 
 For uniform values the integrals collapse to closed forms, kept as a fast
 path and as an independent cross-check of the quadrature route. Integration
-is adaptive Simpson; the integrands are smooth powers of the cdf, and the
+is adaptive Simpson, run breadth-first on arrays: the integrals of every
+distinct branch size advance together, one cdf call on all new midpoints
+per level of the bisection tree, with the acceptance rule of the classic
+recursive routine. The integrands are smooth powers of the cdf, and the
 only kink sits exactly at the reserve, which is an interval endpoint here.
 """
 
@@ -19,6 +22,8 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import Uniform, ValueDistribution
 from .errors import DomainError, PropertyViolation, ValidationError
@@ -51,36 +56,64 @@ class QuadratureSettings:
             raise ValidationError(f"max_depth must be >= 1, got {self.max_depth}")
 
 
-def _simpson(a: float, fa: float, fm: float, b: float, fb: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _adaptive_simpson(f, a: float, b: float, count: int, settings: QuadratureSettings | None):
+    """Adaptive Simpson for `count` integrals over [a, b] at once.
 
+    f(v, j) evaluates integrand j[i] at v[i] for arrays v and j. Each level
+    of the bisection tree evaluates f once, on the new midpoints of every
+    interval still open in any integral. The rule is the recursive one
+    (Lyness, 1969): an interval is accepted when |left + right - whole| <=
+    15 tol or at max_depth, its value is left + right + delta/15, and tol
+    halves on each split, starting at rel_tol * max(|whole|, 1) per
+    integral so near-zero integrals terminate. An interval whose estimate
+    is NaN is accepted, so the NaN propagates instead of splitting down to
+    max_depth. Accepted values are summed back up the tree pairwise, in the
+    recursion's order.
+    """
+    settings = settings or QuadratureSettings()
+    if a == b:
+        return np.zeros(count)
+    j = np.arange(count)
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(np.repeat([a, m, b], count), np.tile(j, 3)).reshape(3, count)
+    a, m, b = np.full(count, a), np.full(count, m), np.full(count, b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = settings.rel_tol * np.maximum(np.abs(whole), 1.0)
+    levels = []  # (value where accepted, indices split) per tree level
+    for depth in range(settings.max_depth, -1, -1):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(np.concatenate([lm, rm]), np.concatenate([j, j])).reshape(2, -1)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        split = np.flatnonzero(np.abs(delta) > 15.0 * tol) if depth > 0 else np.empty(0, int)
+        levels.append((left + right + delta / 15.0, split))
+        if split.size == 0:
+            break
 
-def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(a, fa, flm, m, fm)
-    right = _simpson(m, fm, frm, b, fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _adapt(
-        f, m, fm, rm, frm, b, fb, right, half, depth - 1
-    )
+        def children(x, y):
+            # the next level: left halves of the split intervals, then right
+            return np.concatenate([x[split], y[split]])
+
+        j = children(j, j)
+        a, m, b = children(a, m), children(lm, rm), children(m, b)
+        fa, fm, fb = children(fa, fm), children(flm, frm), children(fm, fb)
+        whole, tol = children(left, right), children(0.5 * tol, 0.5 * tol)
+    value = None
+    for leaf, split in reversed(levels):
+        if split.size:
+            half = split.size
+            leaf[split] = value[:half] + value[half:]
+        value = leaf
+    return value
 
 
 def integrate(f, a: float, b: float, settings: QuadratureSettings | None = None) -> float:
-    """Adaptive Simpson on [a, b], relative tolerance with a floor of one
-    money unit so near-zero integrals terminate."""
-    settings = settings or QuadratureSettings()
-    if a == b:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = _simpson(a, fa, fm, b, fb)
-    tol = settings.rel_tol * max(abs(whole), 1.0)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, settings.max_depth)
+    """Adaptive Simpson on [a, b] for an integrand f evaluated on arrays,
+    relative tolerance with a floor of one money unit so near-zero
+    integrals terminate."""
+    value = _adaptive_simpson(lambda v, j: np.broadcast_to(f(v), v.shape), a, b, 1, settings)
+    return float(value[0])
 
 
 def _check_branch(kx: int, n: int) -> None:
@@ -103,17 +136,31 @@ def _subtree_closed_uniform(kx: int, n: int, vbar: float, r: float) -> float:
     return head - tail
 
 
-def _subtree_quadrature(
-    kx: int, n: int, d: ValueDistribution, r: float, settings: QuadratureSettings | None
-) -> float:
-    c = kx / n
+def _subtree_revenues(
+    sizes, n: int, d: ValueDistribution, r: float, settings: QuadratureSettings | None, method: str
+) -> list[float]:
+    """Expected revenue from one branch of each size in `sizes`, all in a
+    market of n bidders; every quadrature integral in one call."""
+    for kx in sizes:
+        _check_branch(kx, n)
+    _check_reserve(r, d.vbar)
+    if method not in ("auto", "closed", "quadrature"):
+        raise ValidationError(f"unknown method {method!r}")
+    if method == "closed" and not isinstance(d, Uniform):
+        raise DomainError("closed form exists only for the uniform distribution")
+    if method != "quadrature" and isinstance(d, Uniform):
+        return [_subtree_closed_uniform(kx, n, d.vbar, r) for kx in sizes]
+    c = np.array([kx / n for kx in sizes])
+    gap = n - np.array(sizes)
 
-    def integrand(v: float) -> float:
-        F = float(d.cdf(v))
-        return (c - 1.0) * F**n + F ** (n - kx)
+    def integrand(v, j):
+        # (k_x/n - 1) F^n + F^(n - k_x): the integrand sees v only through F
+        F = d.cdf(v)
+        return (c[j] - 1.0) * F**n + F ** gap[j]
 
-    head = c * (d.vbar - r * float(d.cdf(r)) ** n)
-    return head - integrate(integrand, r, d.vbar, settings)
+    tails = _adaptive_simpson(integrand, r, d.vbar, len(sizes), settings).tolist()
+    Fr_n = float(d.cdf(r)) ** n
+    return [ci * (d.vbar - r * Fr_n) - tail for ci, tail in zip(c.tolist(), tails)]
 
 
 def expected_subtree_revenue(
@@ -129,15 +176,7 @@ def expected_subtree_revenue(
     method: "auto" picks the uniform closed form when available, otherwise
     quadrature; "closed" and "quadrature" force a route.
     """
-    _check_branch(kx, n)
-    _check_reserve(r, d.vbar)
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "closed" and not isinstance(d, Uniform):
-        raise DomainError("closed form exists only for the uniform distribution")
-    if method != "quadrature" and isinstance(d, Uniform):
-        return _subtree_closed_uniform(kx, n, d.vbar, r)
-    return _subtree_quadrature(kx, n, d, r, settings)
+    return _subtree_revenues([kx], n, d, r, settings, method)[0]
 
 
 def expected_total_revenue(
@@ -147,13 +186,13 @@ def expected_total_revenue(
     settings: QuadratureSettings | None = None,
     method: str = "auto",
 ) -> float:
-    """Expected revenue over the whole market: the sum over branches."""
+    """Expected revenue over the whole market: the sum over branches, with
+    the integrals of all distinct branch sizes evaluated together."""
     if profile.n < 1:
         raise DomainError("total revenue needs a nonempty subtree profile")
-    return sum(
-        count * expected_subtree_revenue(k, profile.n, d, r, settings, method)
-        for k, count in sorted(Counter(profile.sizes).items())
-    )
+    weights = sorted(Counter(profile.sizes).items())
+    revenues = _subtree_revenues([k for k, _ in weights], profile.n, d, r, settings, method)
+    return sum(count * rev for (_, count), rev in zip(weights, revenues))
 
 
 def opt_upper_bound(
@@ -172,8 +211,8 @@ def opt_upper_bound(
         return d.vbar * (n - 1) / (n + 1) + d.vbar / (n + 1) * 0.5**n
     rhat = subtree_optimal_reserve(1, d)
 
-    def integrand(v: float) -> float:
-        F = float(d.cdf(v))
+    def integrand(v):
+        F = d.cdf(v)
         return n * F ** (n - 1) - (n - 1) * F**n
 
     return d.vbar - rhat * float(d.cdf(rhat)) ** n - integrate(integrand, rhat, d.vbar, settings)

@@ -77,7 +77,6 @@ class Scenario:
     kind "mer": seller degree set by a market expansion ratio percentage.
     kind "md": minimal seller degree realising a given market depth.
     kind "symmetry": explicit branch sizes, one chain per branch.
-    kind "explicit": a caller-supplied profile passed through untouched.
     """
 
     kind: str
@@ -85,7 +84,6 @@ class Scenario:
     mer: int | None = None
     md: int | None = None
     sizes: tuple[int, ...] | None = None
-    profile: ActionProfile | None = None
 
     def __post_init__(self):
         if self.kind == "mer":
@@ -124,9 +122,6 @@ class Scenario:
                 object.__setattr__(self, "n", total)
             elif self.n != total:
                 raise ScenarioError(f"n={self.n} does not match sizes {self.sizes}")
-        elif self.kind == "explicit":
-            if self.profile is None:
-                raise ScenarioError("explicit scenario needs a profile")
         else:
             raise ScenarioError(f"unknown scenario kind {self.kind!r}")
 
@@ -175,8 +170,6 @@ def chains_profile(sizes, seller: str = "s") -> ActionProfile:
 def generate_scenario(scenario: Scenario) -> ActionProfile:
     """Realise a scenario as the most symmetric chain tree satisfying it:
     branch sizes are balanced, then the longest chains only as required."""
-    if scenario.kind == "explicit":
-        return scenario.profile
     if scenario.kind == "symmetry":
         return chains_profile(scenario.sizes)
     if scenario.kind == "mer":

@@ -4,7 +4,7 @@ Everything here is deliberately slow and simple so it can serve as an
 independent cross-check of the package's optimized implementations.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -14,6 +14,8 @@ from netauction.graphs import (
     DiffusionGraph,
     build_graph,
 )
+from netauction.reserve import subtree_optimal_reserve
+from netauction.revenue import QuadratureSettings
 
 SELLER = "s"
 
@@ -277,3 +279,69 @@ def slow_check_dsic(truth, d, policy, grid=None, settings=None):
             )
         )
     return tuple(reports)
+
+
+# The recursive scalar adaptive Simpson the revenue module used before its
+# quadrature was batched, kept verbatim as a reference: one cdf call per
+# evaluation point, one integral per branch size.
+
+
+def _simpson(a: float, fa: float, fm: float, b: float, fb: float) -> float:
+    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+
+def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = _simpson(a, fa, flm, m, fm)
+    right = _simpson(m, fm, frm, b, fb)
+    delta = left + right - whole
+    if depth <= 0 or abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return _adapt(f, a, fa, lm, flm, m, fm, left, half, depth - 1) + _adapt(
+        f, m, fm, rm, frm, b, fb, right, half, depth - 1
+    )
+
+
+def slow_integrate(f, a, b, settings=None):
+    settings = settings or QuadratureSettings()
+    if a == b:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = _simpson(a, fa, fm, b, fb)
+    tol = settings.rel_tol * max(abs(whole), 1.0)
+    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, settings.max_depth)
+
+
+def _slow_subtree_quadrature(kx, n, d, r, settings):
+    c = kx / n
+
+    def integrand(v: float) -> float:
+        F = float(d.cdf(v))
+        return (c - 1.0) * F**n + F ** (n - kx)
+
+    head = c * (d.vbar - r * float(d.cdf(r)) ** n)
+    return head - slow_integrate(integrand, r, d.vbar, settings)
+
+
+def slow_expected_total_revenue(profile, d, r, settings=None):
+    """Quadrature route of expected_total_revenue, one recursive integral
+    per distinct branch size."""
+    return sum(
+        count * _slow_subtree_quadrature(k, profile.n, d, r, settings)
+        for k, count in sorted(Counter(profile.sizes).items())
+    )
+
+
+def slow_opt_upper_bound(n, d, settings=None):
+    """Quadrature route of opt_upper_bound."""
+    rhat = subtree_optimal_reserve(1, d)
+
+    def integrand(v: float) -> float:
+        F = float(d.cdf(v))
+        return n * F ** (n - 1) - (n - 1) * F**n
+
+    return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar, settings)

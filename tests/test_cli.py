@@ -1,6 +1,7 @@
 """Command-line interface tests, driven through main(argv)."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -50,10 +51,13 @@ class TestBasics:
         assert main(["ratio", "--rho", "2", "--kmin", "1", "--bogus"]) == 2
 
     def test_console_script_installed(self):
+        # the child finds the package where this process does, installed or
+        # on pytest's configured pythonpath
         proc = subprocess.run(
             [sys.executable, "-m", "netauction.cli", "ratio", "--rho", "2", "--kmin", "1"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.500000"
@@ -66,6 +70,11 @@ class TestReserve:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "62.996052"
+
+    def test_general_gamma_for_a_large_group(self, capsys):
+        code = main(["reserve", "--dist", "normal:mu=50,sigma=16.67,vbar=100", "--policy", "ggamma:k=60"])
+        assert code == 0
+        assert 0.0 < float(capsys.readouterr().out) < 100.0
 
     def test_ropt_needs_sizes(self, capsys):
         code = main(["reserve", "--dist", "uniform:vbar=100", "--policy", "ropt"])

@@ -13,13 +13,9 @@ from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
-    hazard_rate,
-    odds_against_all_below,
     parse_distribution,
     regularity_check,
-    sample,
     subtree_critical_value,
-    subtree_hazard,
     subtree_high_cdf,
     subtree_high_pdf,
     virtual_value,
@@ -74,15 +70,16 @@ class TestSupportAndRenormalisation:
             assert d.cdf(float(v)) == pytest.approx(fv, abs=0.0)
         assert isinstance(d.cdf(50.0), float)
 
+    # values are drawn by the inverse cdf: quantile of uniform draws
     def test_sampling_support_and_determinism(self, d):
-        draws = sample(d, np.random.default_rng(42), size=500)
+        draws = d.quantile(np.random.default_rng(42).random(500))
         assert draws.shape == (500,)
         assert np.all((draws >= 0.0) & (draws <= d.vbar))
-        again = sample(d, np.random.default_rng(42), size=500)
+        again = d.quantile(np.random.default_rng(42).random(500))
         assert np.array_equal(draws, again)
 
     def test_sample_mean_sane(self, d):
-        draws = sample(d, np.random.default_rng(7), size=200_000)
+        draws = d.quantile(np.random.default_rng(7).random(200_000))
         mean_ref, _ = quad(lambda v: v * d.pdf(v), 0.0, d.vbar, limit=200)
         assert abs(draws.mean() - mean_ref) < 0.3
 
@@ -164,37 +161,13 @@ class TestDerivedQuantities:
                 ) / (2 * h)
                 assert subtree_high_pdf(d, 50.0, k) == pytest.approx(num, rel=1e-5)
 
-    def test_odds_identity(self):
-        for d in ALL:
-            for k in (1, 3):
-                H = subtree_high_cdf(d, 35.0, k)
-                assert odds_against_all_below(d, 35.0, k) == pytest.approx(
-                    (1.0 - H) / H, rel=1e-12
-                )
-
-    def test_group_hazard(self):
-        for d in ALL:
-            got = subtree_hazard(d, 45.0, 2)
-            H = subtree_high_cdf(d, 45.0, 2)
-            assert got == pytest.approx(subtree_high_pdf(d, 45.0, 2) / (1 - H), rel=1e-12)
-
     def test_singularities(self):
-        with pytest.raises(DomainError):
-            hazard_rate(UNI, 100.0)
-        with pytest.raises(DomainError):
-            subtree_hazard(UNI, 100.0, 2)
         with pytest.raises(SingularityError):
             subtree_critical_value(UNI, 0.0, 2)
-        with pytest.raises(DomainError):
-            odds_against_all_below(UNI, 0.0, 1)
         with pytest.raises(DomainError):
             subtree_high_cdf(UNI, 50.0, 0)
         with pytest.raises(DomainError):
             subtree_high_cdf(UNI, 50.0, -3)
-
-    def test_hazard_uniform_closed_form(self):
-        # f/(1-F) = 1/(vbar - v)
-        assert hazard_rate(UNI, 75.0) == pytest.approx(1.0 / 25.0, rel=1e-12)
 
 
 class TestRegularity:
@@ -208,6 +181,26 @@ class TestRegularity:
         report = regularity_check(UNI, grid_step=1.0)
         assert report.min_slope == pytest.approx(2.0, rel=1e-9)
         assert report.grid_step == 1.0
+
+    @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
+    def test_matches_pointwise_virtual_values(self, d):
+        # the grid and the slope arithmetic of the array evaluation, one
+        # virtual_value call per point
+        step = 0.37
+        points = [min(i * step, d.vbar) for i in range(int(round(d.vbar / step)))]
+        points.append(d.vbar)
+        psi = [virtual_value(d, v) for v in points]
+        slopes = [
+            (psi[i + 1] - psi[i]) / (points[i + 1] - points[i])
+            for i in range(len(points) - 1)
+            if points[i + 1] > points[i]
+        ]
+        assert regularity_check(d, grid_step=step).min_slope == min(slopes)
+
+    def test_vanishing_pdf_is_a_singularity(self):
+        # the density underflows to 0 at the bottom of the support
+        with pytest.raises(SingularityError):
+            regularity_check(TruncatedNormal(mu=200.0, sigma=5.0, vbar=100.0))
 
     def test_bad_grid_step(self):
         with pytest.raises(DomainError):

@@ -24,7 +24,6 @@ from netauction.reserve import (
     global_optimal_reserve,
     parse_policy,
     resolve_reserve,
-    secure_global_bound,
     subtree_optimal_reserve,
     sup_gamma_x,
 )
@@ -136,6 +135,40 @@ class TestGammaGeneral:
         assert tol == pytest.approx(1e-8)
         assert max_iter == 200
         assert 0.0 < lo < hi < 100.0
+
+
+class TestLargeGroups:
+    """Branches of hundreds of bidders: F^(k-1) underflows near 0, where phi
+    itself is undefined, and the solvers still find the root."""
+
+    @staticmethod
+    def scaled_phi(d, v, k):
+        F = d.cdf(v)
+        return v * k * d.pdf(v) * F ** (k - 1) - (1.0 - F**k)
+
+    @pytest.mark.parametrize("k", [60, 200, 1000])
+    @pytest.mark.parametrize("d", [UNI, NORM, EXPD], ids=["uniform", "normal", "exp"])
+    def test_gamma_general_brackets_a_root(self, d, k):
+        g = gamma_general(k, d)
+        step = 1e-7 * d.vbar
+        assert 0.0 < g - step and g + step < d.vbar
+        assert self.scaled_phi(d, g - step, k) <= 0.0 <= self.scaled_phi(d, g + step, k)
+
+    def test_uniform_matches_closed_form(self):
+        for k in (60, 200, 1000):
+            assert gamma_general(k, UNI) == pytest.approx(gamma_uniform(k, 100.0), abs=1e-7)
+
+    def test_global_opt_with_a_210_bidder_branch(self):
+        prof = SubtreeProfile.from_sizes((210, 12, 3, 1, 1))
+        for d in (NORM, EXPD):
+            r = global_optimal_reserve(prof, d)
+            step = 1e-7 * d.vbar
+
+            def beta(v):
+                return sum(k * subtree_critical_value(d, v, k) for k in prof.sizes)
+
+            assert 0.0 < r < d.vbar
+            assert beta(r - step) <= 0.0 <= beta(r + step)
 
 
 class TestSubtreeOptimalReserve:
@@ -261,8 +294,9 @@ class TestBounds:
         with pytest.raises(DomainError):
             sup_gamma_x(3, 0, 100.0)
 
+    # the secure global bound is sup_gamma_x at the smallest branch size
     def test_secure_bound_example(self):
-        assert secure_global_bound(9, 1, 100.0) == pytest.approx(
+        assert sup_gamma_x(9, 1, 100.0) == pytest.approx(
             55.55555555555556, abs=1e-9
         )
 
@@ -271,7 +305,7 @@ class TestBounds:
             for kmin in range(1, n + 1):
                 assert (
                     gamma_uniform(kmin, 100.0)
-                    <= secure_global_bound(n, kmin, 100.0) + 1e-9
+                    <= sup_gamma_x(n, kmin, 100.0) + 1e-9
                 )
 
 

@@ -49,11 +49,11 @@ class TestIntegrate:
         assert got == pytest.approx(8.0, rel=1e-12)
 
     def test_transcendental(self):
-        got = integrate(math.sin, 0.0, math.pi)
+        got = integrate(np.sin, 0.0, math.pi)
         assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_interval(self):
-        assert integrate(math.sin, 1.0, 1.0) == 0.0
+        assert integrate(np.sin, 1.0, 1.0) == 0.0
 
     def test_settings_validation(self):
         with pytest.raises(ValidationError):
@@ -225,6 +225,57 @@ class TestTotalRevenue:
         assert expected_total_revenue(_prof(2, 3), NORM, 100.0) == pytest.approx(
             0.0, abs=1e-12
         )
+
+
+class TestAgainstRecursiveSimpson:
+    """The batched integrator against the recursive scalar rule it replaced
+    (helpers.slow_expected_total_revenue): the same acceptance tree, so the
+    values agree to rounding."""
+
+    @staticmethod
+    def _profiles():
+        rng = np.random.default_rng(31)
+        profiles = [
+            SubtreeProfile.from_sizes(
+                tuple(int(k) for k in rng.integers(1, 12, rng.integers(1, 8)))
+            )
+            for _ in range(40)
+        ]
+        # about 10k bidders in 100 branches of 80 distinct sizes
+        large = SubtreeProfile.from_sizes(
+            tuple(int(k) for k in np.random.default_rng(10_000).integers(1, 200, 100))
+        )
+        assert len(set(large.sizes)) >= 60 and 9_000 <= large.n <= 11_000
+        return profiles + [large]
+
+    def test_total_revenue_matches(self):
+        rng = np.random.default_rng(32)
+        for prof in self._profiles():
+            for d in (NORM, EXPD, UNI):
+                for r in (0.0, float(rng.uniform(0.0, 100.0)), 100.0):
+                    got = expected_total_revenue(prof, d, r, method="quadrature")
+                    want = helpers.slow_expected_total_revenue(prof, d, r)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_opt_upper_bound_matches(self):
+        # through integrate(), with one integrand
+        for d in (NORM, EXPD):
+            for n in (1, 9, 50):
+                want = helpers.slow_opt_upper_bound(n, d)
+                assert opt_upper_bound(n, d) == pytest.approx(want, rel=1e-12)
+
+    def test_one_cdf_call_per_tree_level(self, monkeypatch):
+        calls = []
+        cdf = TruncatedNormal.cdf
+
+        def counted(self, v):
+            calls.append(v)
+            return cdf(self, v)
+
+        monkeypatch.setattr(TruncatedNormal, "cdf", counted)
+        prof = SubtreeProfile.from_sizes(tuple(range(1, 71)))
+        expected_total_revenue(prof, NORM, 30.0)
+        assert len(calls) <= 64
 
 
 class TestBenchmarks:

@@ -85,7 +85,8 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             Scenario("symmetry", sizes=(3, 3), n=7)
 
-    def test_explicit_needs_profile(self):
+    def test_explicit_kind_is_rejected(self):
+        # a caller with a profile uses it directly; no scenario kind wraps one
         with pytest.raises(ScenarioError):
             Scenario("explicit")
 
@@ -138,10 +139,6 @@ class TestScenarioConstruction:
         for pct in (30, 40, 50, 100):
             prof = generate_scenario(Scenario("mer", n=9, mer=pct))
             assert realized_depth(prof) <= MAX_DEPTH
-
-    def test_explicit_passthrough(self):
-        prof = chains_profile((2, 1))
-        assert generate_scenario(Scenario("explicit", profile=prof)) is prof
 
     def test_chain_template_shape(self):
         prof = chains_profile((2, 1))
