@@ -21,7 +21,6 @@ from .graphs import (
     build_graph,
     build_pot,
     dcs,
-    ddg,
     load_profile,
     save_profile,
     subtree_profile,
@@ -71,7 +70,6 @@ __all__ = [
     "build_graph",
     "build_pot",
     "dcs",
-    "ddg",
     "subtree_profile",
     "load_profile",
     "save_profile",

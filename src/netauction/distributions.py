@@ -9,10 +9,8 @@ parameters used in the experiments, but renormalising keeps every identity
 Sampling is inverse-cdf throughout: one uniform draw maps to one value draw,
 which keeps Monte Carlo streams aligned across distributions.
 
-Derived quantities follow standard auction theory. ``virtual_value`` is
-v - (1-F)/f. ``subtree_critical_value`` generalises it to the highest of k
-i.i.d. values: v - (1-F^k)/(k f F^(k-1)), which is the marginal-revenue curve
-seen by a seller who can only price the best bidder of a k-agent group.
+``regularity_check`` probes the virtual value v - (1-F)/f of standard
+auction theory on a grid.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ __all__ = [
     "TruncatedExponential",
     "ValueDistribution",
     "RegularityReport",
-    "virtual_value",
-    "subtree_high_cdf",
-    "subtree_high_pdf",
-    "subtree_critical_value",
     "regularity_check",
     "parse_distribution",
 ]
@@ -182,52 +176,6 @@ class TruncatedExponential(ValueDistribution):
         return _ret(np.clip(out, 0.0, self.vbar), scalar)
 
 
-def _check_k(k: int) -> int:
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"group size k must be a positive integer, got {k!r}")
-    return int(k)
-
-
-def virtual_value(d: ValueDistribution, v: float) -> float:
-    """Virtual value v - (1 - F(v)) / f(v)."""
-    F = d.cdf(float(v))
-    f = d.pdf(float(v))
-    if f <= 0.0:
-        raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
-    return float(v) - (1.0 - F) / f
-
-
-def subtree_high_cdf(d: ValueDistribution, v: float, k: int) -> float:
-    """Cdf of the highest of k i.i.d. values: F(v)^k."""
-    k = _check_k(k)
-    return d.cdf(float(v)) ** k
-
-
-def subtree_high_pdf(d: ValueDistribution, v: float, k: int) -> float:
-    """Density of the highest of k i.i.d. values: k f(v) F(v)^(k-1)."""
-    k = _check_k(k)
-    return k * d.pdf(float(v)) * d.cdf(float(v)) ** (k - 1)
-
-
-def subtree_critical_value(d: ValueDistribution, v: float, k: int) -> float:
-    """Group-level virtual value v - (1 - F^k) / (k f F^(k-1)).
-
-    Reduces to the plain virtual value at k=1. For k >= 2 the expression
-    diverges where F(v) = 0, which is reported as a singularity.
-    """
-    k = _check_k(k)
-    F = d.cdf(float(v))
-    f = d.pdf(float(v))
-    if k >= 2 and F <= 0.0:
-        raise SingularityError(
-            f"group virtual value diverges at v={v} where F(v)=0 and k={k}"
-        )
-    denom = k * f * F ** (k - 1)
-    if denom <= 0.0:
-        raise SingularityError(f"density term vanishes at v={v}")
-    return float(v) - (1.0 - F ** k) / denom
-
-
 @dataclass(frozen=True)
 class RegularityReport:
     """Finite-difference check that the virtual value increases on a grid."""
@@ -244,7 +192,7 @@ def regularity_check(
 
     The virtual value is evaluated on the whole grid with one cdf and one
     pdf call; a grid point where the pdf vanishes raises SingularityError,
-    as virtual_value does.
+    since the virtual value is undefined there.
 
     Args:
         d: distribution to probe.

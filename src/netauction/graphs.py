@@ -10,8 +10,11 @@ The dominator tree rooted at the seller captures the control structure of
 the diffusion: agent u is an ancestor of agent v exactly when every reported
 path from the seller to v passes through u, so u can cut v (and v's whole
 subtree) out of the market by staying silent. Dominators are computed with
-the iterative data-flow algorithm over a reverse postorder, O(V*E) worst
-case and effectively linear on the shallow graphs used here.
+the iterative data-flow algorithm of Cooper, Harvey and Kennedy over a
+reverse postorder, on integer node indices: one pass over every node, then
+passes over the nodes with several predecessors until nothing changes. On
+the 10k-node benchmark networks that is four or five passes in all, the
+last of which only confirms; the worst case is quadratic.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "build_graph",
     "build_pot",
     "dcs",
-    "ddg",
     "subtree_profile",
     "profile_to_dict",
     "profile_from_dict",
@@ -168,83 +170,98 @@ class Pot:
     order: tuple[str, ...] = ()
 
 
-def _reverse_postorder(graph: DiffusionGraph) -> list[str]:
-    seen = {graph.seller}
-    post: list[str] = []
-    stack: list[tuple[str, int]] = [(graph.seller, 0)]
+def build_pot(graph: DiffusionGraph) -> Pot:
+    """Immediate dominators by iterative data-flow over reverse postorder.
+
+    The seller is node 0 and the reachable bidders are 1..n in id order;
+    the depth-first search, the data-flow passes and the tree walk run on
+    these integer indices, and ids come back only to fill the ``Pot``.
+    The first pass sets every immediate dominator; later passes revisit
+    the nodes with several predecessors until one changes nothing.
+    """
+    ids = [graph.seller, *sorted(graph.reachable)]
+    index = {v: i for i, v in enumerate(ids)}
+    get = graph.successors.get
+    succ = [[index[v] for v in get(u, ())] for u in ids]
+    size = len(ids)
+
+    seen = [False] * size
+    seen[0] = True
+    post: list[int] = []
+    stack = [(0, iter(succ[0]))]
     while stack:
-        node, idx = stack[-1]
-        out = graph.successors.get(node, ())
-        if idx < len(out):
-            stack[-1] = (node, idx + 1)
-            nxt = out[idx]
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append((nxt, 0))
+        node, out = stack[-1]
+        for nxt in out:
+            if not seen[nxt]:
+                seen[nxt] = True
+                stack.append((nxt, iter(succ[nxt])))
+                break
         else:
             stack.pop()
             post.append(node)
-    post.reverse()
-    return post
+    rpo = post[::-1]  # rpo[0] is the seller
+    rank = [0] * size
+    for i, v in enumerate(rpo):
+        rank[v] = i
+    # predecessors by rank, in rank order: preds[v][0] is below v (the
+    # search reached v from some earlier node), so every pass has already
+    # visited it when it comes to v
+    preds: list[list[int]] = [[] for _ in range(size)]
+    for i, u in enumerate(rpo):
+        for v in succ[u]:
+            preds[rank[v]].append(i)
 
-
-def build_pot(graph: DiffusionGraph) -> Pot:
-    """Immediate dominators by iterative data-flow over reverse postorder."""
-    order = _reverse_postorder(graph)  # order[0] is the seller
-    index = {v: i for i, v in enumerate(order)}
-    preds: dict[str, list[str]] = {v: [] for v in order}
-    for u in order:
-        for v in graph.successors.get(u, ()):
-            preds[v].append(u)
-
-    idom: dict[int, int] = {0: 0}
-
-    def intersect(a: int, b: int) -> int:
-        while a != b:
-            while a > b:
-                a = idom[a]
-            while b > a:
-                b = idom[b]
-        return a
-
+    # idom by rank. The first pass visits every node and skips the
+    # predecessors it has not reached yet; a node with one predecessor is
+    # then final, so later passes revisit only the nodes with several
+    idom = [-1] * size
+    idom[0] = 0
+    todo = range(1, size)
+    joins = [v for v in todo if len(preds[v]) > 1]
     changed = True
     while changed:
         changed = False
-        for v in order[1:]:
-            vi = index[v]
-            new = -1
-            for p in preds[v]:
-                pi = index[p]
-                if pi in idom:
-                    new = pi if new < 0 else intersect(pi, new)
-            if new >= 0 and idom.get(vi) != new:
-                idom[vi] = new
+        for v in todo:
+            ps = preds[v]
+            new = ps[0]
+            for p in ps:
+                if idom[p] >= 0:
+                    while p != new:
+                        while p > new:
+                            p = idom[p]
+                        while new > p:
+                            new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
                 changed = True
+        todo = joins
 
-    parent = {order[i]: order[p] for i, p in idom.items() if i != 0}
-    children: dict[str, list[str]] = {v: [] for v in order}
-    for child in sorted(parent):
-        children[parent[child]].append(child)
+    # back to id indices; children come out id-sorted
+    up = [0] * size
+    for i in range(1, size):
+        up[rpo[i]] = rpo[idom[i]]
+    kids: list[list[int]] = [[] for _ in range(size)]
+    for v in range(1, size):
+        kids[up[v]].append(v)
 
     # parent-before-child ordering via DFS over id-sorted children
-    tree_order: list[str] = []
-    stack = list(reversed(children[graph.seller]))
-    while stack:
-        node = stack.pop()
+    tree_order: list[int] = []
+    walk = kids[0][::-1]
+    while walk:
+        node = walk.pop()
         tree_order.append(node)
-        stack.extend(reversed(children[node]))
+        walk.extend(kids[node][::-1])
 
-    size = {v: 1 for v in tree_order}
+    count = [1] * size
     for v in reversed(tree_order):
-        for c in children[v]:
-            size[v] += size[c]
+        count[up[v]] += count[v]
 
     return Pot(
         seller=graph.seller,
-        parent=parent,
-        children={v: tuple(children[v]) for v in order},
-        subtree_size=size,
-        order=tuple(tree_order),
+        parent={ids[v]: ids[up[v]] for v in range(1, size)},
+        children={ids[v]: tuple([ids[c] for c in k]) if k else () for v, k in enumerate(kids)},
+        subtree_size={ids[v]: count[v] for v in tree_order},
+        order=tuple([ids[v] for v in tree_order]),
     )
 
 
@@ -262,19 +279,6 @@ def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
         chain.append(pot.parent[chain[-1]])
     chain.reverse()
     return tuple(chain)
-
-
-def ddg(pot: Pot, agent: str) -> frozenset[str]:
-    """All bidders whose participation the agent controls, itself included."""
-    if agent not in pot.parent:
-        raise KeyError(agent)
-    out = []
-    stack = [agent]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(pot.children[v])
-    return frozenset(out)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .graphs import (
     AgentAction,
     build_graph,
     build_pot,
-    ddg,
     subtree_profile,
 )
 from .reserve import ReservePolicy, RootSolveSettings, resolve_reserve
@@ -252,6 +251,22 @@ def monte_carlo(
     network. Only the branch maxima of the dominator tree matter for
     revenue: the sale fails when the best value misses the reserve, and
     otherwise nets max(second-best branch maximum, reserve).
+
+    Values are ``d.quantile`` of uniform draws, one column per reachable
+    bidder, and the quantile is nondecreasing, so the top two branch maxima
+    are the quantiles of two uniforms: the largest draw, and the largest
+    draw outside that draw's branch. Each replicate evaluates the quantile
+    at those two points only (one when there is a single branch). This
+    equals applying the quantile to every draw wherever ``d.quantile`` is
+    nondecreasing in floating point, which holds for the uniform and
+    exponential families. The truncated normal's quantile goes through
+    scipy's ``ndtri``, which is not nondecreasing at ulp scale: for
+    arguments below about 0.18 it can step down by up to 4 output ulps over
+    spans of at most a few tens of input ulps, and between about 0.84 and
+    0.95 over spans of 1-2 input ulps. A replicate can then differ from the
+    every-draw result only if two of its draws fall in those bands within
+    about 2**-52 of each other and that pair decides a top-two branch
+    maximum.
     """
     if not isinstance(runs, int) or runs < 1:
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
@@ -266,26 +281,29 @@ def monte_carlo(
 
     order = sorted(graph.reachable)
     col = {a: i for i, a in enumerate(order)}
-    branch_cols = [
-        np.array(sorted(col[v] for v in ddg(pot, c)), dtype=np.intp)
-        for c in pot.children[pot.seller]
-    ]
     n = len(order)
-    m = len(branch_cols)
+    m = prof.m
+    # top-level branch of each column: the branches are consecutive
+    # preorder slices of prof.sizes bidders each
+    branch = np.empty(n, dtype=np.intp)
+    branch[[col[a] for a in pot.order]] = np.repeat(np.arange(m), prof.sizes)
     vbar = d.vbar
     B = _batch_rows(n)
     n_batches = (runs + B - 1) // B
 
     def one_batch(g: int) -> tuple[float, float, int, int, np.ndarray]:
         rng = np.random.default_rng([master_seed, g])
-        u = rng.random((B, n))
         rows = min(B, runs - g * B)
-        values = d.quantile(u[:rows])
-        maxima = np.column_stack([values[:, ix].max(axis=1) for ix in branch_cols])
-        top = maxima.max(axis=1)
+        u = rng.random((B, n))[:rows]
         if m >= 2:
-            second = np.partition(maxima, m - 2, axis=1)[:, m - 2]
+            k = u.argmax(axis=1)
+            top_u = u[np.arange(rows), k]
+            # zero the top branch's draws in place; what is left peaks at
+            # the best draw of every other branch
+            np.copyto(u, 0.0, where=branch == branch[k][:, None])
+            top, second = d.quantile(np.stack((top_u, u.max(axis=1))))
         else:
+            top = d.quantile(u.max(axis=1))
             second = np.zeros(rows)
         sold = top >= reserve
         revenue = np.where(sold, np.maximum(second, reserve), 0.0)

@@ -4,18 +4,25 @@ Everything here is deliberately slow and simple so it can serve as an
 independent cross-check of the package's optimized implementations.
 """
 
+import math
 from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from netauction.errors import DomainError, SingularityError, ValidationError
 from netauction.graphs import (
     ActionProfile,
     AgentAction,
     DiffusionGraph,
+    Pot,
     build_graph,
+    build_pot,
+    subtree_profile,
 )
-from netauction.reserve import subtree_optimal_reserve
+from netauction.reserve import resolve_reserve, subtree_optimal_reserve
 from netauction.revenue import QuadratureSettings
+from netauction.simulation import RevenueStats, _batch_rows
 
 SELLER = "s"
 
@@ -67,6 +74,22 @@ def random_sparse_profile(rng, n_max=12, vbar=100.0):
     return ActionProfile(SELLER, tuple(agents))
 
 
+def random_directed_profile(rng, n_max=12, vbar=100.0):
+    """Random reports with every kind of link the graph builder filters:
+    cycles, self-links, links back to the seller, links to an id that never
+    reports, and bidders the seller does not reach."""
+    n = int(rng.integers(1, n_max + 1))
+    ids = [f"x{i}" for i in range(1, n + 1)]
+    targets = ids + [SELLER, "ghost"]
+    p = float(rng.uniform(0.05, 0.45))
+    seller_out = {v for v in targets if v != SELLER and rng.random() < p}
+    agents = [AgentAction(SELLER, 0.0, frozenset(seller_out))]
+    for i in ids:
+        out = {v for v in targets if rng.random() < p}
+        agents.append(AgentAction(i, float(rng.uniform(0.0, vbar)), frozenset(out)))
+    return ActionProfile(SELLER, tuple(agents))
+
+
 def random_large_profile(rng, n, extra_per_node, window=50):
     """Random instance with n bidders, every one reachable from the seller.
 
@@ -88,6 +111,19 @@ def random_large_profile(rng, n, extra_per_node, window=50):
     agents = [AgentAction(SELLER, 0.0, frozenset(reports[SELLER]))]
     agents += [AgentAction(i, 1.0, frozenset(reports[i])) for i in ids]
     return ActionProfile(SELLER, tuple(agents))
+
+
+def random_network(rng, n, edges):
+    """Undirected network with n labelled nodes and `edges` uniform random
+    pairs; self-loops and repeated pairs collapse as in an edge list."""
+    from netauction.simulation import Network
+
+    adj = {f"v{i}": set() for i in range(n)}
+    for u, v in rng.integers(0, n, size=(edges, 2)):
+        if u != v:
+            adj[f"v{u}"].add(f"v{v}")
+            adj[f"v{v}"].add(f"v{u}")
+    return Network(adjacency={u: frozenset(nb) for u, nb in adj.items()})
 
 
 def truthful_from_values(values, reports, seller=SELLER):
@@ -172,7 +208,7 @@ def naive_apx_r(profile, reserve):
     raw max() calls, with no incremental bookkeeping to share bugs with the
     production implementation.
     """
-    from netauction.graphs import build_pot, dcs, ddg
+    from netauction.graphs import dcs
 
     g = build_graph(profile)
     bids = {a.agent: a.bid for a in profile.bidders() if a.agent in g.reachable}
@@ -345,3 +381,235 @@ def slow_opt_upper_bound(n, d, settings=None):
         return n * F ** (n - 1) - (n - 1) * F**n
 
     return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar, settings)
+
+
+# Oracles the package no longer ships, kept verbatim from its graphs and
+# distributions modules: the subtree of a dominator-tree node, and the
+# virtual values the reserve tests solve against.
+
+
+def ddg(pot: Pot, agent: str) -> frozenset[str]:
+    """All bidders whose participation the agent controls, itself included."""
+    if agent not in pot.parent:
+        raise KeyError(agent)
+    out = []
+    stack = [agent]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(pot.children[v])
+    return frozenset(out)
+
+
+def virtual_value(d, v: float) -> float:
+    """Virtual value v - (1 - F(v)) / f(v)."""
+    F = d.cdf(float(v))
+    f = d.pdf(float(v))
+    if f <= 0.0:
+        raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
+    return float(v) - (1.0 - F) / f
+
+
+def _check_k(k: int) -> int:
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise DomainError(f"group size k must be a positive integer, got {k!r}")
+    return int(k)
+
+
+def subtree_critical_value(d, v: float, k: int) -> float:
+    """Group-level virtual value v - (1 - F^k) / (k f F^(k-1)).
+
+    Reduces to the plain virtual value at k=1. For k >= 2 the expression
+    diverges where F(v) = 0, which is reported as a singularity.
+    """
+    k = _check_k(k)
+    F = d.cdf(float(v))
+    f = d.pdf(float(v))
+    if k >= 2 and F <= 0.0:
+        raise SingularityError(
+            f"group virtual value diverges at v={v} where F(v)=0 and k={k}"
+        )
+    denom = k * f * F ** (k - 1)
+    if denom <= 0.0:
+        raise SingularityError(f"density term vanishes at v={v}")
+    return float(v) - (1.0 - F ** k) / denom
+
+
+# The dominator tree on string-keyed dicts, as build_pot computed it before
+# it moved to integer indices, kept verbatim as a reference.
+
+
+def _slow_reverse_postorder(graph: DiffusionGraph) -> list[str]:
+    seen = {graph.seller}
+    post: list[str] = []
+    stack: list[tuple[str, int]] = [(graph.seller, 0)]
+    while stack:
+        node, idx = stack[-1]
+        out = graph.successors.get(node, ())
+        if idx < len(out):
+            stack[-1] = (node, idx + 1)
+            nxt = out[idx]
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, 0))
+        else:
+            stack.pop()
+            post.append(node)
+    post.reverse()
+    return post
+
+
+def slow_build_pot(graph: DiffusionGraph) -> Pot:
+    """Immediate dominators by iterative data-flow over reverse postorder."""
+    order = _slow_reverse_postorder(graph)  # order[0] is the seller
+    index = {v: i for i, v in enumerate(order)}
+    preds: dict[str, list[str]] = {v: [] for v in order}
+    for u in order:
+        for v in graph.successors.get(u, ()):
+            preds[v].append(u)
+
+    idom: dict[int, int] = {0: 0}
+
+    def intersect(a: int, b: int) -> int:
+        while a != b:
+            while a > b:
+                a = idom[a]
+            while b > a:
+                b = idom[b]
+        return a
+
+    changed = True
+    while changed:
+        changed = False
+        for v in order[1:]:
+            vi = index[v]
+            new = -1
+            for p in preds[v]:
+                pi = index[p]
+                if pi in idom:
+                    new = pi if new < 0 else intersect(pi, new)
+            if new >= 0 and idom.get(vi) != new:
+                idom[vi] = new
+                changed = True
+
+    parent = {order[i]: order[p] for i, p in idom.items() if i != 0}
+    children: dict[str, list[str]] = {v: [] for v in order}
+    for child in sorted(parent):
+        children[parent[child]].append(child)
+
+    # parent-before-child ordering via DFS over id-sorted children
+    tree_order: list[str] = []
+    stack = list(reversed(children[graph.seller]))
+    while stack:
+        node = stack.pop()
+        tree_order.append(node)
+        stack.extend(reversed(children[node]))
+
+    size = {v: 1 for v in tree_order}
+    for v in reversed(tree_order):
+        for c in children[v]:
+            size[v] += size[c]
+
+    return Pot(
+        seller=graph.seller,
+        parent=parent,
+        children={v: tuple(children[v]) for v in order},
+        subtree_size=size,
+        order=tuple(tree_order),
+    )
+
+
+# The Monte Carlo estimator as it was before it reduced the uniforms, kept
+# verbatim as a reference: the quantile of every draw, then the maximum of
+# each branch's columns, then the top two branch maxima by partition.
+
+
+def slow_monte_carlo(
+    template,
+    d,
+    policy,
+    runs,
+    master_seed,
+    threads=1,
+    root_settings=None,
+):
+    """Estimate expected revenue under truthful play."""
+    if not isinstance(runs, int) or runs < 1:
+        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
+    graph = build_graph(template)
+    if not graph.reachable:
+        raise DomainError("the template reaches no bidders")
+    pot = build_pot(graph)
+    prof = subtree_profile(pot)
+    reserve = resolve_reserve(policy, prof, d, root_settings)
+
+    order = sorted(graph.reachable)
+    col = {a: i for i, a in enumerate(order)}
+    branch_cols = [
+        np.array(sorted(col[v] for v in ddg(pot, c)), dtype=np.intp)
+        for c in pot.children[pot.seller]
+    ]
+    n = len(order)
+    m = len(branch_cols)
+    vbar = d.vbar
+    B = _batch_rows(n)
+    n_batches = (runs + B - 1) // B
+
+    def one_batch(g: int) -> tuple[float, float, int, int, np.ndarray]:
+        rng = np.random.default_rng([master_seed, g])
+        u = rng.random((B, n))
+        rows = min(B, runs - g * B)
+        values = d.quantile(u[:rows])
+        maxima = np.column_stack([values[:, ix].max(axis=1) for ix in branch_cols])
+        top = maxima.max(axis=1)
+        if m >= 2:
+            second = np.partition(maxima, m - 2, axis=1)[:, m - 2]
+        else:
+            second = np.zeros(rows)
+        sold = top >= reserve
+        revenue = np.where(sold, np.maximum(second, reserve), 0.0)
+        positive = revenue[revenue > 0.0]
+        hist, _ = np.histogram(positive, bins=100, range=(0.0, vbar))
+        return (
+            float(revenue.sum()),
+            float(np.square(revenue).sum()),
+            int(rows - sold.sum()),
+            int(rows - positive.size),
+            hist,
+        )
+
+    total = 0.0
+    total_sq = 0.0
+    failures = 0
+    zeros = 0
+    bins = np.zeros(100, dtype=np.int64)
+    # the with block shuts the pool down even when a batch raises; one
+    # thread runs the batches inline and never starts a worker
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        batches = map if threads == 1 else pool.map
+        partials = batches(one_batch, range(n_batches))
+        for s1, s2, fail, zero, hist in partials:  # merged in batch order
+            total += s1
+            total_sq += s2
+            failures += fail
+            zeros += zero
+            bins += hist
+
+    mean = total / runs
+    if runs > 1:
+        variance = max(0.0, (total_sq - runs * mean * mean) / (runs - 1))
+        std_error = math.sqrt(variance / runs)
+    else:
+        std_error = 0.0
+    return RevenueStats(
+        runs=runs,
+        mean=mean,
+        std_error=std_error,
+        failure_rate=failures / runs,
+        histogram=(zeros, *(int(c) for c in bins)),
+        reserve=reserve,
+        master_seed=master_seed,
+        vbar=vbar,
+    )

@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from helpers import subtree_critical_value, virtual_value
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
     parse_distribution,
     regularity_check,
-    subtree_critical_value,
-    subtree_high_cdf,
-    subtree_high_pdf,
-    virtual_value,
 )
 from netauction.errors import ConfigError, DomainError, SingularityError
 
@@ -118,6 +115,9 @@ class TestTruncationMass:
 
 
 class TestDerivedQuantities:
+    """The virtual-value oracles of tests/helpers.py, which the reserve and
+    regularity tests solve against, checked on closed forms."""
+
     def test_uniform_virtual_value_closed_form(self):
         for v in (0.0, 10.0, 50.0, 80.0, 100.0):
             assert virtual_value(UNI, v) == pytest.approx(2.0 * v - 100.0, abs=1e-12)
@@ -142,32 +142,11 @@ class TestDerivedQuantities:
                     expect, rel=1e-12
                 )
 
-    def test_group_cdf_pdf(self):
-        for d in ALL:
-            for k in (1, 2, 4):
-                assert subtree_high_cdf(d, 60.0, k) == pytest.approx(
-                    d.cdf(60.0) ** k, rel=1e-12
-                )
-                assert subtree_high_pdf(d, 60.0, k) == pytest.approx(
-                    k * d.pdf(60.0) * d.cdf(60.0) ** (k - 1), rel=1e-12
-                )
-
-    def test_group_pdf_is_derivative_of_group_cdf(self):
-        h = 1e-6
-        for d in ALL:
-            for k in (2, 3):
-                num = (
-                    subtree_high_cdf(d, 50.0 + h, k) - subtree_high_cdf(d, 50.0 - h, k)
-                ) / (2 * h)
-                assert subtree_high_pdf(d, 50.0, k) == pytest.approx(num, rel=1e-5)
-
     def test_singularities(self):
         with pytest.raises(SingularityError):
             subtree_critical_value(UNI, 0.0, 2)
         with pytest.raises(DomainError):
-            subtree_high_cdf(UNI, 50.0, 0)
-        with pytest.raises(DomainError):
-            subtree_high_cdf(UNI, 50.0, -3)
+            subtree_critical_value(UNI, 50.0, 0)
 
 
 class TestRegularity:

@@ -1,11 +1,13 @@
 """Diffusion graph, dominator tree, and serialization tests."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import helpers
+from helpers import ddg
 from netauction.errors import ValidationError
 from netauction.graphs import (
     ActionProfile,
@@ -14,7 +16,6 @@ from netauction.graphs import (
     build_graph,
     build_pot,
     dcs,
-    ddg,
     load_profile,
     profile_from_dict,
     profile_to_dict,
@@ -185,7 +186,7 @@ class TestPot:
         with pytest.raises(KeyError):
             dcs(pot, "zz")
         with pytest.raises(KeyError):
-            ddg(pot, "s")
+            dcs(pot, "s")
 
     def test_order_is_parent_before_child(self):
         rng = np.random.default_rng(7)
@@ -238,6 +239,46 @@ class TestPot:
                 # preorder: the subtree is the slice starting at its root
                 size = pot.subtree_size[node]
                 assert frozenset(pot.order[i : i + size]) == ddg(pot, node)
+
+
+class TestAgainstSlowReference:
+    """build_pot on integer indices against the dict-based data-flow it
+    replaced (tests/helpers.py): the dominator tree is unique, so every
+    field must agree."""
+
+    @staticmethod
+    def _check(graph):
+        got, want = build_pot(graph), helpers.slow_build_pot(graph)
+        assert got.seller == want.seller
+        assert got.parent == want.parent
+        assert got.children == want.children
+        assert got.subtree_size == want.subtree_size
+        assert got.order == want.order
+
+    def test_random_directed_profiles(self):
+        rng = np.random.default_rng(2718)
+        seen = Counter()
+        for _ in range(250):
+            p = helpers.random_directed_profile(rng)
+            g = build_graph(p)
+            self._check(g)
+            reports = {a.agent: a.neighbors for a in p.bidders()}
+            seen["unreachable"] += len(g.reachable) < len(reports)
+            seen["self"] += any(u in out for u, out in reports.items())
+            seen["to_seller"] += any(p.seller in out for out in reports.values())
+            seen["unknown"] += any("ghost" in a.neighbors for a in p.agents)
+            seen["cycle"] += any(
+                u in reports.get(v, ()) for u, out in reports.items() for v in out if v != u
+            )
+            seen["nobody_reached"] += not g.reachable
+        assert min(seen.values()) >= 5, seen
+
+    @pytest.mark.parametrize(
+        "n, extra", [(1000, 0.3), (1500, 0.15), (2000, 0.1), (3000, 0.05)]
+    )
+    def test_large_graphs(self, n, extra):
+        rng = np.random.default_rng(n)
+        self._check(build_graph(helpers.random_large_profile(rng, n, extra)))
 
 
 class TestSubtreeProfile:

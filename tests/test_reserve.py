@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from helpers import subtree_critical_value
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
-    subtree_critical_value,
 )
 from netauction.errors import (
     ConfigError,

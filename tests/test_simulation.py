@@ -1,12 +1,14 @@
 """Scenario construction, Monte Carlo determinism/accuracy, edge lists."""
 
+import hashlib
 import math
 import threading
 
 import numpy as np
 import pytest
 
-from netauction.distributions import TruncatedNormal, Uniform
+import helpers
+from netauction.distributions import TruncatedExponential, TruncatedNormal, Uniform
 from netauction.errors import (
     ConfigError,
     DomainError,
@@ -356,6 +358,111 @@ class TestMonteCarlo:
         assert lines[1].startswith("0,0,")
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert sum(counts) == 500
+
+
+_DIFF_PRIORS = [
+    ("uniform", UNI),
+    ("normal", TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)),
+    ("exp", TruncatedExponential(lam=0.08, vbar=100.0)),
+    # the inverse normal cdf steps down at ulp scale between about 0.84 and
+    # 0.95 (mu near 0 maps the draws to [0.49, 1)) and below about 0.18 (mu
+    # beyond vbar maps every draw below 0.11)
+    ("normal_mu_near_0", TruncatedNormal(mu=0.5, sigma=16.67, vbar=100.0)),
+    ("normal_lower_tail", TruncatedNormal(mu=150.0, sigma=40.0, vbar=100.0)),
+]
+
+
+def _diff_templates():
+    """(name, template, runs); runs straddle each template's batch rows."""
+    large = [
+        helpers.random_large_profile(np.random.default_rng(n), n, extra)
+        for n, extra in ((1000, 0.3), (2000, 0.1), (3000, 0.05))
+    ]
+    return [
+        ("one_chain", chains_profile((4,)), 16_384 + 5),
+        ("one_bidder", chains_profile((1,)), 300),
+        ("chains_3_6", chains_profile((3, 6)), 16_384 + 6),
+        ("two_bidders", chains_profile((1, 1)), 5_000),
+        ("chains_6_to_1", chains_profile((6, 5, 4, 3, 2, 1)), 20_000),
+        ("random_small", helpers.random_connected_profile(np.random.default_rng(3)), 16_400),
+        *((f"large_{len(t.agents) - 1}", t, 1_000_000 // (len(t.agents) - 1) + 7) for t in large),
+    ]
+
+
+class TestAgainstSlowMonteCarlo:
+    """monte_carlo on the uniforms' top two against the estimator that
+    applied the quantile to every draw (tests/helpers.py)."""
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(4242)
+        cases = 0
+        for name, template, runs in _diff_templates():
+            for prior_name, d in _DIFF_PRIORS:
+                kind = cases % 3
+                if kind == 0:
+                    policy = NONE
+                elif kind == 1:
+                    policy = ReservePolicy("fixed", r=float(rng.uniform(0.0, d.vbar)))
+                else:
+                    policy = ReservePolicy("fixed", r=d.vbar)
+                threads = 1 + cases % 2
+                seed = int(rng.integers(2**31))
+                got = monte_carlo(template, d, policy, runs, seed, threads=threads)
+                want = helpers.slow_monte_carlo(template, d, policy, runs, seed)
+                assert got == want, (name, prior_name, policy, threads)
+                cases += 1
+        assert cases >= 40
+
+
+def _histogram_digest(stats):
+    return hashlib.sha256(repr(stats.histogram).encode()).hexdigest()[:16]
+
+
+class TestPinnedStats:
+    """Exact RevenueStats of fixed-seed runs, recorded with the estimator
+    that applied the quantile to every draw before taking branch maxima."""
+
+    def _check(self, stats, mean, std_error, digest):
+        assert stats.mean.hex() == mean
+        assert stats.std_error.hex() == std_error
+        assert _histogram_digest(stats) == digest
+
+    def test_chains_normal_general_gamma(self):
+        stats = monte_carlo(
+            chains_profile((3, 6)),
+            TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0),
+            ReservePolicy("general_gamma", kmin=3),
+            runs=40_000,
+            master_seed=2026,
+        )
+        self._check(
+            stats, "0x1.e817386854c9dp+5", "0x1.6ae5293e9c6aap-5", "426719a0ba159e8f"
+        )
+        assert stats.failure_rate == 0.00185
+
+    def test_large_profile_exponential_two_threads(self):
+        template = helpers.random_large_profile(np.random.default_rng(7), 1500, 0.5)
+        stats = monte_carlo(
+            template,
+            TruncatedExponential(lam=0.08, vbar=100.0),
+            ReservePolicy("fixed", r=60.0),
+            runs=2_000,
+            master_seed=31,
+            threads=2,
+        )
+        self._check(
+            stats, "0x1.46e3182c180fap+6", "0x1.3aac5b44d6f0dp-3", "0e86b240d1b8f125"
+        )
+
+    def test_ten_thousand_node_network(self):
+        net = helpers.random_network(np.random.default_rng(2024), 10_000, 30_000)
+        template = template_from_network(net, pick_seller(net, 4, seed=1))
+        stats = monte_carlo(
+            template, UNI, ReservePolicy("uniform_gamma", kmin=2), runs=300, master_seed=9
+        )
+        self._check(
+            stats, "0x1.8feb293225055p+6", "0x1.dce308b0921a9p-11", "8dd6e17ea8cf50d6"
+        )
 
 
 class TestEdgeLists:
