@@ -28,9 +28,7 @@ def main(argv=None) -> int:
     profile = SubtreeProfile.from_sizes(int(k) for k in args.sizes.split(","))
     d = parse_distribution(args.dist)
     grid = np.linspace(0.0, d.vbar, args.points)
-    write_revenue_csv(args.out, profile, d, grid)
-
-    revenues = [expected_total_revenue(profile, d, float(r)) for r in grid]
+    revenues = write_revenue_csv(args.out, profile, d, grid)
     best = int(np.argmax(revenues))
     r_opt = global_optimal_reserve(profile, d)
     print(f"sizes: {'+'.join(str(k) for k in profile.sizes)}  ({args.dist})")

@@ -26,7 +26,7 @@ from .graphs import (
     subtree_profile,
 )
 from .incentives import check_dsic, ropt_counterexample
-from .mechanism import Outcome, run_apx_r, run_spa_reserve, utilities
+from .mechanism import Outcome, run_apx_r, utilities
 from .reserve import (
     ReservePolicy,
     gamma_general,
@@ -75,7 +75,6 @@ __all__ = [
     "save_profile",
     "Outcome",
     "run_apx_r",
-    "run_spa_reserve",
     "utilities",
     "ReservePolicy",
     "gamma_uniform",

@@ -48,6 +48,7 @@ from .revenue import (
     write_revenue_csv,
 )
 from .simulation import (
+    Market,
     draw_replicate,
     generate_scenario,
     load_edge_list,
@@ -82,8 +83,12 @@ def _parse_sizes(text: str) -> SubtreeProfile:
     return SubtreeProfile.from_sizes(sizes)
 
 
-def _load_template(spec: str, rho: int | None, seed: int):
-    """A --net argument is a scenario spec, a profile JSON, or an edge list."""
+def _load_template(spec: str, rho: int | None, seed: int, market: bool = False):
+    """A --net argument is a scenario spec, a profile JSON, or an edge list.
+
+    With ``market`` an edge list compiles straight to the Monte Carlo's
+    ``Market``, without a profile row per node.
+    """
     if spec.startswith(_SCENARIO_PREFIXES):
         return generate_scenario(parse_scenario(spec))
     _require_file(spec)
@@ -92,7 +97,10 @@ def _load_template(spec: str, rho: int | None, seed: int):
     network = load_edge_list(spec)
     if rho is None:
         raise ConfigError("an edge-list network needs --rho to pick the seller")
-    return template_from_network(network, pick_seller(network, rho, seed))
+    seller = pick_seller(network, rho, seed)
+    if market:
+        return Market.from_network(network, seller)
+    return template_from_network(network, seller)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -163,7 +171,7 @@ def _cmd_revenue(args) -> int:
 def _cmd_simulate(args) -> int:
     d = parse_distribution(args.dist)
     policy = parse_policy(args.reserve)
-    template = _load_template(args.net, args.rho, args.seed)
+    template = _load_template(args.net, args.rho, args.seed, market=True)
     stats = monte_carlo(template, d, policy, args.runs, args.seed, threads=args.threads)
     print(f"runs: {stats.runs}")
     print(f"reserve: {_fmt(stats.reserve)}")
@@ -234,17 +242,15 @@ def _cmd_ratio(args) -> int:
 
 def _cmd_ingest(args) -> int:
     network = load_edge_list(_require_file(args.net))
-    degrees = sorted(len(nb) for nb in network.adjacency.values())
+    degrees, counts = np.unique(np.diff(network.indptr), return_counts=True)
     print(f"nodes: {network.node_count()}")
     print(f"edges: {network.edge_count()}")
-    print(f"max_degree: {degrees[-1] if degrees else 0}")
+    print(f"max_degree: {degrees[-1] if degrees.size else 0}")
     payload = {
         "nodes": network.node_count(),
         "edges": network.edge_count(),
-        "degrees": {},
+        "degrees": {str(deg): count for deg, count in zip(degrees.tolist(), counts.tolist())},
     }
-    for deg in degrees:
-        payload["degrees"][str(deg)] = payload["degrees"].get(str(deg), 0) + 1
     if args.rho is not None:
         seller = pick_seller(network, args.rho, args.seed)
         print(f"seller: {seller}")

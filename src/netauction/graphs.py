@@ -15,6 +15,12 @@ reverse postorder, on integer node indices: one pass over every node, then
 passes over the nodes with several predecessors until nothing changes. On
 the 10k-node benchmark networks that is four or five passes in all, the
 last of which only confirms; the worst case is quadratic.
+
+An undirected network (an ingested edge list, every node forwarding to all
+of its neighbours) needs no data-flow: links into the seller never change
+dominance, so the tree is the block-cut tree rooted at the seller, and
+``network_dominators`` reads it off one low-link depth-first search over
+integer CSR arrays (Tarjan 1972; Hopcroft and Tarjan 1973).
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -33,6 +41,7 @@ __all__ = [
     "SubtreeProfile",
     "build_graph",
     "build_pot",
+    "network_dominators",
     "dcs",
     "subtree_profile",
     "profile_to_dict",
@@ -265,6 +274,62 @@ def build_pot(graph: DiffusionGraph) -> Pot:
     )
 
 
+def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:
+    """Immediate dominators from ``root`` in an undirected graph.
+
+    The graph is in CSR form: the neighbours of node v are
+    ``indices[indptr[v]:indptr[v + 1]]``, every link listed from both ends,
+    no repeats and no self-loops. Returns the immediate dominator of every
+    node, with ``root`` for the root itself and -1 for nodes outside its
+    component.
+
+    Dominators of v lie on its depth-first tree path, and an ancestor a
+    separates v from the root exactly when a's child c toward v has
+    low(c) >= pre(a), low(c) being the least preorder number linked to from
+    c's subtree. So idom(v) is its tree parent p when p is the root or
+    low(v) >= pre(p), and otherwise idom(p), resolved in preorder. The tree
+    link from v to p counts toward low(v) too: it cannot take low(v) below
+    pre(p), so the test is unchanged and the scan needs no parent check.
+    """
+    start = indptr.tolist()
+    nbr = indices.tolist()
+    size = len(start) - 1
+    pre = [-1] * size
+    low = [0] * size
+    parent = [-1] * size
+    cursor = start[:-1]  # next unscanned neighbour slot of every node
+    pre[root] = 0
+    order = [root]
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        i, end = cursor[v], start[v + 1]
+        while i < end and pre[nbr[i]] >= 0:
+            w = nbr[i]
+            if pre[w] < low[v]:
+                low[v] = pre[w]
+            i += 1
+        if i < end:
+            w = nbr[i]
+            cursor[v] = i + 1
+            pre[w] = low[w] = len(order)
+            parent[w] = v
+            order.append(w)
+            stack.append(w)
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0 and low[v] < low[p]:
+                low[p] = low[v]
+
+    idom = [-1] * size
+    idom[root] = root
+    for v in order[1:]:
+        p = parent[v]
+        idom[v] = p if p == root or low[v] >= pre[p] else idom[p]
+    return np.array(idom, dtype=np.intp)
+
+
 def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
     """Dominator chain from the seller's side down to the agent.
 
@@ -290,10 +355,10 @@ class SubtreeProfile:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
+        object.__setattr__(self, "sizes", tuple(map(int, self.sizes)))
         if not self.sizes:
             raise ValidationError("a branch profile needs at least one branch")
-        if any(k < 1 for k in self.sizes):
+        if min(self.sizes) < 1:
             raise ValidationError(f"every branch size must be >= 1, got {self.sizes}")
         if self.n != sum(self.sizes) or self.m != len(self.sizes):
             raise ValidationError(
@@ -302,7 +367,7 @@ class SubtreeProfile:
 
     @classmethod
     def from_sizes(cls, sizes) -> "SubtreeProfile":
-        sizes = tuple(int(k) for k in sizes)
+        sizes = tuple(map(int, sizes))
         return cls(n=sum(sizes), m=len(sizes), sizes=sizes)
 
 

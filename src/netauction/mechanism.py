@@ -12,9 +12,7 @@ max(best bid outside the first critical node's subtree, reserve).
 ``clear`` runs the sale on a prebuilt tree, so a caller that varies only
 the bids over one set of reported links builds the tree once.
 
-At reserve 0 the mechanism is the classic information diffusion mechanism;
-a second-price auction with reserve over a fixed bidder set is included as
-the no-diffusion benchmark.
+At reserve 0 the mechanism is the classic information diffusion mechanism.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ __all__ = [
     "Outcome",
     "run_apx_r",
     "clear",
-    "run_spa_reserve",
     "utilities",
     "outcome_to_dict",
 ]
@@ -122,29 +119,6 @@ def clear(pot: Pot, bids: dict[str, float], reserve: float) -> Outcome:
         payments[chain[t]] = max(excl[t], reserve) - max(excl[t + 1], reserve)
     revenue = max(excl[0], reserve)
     return Outcome(winner=winner, payments=payments, revenue=revenue, failed=False)
-
-
-def run_spa_reserve(bids: dict[str, float], reserve: float) -> Outcome:
-    """Second-price auction with reserve over an explicit bidder set.
-
-    No diffusion: the item goes to the highest bidder unless every bid is
-    under the reserve, at the larger of the second-highest bid and the
-    reserve. A lone bidder pays the reserve.
-    """
-    _check_reserve(reserve)
-    for agent, bid in bids.items():
-        if not math.isfinite(bid) or bid < 0.0:
-            raise ValidationError(f"bid for {agent!r} must be finite and >= 0, got {bid}")
-    if not bids:
-        return _failed_outcome()
-    winner = min(bids, key=lambda a: (-bids[a], a))
-    if bids[winner] < reserve:
-        return _failed_outcome()
-    second = max((b for a, b in bids.items() if a != winner), default=0.0)
-    price = max(second, reserve)
-    payments = {a: 0.0 for a in sorted(bids)}
-    payments[winner] = price
-    return Outcome(winner=winner, payments=payments, revenue=price, failed=False)
 
 
 def utilities(

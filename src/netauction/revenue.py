@@ -320,12 +320,16 @@ def write_revenue_csv(
     d: ValueDistribution,
     r_values,
     settings: QuadratureSettings | None = None,
-) -> None:
-    """One (sizes, r, analytic revenue) row per reserve, for plotting."""
+) -> list[float]:
+    """One (sizes, r, analytic revenue) row per reserve, for plotting;
+    returns the revenues in row order."""
     sizes = "+".join(str(k) for k in profile.sizes)
+    revenues = []
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sizes", "r", "revenue"])
         for r in r_values:
             rev = expected_total_revenue(profile, d, float(r), settings)
             writer.writerow([sizes, repr(float(r)), repr(rev)])
+            revenues.append(rev)
+    return revenues

@@ -17,8 +17,11 @@ information cannot be assumed to travel.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter, ne
 
 import numpy as np
 
@@ -33,8 +36,10 @@ from .errors import (
 from .graphs import (
     ActionProfile,
     AgentAction,
+    SubtreeProfile,
     build_graph,
     build_pot,
+    network_dominators,
     subtree_profile,
 )
 from .reserve import ReservePolicy, RootSolveSettings, resolve_reserve
@@ -42,6 +47,7 @@ from .reserve import ReservePolicy, RootSolveSettings, resolve_reserve
 __all__ = [
     "Scenario",
     "RevenueStats",
+    "Market",
     "Network",
     "generate_scenario",
     "parse_scenario",
@@ -236,8 +242,55 @@ class RevenueStats:
     vbar: float
 
 
+@dataclass(frozen=True, eq=False)
+class Market:
+    """What the Monte Carlo reads of a reported network.
+
+    The columns are the reachable bidders in id order; ``branch`` holds the
+    top-level dominator branch of each column, and ``profile`` the branch
+    sizes, branches numbered and ordered by head id as ``Pot.children``
+    orders the seller's children.
+    """
+
+    branch: np.ndarray
+    profile: SubtreeProfile
+
+    @classmethod
+    def from_profile(cls, template: ActionProfile) -> "Market":
+        """Through the reported graph and its data-flow dominator tree."""
+        graph = build_graph(template)
+        if not graph.reachable:
+            raise DomainError("the template reaches no bidders")
+        pot = build_pot(graph)
+        prof = subtree_profile(pot)
+        col = {a: i for i, a in enumerate(sorted(graph.reachable))}
+        # the branches are consecutive preorder slices of prof.sizes bidders
+        branch = np.empty(prof.n, dtype=np.intp)
+        branch[[col[a] for a in pot.order]] = np.repeat(np.arange(prof.m), prof.sizes)
+        return cls(branch=branch, profile=prof)
+
+    @classmethod
+    def from_network(cls, network: "Network", seller: str) -> "Market":
+        """The full-propagation market of ``template_from_network(network,
+        seller)``, read off the network's own arrays."""
+        root = network.index(seller)
+        idom = network_dominators(network.indptr, network.indices, root)
+        # label order is id order; a Network node always has a link, so the
+        # seller reaches at least one bidder
+        cols = np.flatnonzero(idom >= 0)
+        cols = cols[cols != root]
+        # climb to the top-level dominator by pointer doubling
+        head = np.arange(idom.size)
+        deep = cols[idom[cols] != root]
+        head[deep] = idom[deep]
+        while not np.array_equal(up := head[head], head):
+            head = up
+        _, branch, sizes = np.unique(head[cols], return_inverse=True, return_counts=True)
+        return cls(branch=branch, profile=SubtreeProfile.from_sizes(sizes.tolist()))
+
+
 def monte_carlo(
-    template: ActionProfile,
+    template: ActionProfile | Market,
     d: ValueDistribution,
     policy: ReservePolicy,
     runs: int,
@@ -250,7 +303,8 @@ def monte_carlo(
     Each replicate draws i.i.d. values as bids on the template's reported
     network. Only the branch maxima of the dominator tree matter for
     revenue: the sale fails when the best value misses the reserve, and
-    otherwise nets max(second-best branch maximum, reserve).
+    otherwise nets max(second-best branch maximum, reserve). A ``Market``
+    compiled from the template gives the same result.
 
     Values are ``d.quantile`` of uniform draws, one column per reachable
     bidder, and the quantile is nondecreasing, so the top two branch maxima
@@ -272,21 +326,13 @@ def monte_carlo(
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    graph = build_graph(template)
-    if not graph.reachable:
-        raise DomainError("the template reaches no bidders")
-    pot = build_pot(graph)
-    prof = subtree_profile(pot)
+    market = template if isinstance(template, Market) else Market.from_profile(template)
+    prof = market.profile
     reserve = resolve_reserve(policy, prof, d, root_settings)
 
-    order = sorted(graph.reachable)
-    col = {a: i for i, a in enumerate(order)}
-    n = len(order)
+    branch = market.branch
+    n = prof.n
     m = prof.m
-    # top-level branch of each column: the branches are consecutive
-    # preorder slices of prof.sizes bidders each
-    branch = np.empty(n, dtype=np.intp)
-    branch[[col[a] for a in pot.order]] = np.repeat(np.arange(m), prof.sizes)
     vbar = d.vbar
     B = _batch_rows(n)
     n_batches = (runs + B - 1) // B
@@ -405,69 +451,97 @@ def write_histogram_csv(stats: RevenueStats, path) -> None:
             fh.write(f"{b * step!r},{(b + 1) * step!r},{count}\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Undirected simple graph from an edge list."""
+    """Undirected simple graph from an edge list.
 
-    adjacency: dict[str, frozenset[str]]
+    Node v is ``labels[v]``, with the labels in Python's ``sorted`` order,
+    and its neighbours are ``indices[indptr[v]:indptr[v + 1]]``, ascending:
+    every link is listed from both ends, once.
+    """
+
+    labels: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_edges(cls, us, vs) -> "Network":
+        """The graph of the pairs (us[i], vs[i]): repeated and reversed
+        pairs are one link, and self-loops are dropped before the nodes are
+        named, so a label seen only in self-loops is no node."""
+        keep = list(map(ne, us, vs))
+        us = list(compress(us, keep))
+        vs = list(compress(vs, keep))
+        labels = sorted(set(us).union(vs))
+        size = len(labels)
+        index = dict(zip(labels, range(size)))
+        # one lookup call for both columns; with a pair or more it returns a tuple
+        ends = np.array(itemgetter(*us, *vs)(index) if us else (), dtype=np.intp)
+        iu, iv = ends.reshape(2, -1)
+        key = np.concatenate((iu * size + iv, iv * size + iu))
+        key.sort()  # a plain np.unique hashes, many times slower here
+        src, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], size)
+        indptr = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+        return cls(labels=tuple(labels), indptr=indptr, indices=indices)
 
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.labels)
 
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.adjacency.values()) // 2
+        return len(self.indices) // 2
+
+    def index(self, node: str) -> int:
+        i = bisect_left(self.labels, node)
+        if i == len(self.labels) or self.labels[i] != node:
+            raise KeyError(node)
+        return i
 
     def degree(self, node: str) -> int:
-        return len(self.adjacency[node])
+        i = self.index(node)
+        return int(self.indptr[i + 1] - self.indptr[i])
+
+    def neighbors(self, node: str) -> tuple[str, ...]:
+        i = self.index(node)
+        return tuple(self.labels[j] for j in self.indices[self.indptr[i] : self.indptr[i + 1]])
 
 
 def load_edge_list(path) -> Network:
     """Whitespace-separated `u v` pairs; `#`/`%` comments and blank lines
     are skipped, extra columns (weights, timestamps) and self-loops are
     ignored."""
-    adj: dict[str, set[str]] = {}
+    us: list[str] = []
+    vs: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#") or line.startswith("%"):
+            parts = raw.split(None, 2)
+            if not parts or parts[0][0] in "#%":
                 continue
-            parts = line.split()
             if len(parts) < 2:
                 raise EdgeListFormatError(
                     f"{path}: line {ln}: expected two node ids, got {raw.rstrip()!r}"
                 )
-            u, v = parts[0], parts[1]
-            if u == v:
-                continue
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-    return Network(adjacency={u: frozenset(nb) for u, nb in adj.items()})
+            us.append(parts[0])
+            vs.append(parts[1])
+    return Network.from_edges(us, vs)
 
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:
     """Uniformly random node of degree exactly rho under the seed."""
-    candidates = sorted(u for u, nb in network.adjacency.items() if len(nb) == rho)
-    if not candidates:
+    candidates = np.flatnonzero(np.diff(network.indptr) == rho)
+    if not candidates.size:
         raise LookupError(f"no node of degree {rho} in the network")
     rng = np.random.default_rng(seed)
-    return candidates[int(rng.integers(len(candidates)))]
+    return network.labels[candidates[int(rng.integers(len(candidates)))]]
 
 
 def template_from_network(network: Network, seller: str) -> ActionProfile:
     """Truthful full-propagation template over the seller's component."""
-    if seller not in network.adjacency:
-        raise KeyError(seller)
-    component = {seller}
-    frontier = [seller]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in network.adjacency[u]:
-                if v not in component:
-                    component.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    agents = [AgentAction(seller, 0.0, network.adjacency[seller])]
-    for node in sorted(component - {seller}):
-        agents.append(AgentAction(node, 0.0, network.adjacency[node]))
+    root = network.index(seller)
+    # the dominator tree spans exactly the seller's component
+    component = np.flatnonzero(network_dominators(network.indptr, network.indices, root) >= 0)
+    agents = [AgentAction(seller, 0.0, network.neighbors(seller))]
+    for v in component[component != root].tolist():
+        node = network.labels[v]
+        agents.append(AgentAction(node, 0.0, network.neighbors(node)))
     return ActionProfile(seller=seller, agents=tuple(agents))

@@ -10,7 +10,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from netauction.errors import DomainError, SingularityError, ValidationError
+from netauction.errors import (
+    DomainError,
+    EdgeListFormatError,
+    SingularityError,
+    ValidationError,
+)
 from netauction.graphs import (
     ActionProfile,
     AgentAction,
@@ -20,6 +25,7 @@ from netauction.graphs import (
     build_pot,
     subtree_profile,
 )
+from netauction.mechanism import Outcome
 from netauction.reserve import resolve_reserve, subtree_optimal_reserve
 from netauction.revenue import QuadratureSettings
 from netauction.simulation import RevenueStats, _batch_rows
@@ -114,16 +120,60 @@ def random_large_profile(rng, n, extra_per_node, window=50):
 
 
 def random_network(rng, n, edges):
-    """Undirected network with n labelled nodes and `edges` uniform random
+    """Undirected network on labels v0..v{n-1} from `edges` uniform random
     pairs; self-loops and repeated pairs collapse as in an edge list."""
     from netauction.simulation import Network
 
-    adj = {f"v{i}": set() for i in range(n)}
-    for u, v in rng.integers(0, n, size=(edges, 2)):
-        if u != v:
-            adj[f"v{u}"].add(f"v{v}")
-            adj[f"v{v}"].add(f"v{u}")
-    return Network(adjacency={u: frozenset(nb) for u, nb in adj.items()})
+    pairs = rng.integers(0, n, size=(edges, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]].tolist()
+    return Network.from_edges([f"v{u}" for u, _ in pairs], [f"v{v}" for _, v in pairs])
+
+
+def slow_load_adjacency(path):
+    """The dict-of-frozensets edge-list reader that ``load_edge_list``
+    replaced, verbatim but for returning the adjacency dict."""
+    adj: dict[str, set[str]] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line or line.startswith("#") or line.startswith("%"):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise EdgeListFormatError(
+                    f"{path}: line {ln}: expected two node ids, got {raw.rstrip()!r}"
+                )
+            u, v = parts[0], parts[1]
+            if u == v:
+                continue
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+    return {u: frozenset(nb) for u, nb in adj.items()}
+
+
+def run_spa_reserve(bids: dict[str, float], reserve: float) -> Outcome:
+    """Second-price auction with reserve over an explicit bidder set.
+
+    No diffusion: the item goes to the highest bidder unless every bid is
+    under the reserve, at the larger of the second-highest bid and the
+    reserve. A lone bidder pays the reserve. The diffusion auction on a
+    star network around the seller must agree with it.
+    """
+    if not math.isfinite(reserve) or reserve < 0.0:
+        raise DomainError(f"reserve must be finite and >= 0, got {reserve}")
+    for agent, bid in bids.items():
+        if not math.isfinite(bid) or bid < 0.0:
+            raise ValidationError(f"bid for {agent!r} must be finite and >= 0, got {bid}")
+    if not bids:
+        return Outcome(winner=None, payments={}, revenue=0.0, failed=True)
+    winner = min(bids, key=lambda a: (-bids[a], a))
+    if bids[winner] < reserve:
+        return Outcome(winner=None, payments={}, revenue=0.0, failed=True)
+    second = max((b for a, b in bids.items() if a != winner), default=0.0)
+    price = max(second, reserve)
+    payments = {a: 0.0 for a in sorted(bids)}
+    payments[winner] = price
+    return Outcome(winner=winner, payments=payments, revenue=price, failed=False)
 
 
 def truthful_from_values(values, reports, seller=SELLER):

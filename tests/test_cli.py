@@ -5,11 +5,28 @@ import os
 import subprocess
 import sys
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
+import helpers
+import netauction.cli
+import netauction.simulation
 from netauction.cli import main
+from netauction.distributions import parse_distribution
 from netauction.graphs import load_profile, profile_to_dict, save_profile
-from netauction.simulation import Scenario, chains_profile, generate_scenario
+from netauction.reserve import parse_policy
+from netauction.simulation import (
+    Scenario,
+    chains_profile,
+    generate_scenario,
+    load_edge_list,
+    monte_carlo,
+    pick_seller,
+    stats_to_dict,
+    template_from_network,
+)
 
 
 @pytest.fixture
@@ -61,6 +78,21 @@ class TestBasics:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.500000"
+
+    def test_import_loads_no_sparse_graph_library(self):
+        # scipy.sparse would add about 9 MB and 0.1 s to every start
+        probe = (
+            "import sys, netauction.cli; "
+            "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'networkx'))])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestReserve:
@@ -319,6 +351,35 @@ class TestSimulate:
         assert code == 0
         assert "mean:" in capsys.readouterr().out
 
+    def test_edge_list_builds_no_dict_graph(self, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(77)
+        path = tmp_path / "net.txt"
+        path.write_text(
+            "".join(f"n{u} n{v}\n" for u, v in rng.integers(0, 300, size=(450, 2)))
+        )
+        out = tmp_path / "stats.json"
+        argv = [
+            "simulate", "--net", str(path), "--dist", "normal:mu=50,sigma=16.67,vbar=100",
+            "--reserve", "ropt", "--runs", "3000", "--rho", "3", "--seed", "11",
+            "--threads", "2", "--out", str(out),
+        ]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the edge-list path built a per-node structure")
+
+        monkeypatch.setattr(netauction.cli, "template_from_network", forbidden)
+        for name in ("AgentAction", "build_graph", "build_pot"):
+            monkeypatch.setattr(netauction.simulation, name, forbidden)
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+
+        net = load_edge_list(path)
+        template = template_from_network(net, pick_seller(net, 3, seed=11))
+        d = parse_distribution("normal:mu=50,sigma=16.67,vbar=100")
+        want = monte_carlo(template, d, parse_policy("ropt"), 3000, 11, threads=2)
+        assert json.loads(out.read_text()) == stats_to_dict(want)
+
     def test_impossible_rho_is_runtime_error(self, edge_list, capsys):
         code = main(
             [
@@ -456,6 +517,33 @@ class TestRatioAndIngest:
         assert blob["nodes"] == 5
         assert blob["edges"] == 5
         assert sum(blob["degrees"].values()) == 5
+
+    def test_ingest_census_counts_the_links(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "net.txt"
+        pairs = rng.integers(0, 80, size=(200, 2))
+        path.write_text("# census\n" + "".join(f"n{u}\tn{v}\n" for u, v in pairs))
+        out = tmp_path / "census.json"
+        assert main(["ingest", "--net", str(path), "--out", str(out)]) == 0
+        adjacency = helpers.slow_load_adjacency(path)
+        degrees = Counter(len(nb) for nb in adjacency.values())
+        edges = sum(degrees[k] * k for k in degrees) // 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"nodes: {len(adjacency)}",
+            f"edges: {edges}",
+            f"max_degree: {max(degrees)}",
+        ]
+        assert json.loads(out.read_text()) == {
+            "nodes": len(adjacency),
+            "edges": edges,
+            "degrees": {str(k): c for k, c in degrees.items()},
+        }
+
+    def test_ingest_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# no links\n")
+        assert main(["ingest", "--net", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["nodes: 0", "edges: 0", "max_degree: 0"]
 
     def test_ingest_with_seller(self, edge_list, capsys):
         code = main(["ingest", "--net", edge_list, "--rho", "3"])

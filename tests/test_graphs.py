@@ -17,11 +17,13 @@ from netauction.graphs import (
     build_pot,
     dcs,
     load_profile,
+    network_dominators,
     profile_from_dict,
     profile_to_dict,
     save_profile,
     subtree_profile,
 )
+from netauction.simulation import Network, load_edge_list, pick_seller, template_from_network
 
 
 def _profile(seller_out, rows, seller="s"):
@@ -279,6 +281,155 @@ class TestAgainstSlowReference:
     def test_large_graphs(self, n, extra):
         rng = np.random.default_rng(n)
         self._check(build_graph(helpers.random_large_profile(rng, n, extra)))
+
+
+def _network(pairs, offset=0):
+    """Network on labels n<offset>, n<offset+1>, ... from integer pairs."""
+    return Network.from_edges(
+        [f"n{u + offset}" for u, _ in pairs], [f"n{v + offset}" for _, v in pairs]
+    )
+
+
+def _path(k):
+    return [(i, i + 1) for i in range(k - 1)]
+
+
+def _star(k):
+    return [(0, i) for i in range(1, k)]
+
+
+def _tree(rng, k):
+    return [(int(rng.integers(i)), i) for i in range(1, k)]
+
+
+def _barbell(k, bridge):
+    """Two k-cliques joined by a path through `bridge` further nodes."""
+    left = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    right = [(k + bridge + i, k + bridge + j) for i, j in left]
+    chain = list(range(k - 1, k + bridge + 1))
+    return left + right + list(zip(chain, chain[1:]))
+
+
+def _bouquet(lengths):
+    """Cycles of the given lengths that all pass through node 0."""
+    pairs, nxt = [], 1
+    for k in lengths:
+        ring = [0, *range(nxt, nxt + k - 1)]
+        nxt += k - 1
+        pairs += list(zip(ring, ring[1:] + ring[:1]))
+    return pairs
+
+
+def _articulated(rng):
+    """A bouquet, a barbell hung off one of its cycles, a tree hung off the
+    barbell, and a second component (a triangle) nothing reaches."""
+    pairs = _bouquet((3, 4, 5))
+    pairs += [(u + 12, v + 12) for u, v in _barbell(4, 2)] + [(5, 12)]
+    pairs += [(u + 22, v + 22) for u, v in _tree(rng, 8)] + [(17, 22)]
+    pairs += [(30, 31), (31, 32), (32, 30)]
+    return pairs
+
+
+def _families(rng):
+    yield "path", _path(7)
+    yield "star", _star(6)
+    yield "tree", _tree(rng, 14)
+    yield "barbell", _barbell(4, 2)
+    yield "bouquet", _bouquet((3, 4, 5))
+    yield "articulated", _articulated(rng)
+    yield "two_components", _path(4) + [(u + 4, v + 4) for u, v in _bouquet((3, 3))]
+
+
+def _tree_parents(network, seller):
+    idom = network_dominators(network.indptr, network.indices, network.index(seller))
+    labels = network.labels
+    return {
+        labels[v]: labels[p]
+        for v, p in enumerate(idom.tolist())
+        if p >= 0 and labels[v] != seller
+    }
+
+
+def _data_flow_parents(network, seller):
+    return build_pot(build_graph(template_from_network(network, seller))).parent
+
+
+class TestNetworkDominators:
+    """The low-link tree of an undirected network against the data-flow
+    tree of its full-propagation template, and against networkx."""
+
+    def test_families_every_seller(self):
+        rng = np.random.default_rng(61)
+        for name, pairs in _families(rng):
+            net = _network(pairs)
+            for seller in net.labels:
+                got = _tree_parents(net, seller)
+                assert got == _data_flow_parents(net, seller), (name, seller)
+
+    def test_root_and_unreached_marks(self):
+        net = _network(_path(3) + [(5, 6)])
+        idom = network_dominators(net.indptr, net.indices, net.index("n1"))
+        assert dict(zip(net.labels, idom.tolist())) == {
+            "n0": 1, "n1": 1, "n2": 1, "n5": -1, "n6": -1
+        }
+
+    def test_cut_vertex_seller(self):
+        # the seller joins two triangles and a pendant path: every branch
+        # hangs off it, and each triangle splits into two top-level heads
+        net = _network(_bouquet((3, 3)) + [(0, 5), (5, 6)])
+        assert _tree_parents(net, "n0") == {
+            "n1": "n0", "n2": "n0", "n3": "n0", "n4": "n0", "n5": "n0", "n6": "n5"
+        }
+
+    @pytest.mark.parametrize("seed, n, edges", [(1, 400, 420), (2, 2000, 2600), (3, 3000, 6000)])
+    def test_random_networks(self, seed, n, edges):
+        rng = np.random.default_rng(seed)
+        net = helpers.random_network(rng, n, edges)
+        degrees = np.diff(net.indptr)
+        sellers = {pick_seller(net, int(rho), seed) for rho in np.unique(degrees)[:4]}
+        sellers |= {net.labels[int(i)] for i in rng.integers(0, net.node_count(), 3)}
+        for seller in sorted(sellers):
+            got = _tree_parents(net, seller)
+            assert got == _data_flow_parents(net, seller), seller
+            # articulation points below the seller, not a flat star
+            assert len(set(got.values())) > 1
+
+    def test_ten_thousand_nodes(self):
+        net = helpers.random_network(np.random.default_rng(2024), 10_000, 30_000)
+        seller = pick_seller(net, 4, seed=1)
+        assert _tree_parents(net, seller) == _data_flow_parents(net, seller)
+
+    def test_edge_list_with_repeats_and_self_loops(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text(
+            "a b\nb a\na b\nb c\nc c\nc d\nd b\nd e\ne e\ne f 2.5\n"
+            "f e\nz z\ng h\n"
+        )
+        net = load_edge_list(path)
+        assert net.labels == ("a", "b", "c", "d", "e", "f", "g", "h")
+        for seller in net.labels:
+            assert _tree_parents(net, seller) == _data_flow_parents(net, seller), seller
+        assert _tree_parents(net, "a") == {
+            "b": "a", "c": "b", "d": "b", "e": "d", "f": "e"
+        }
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(62)
+        cases = [(name, _network(pairs)) for name, pairs in _families(rng)]
+        cases.append(("random", helpers.random_network(rng, 1500, 1800)))
+        for name, net in cases:
+            graph = nx.Graph()
+            for label in net.labels:
+                graph.add_edges_from((label, w) for w in net.neighbors(label))
+            sellers = net.labels if name != "random" else net.labels[::97]
+            for seller in sellers:
+                want = {
+                    v: p
+                    for v, p in nx.immediate_dominators(graph.to_directed(), seller).items()
+                    if v != seller
+                }
+                assert _tree_parents(net, seller) == want, (name, seller)
 
 
 class TestSubtreeProfile:

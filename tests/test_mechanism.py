@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import run_spa_reserve
 from netauction.errors import DomainError, ValidationError
 from netauction.graphs import ActionProfile, AgentAction, build_graph, build_pot
-from netauction.mechanism import (
-    Outcome,
-    clear,
-    run_apx_r,
-    run_spa_reserve,
-    utilities,
-)
+from netauction.mechanism import Outcome, clear, run_apx_r, utilities
 
 
 def _profile(seller_out, rows, seller="s"):

@@ -404,9 +404,10 @@ class TestCsv:
     def test_write_and_read_back(self, tmp_path):
         path = tmp_path / "sweep.csv"
         rs = [0.0, 25.0, 50.0, 75.0]
-        write_revenue_csv(path, _prof(3, 6), UNI, rs)
+        revenues = write_revenue_csv(path, _prof(3, 6), UNI, rs)
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert [float(row["revenue"]) for row in rows] == revenues
         assert len(rows) == 4
         assert rows[0]["sizes"] == "3+6"
         assert float(rows[2]["r"]) == 50.0

@@ -22,6 +22,7 @@ from netauction.reserve import ReservePolicy, gamma_uniform
 from netauction.revenue import expected_total_revenue
 from netauction.simulation import (
     MAX_DEPTH,
+    Market,
     Network,
     Scenario,
     chains_profile,
@@ -32,6 +33,7 @@ from netauction.simulation import (
     parse_scenario,
     pick_seller,
     stats_to_dict,
+    _batch_rows,
     template_from_network,
     write_histogram_csv,
 )
@@ -464,6 +466,68 @@ class TestPinnedStats:
             stats, "0x1.8feb293225055p+6", "0x1.dce308b0921a9p-11", "8dd6e17ea8cf50d6"
         )
 
+    def test_ten_thousand_node_network_market(self):
+        net = helpers.random_network(np.random.default_rng(2024), 10_000, 30_000)
+        market = Market.from_network(net, pick_seller(net, 4, seed=1))
+        stats = monte_carlo(
+            market, UNI, ReservePolicy("uniform_gamma", kmin=2), runs=300, master_seed=9
+        )
+        self._check(
+            stats, "0x1.8feb293225055p+6", "0x1.dce308b0921a9p-11", "8dd6e17ea8cf50d6"
+        )
+
+
+class TestMarket:
+    """The Market read off a network's arrays against the one compiled from
+    its full-propagation template through build_graph and build_pot."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(808)
+        for n, edges in ((60, 70), (400, 500), (2000, 3000), (3000, 9000)):
+            net = helpers.random_network(rng, n, edges)
+            sellers = {pick_seller(net, rho, seed=n) for rho in (1, 2, 3)}
+            sellers.add(net.labels[int(rng.integers(net.node_count()))])
+            for seller in sorted(sellers):
+                yield net, seller
+
+    def test_same_market_as_the_template(self):
+        for net, seller in self._cases():
+            got = Market.from_network(net, seller)
+            want = Market.from_profile(template_from_network(net, seller))
+            assert got.profile == want.profile, seller
+            assert np.array_equal(got.branch, want.branch), seller
+
+    def test_same_stats_as_the_template(self):
+        policies = (
+            FIX50,
+            ReservePolicy("general_gamma", kmin=2),
+            ReservePolicy("global_opt"),
+        )
+        priors = (UNI, TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0))
+        cases = 0
+        for net, seller in self._cases():
+            template = template_from_network(net, seller)
+            market = Market.from_network(net, seller)
+            policy = policies[cases % len(policies)]
+            d = priors[cases % len(priors)]
+            # one replicate into a second batch
+            runs = min(_batch_rows(market.profile.n) + 1, 3_000)
+            for threads in (1, 2):
+                got = monte_carlo(market, d, policy, runs, master_seed=cases, threads=threads)
+                want = monte_carlo(template, d, policy, runs, master_seed=cases, threads=threads)
+                assert got == want, (seller, policy, threads)
+            cases += 1
+        assert cases >= 12
+
+    def test_unknown_seller(self):
+        net = Network.from_edges(["a", "b", "d"], ["b", "c", "d"])
+        assert net.labels == ("a", "b", "c")  # d is named in a self-loop only
+        assert Market.from_network(net, "a").profile.sizes == (2,)
+        for seller in ("zz", "d"):
+            with pytest.raises(KeyError):
+                Market.from_network(net, seller)
+
 
 class TestEdgeLists:
     def test_basic_parse(self, tmp_path):
@@ -481,7 +545,7 @@ class TestEdgeLists:
         assert net.node_count() == 3
         assert net.edge_count() == 2
         assert net.degree("b") == 2
-        assert net.adjacency["a"] == frozenset({"b"})
+        assert net.neighbors("a") == ("b",)
 
     def test_single_token_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -525,10 +589,68 @@ class TestEdgeLists:
         assert 0.0 <= stats.mean <= 100.0
         assert stats.reserve == 50.0
 
+    def test_same_graph_as_the_dict_reader(self, tmp_path):
+        # comments after leading blanks, CRLF endings, tabs and Unicode
+        # blanks, extra columns, a '#' inside a label, repeated, reversed
+        # and self-loop lines, and labels that differ only in a trailing NUL
+        text = (
+            "% header\r\n  # indented comment\r\n\r\n"
+            "a\tb\r\nb  a 0.5\r\nb\u3000c 1 2 3\nc#1 c\nd d\n"
+            "\x85e\xa0f\ne f\nf e x\n \t \nz\x00 z\nz z\x00\nz a\n"
+        )
+        path = tmp_path / "messy.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        net = load_edge_list(path)
+        want = helpers.slow_load_adjacency(path)
+        assert net.labels == tuple(sorted(want))
+        assert {u: frozenset(net.neighbors(u)) for u in net.labels} == want
+        assert net.edge_count() == sum(map(len, want.values())) // 2
+        assert "d" not in net.labels and "z\x00" in net.labels
+
+        rng = np.random.default_rng(17)
+        labels = [f"n{i}" for i in range(60)]
+        lines = [
+            f"{labels[u]} {labels[v]}" for u, v in rng.integers(0, 60, size=(200, 2))
+        ]
+        path.write_text("\n".join(lines))
+        net = load_edge_list(path)
+        want = helpers.slow_load_adjacency(path)
+        assert {u: frozenset(net.neighbors(u)) for u in net.labels} == want
+
+    def test_errors_match_the_dict_reader(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        for text in ("a b\n# c\n\n  lonely  \nc d\n", "x\n", "a b\r\nb\u3000\r\n"):
+            path.write_text(text, encoding="utf-8", newline="")
+            with pytest.raises(EdgeListFormatError) as got:
+                load_edge_list(path)
+            with pytest.raises(EdgeListFormatError) as want:
+                helpers.slow_load_adjacency(path)
+            assert str(got.value) == str(want.value)
+
+    def test_empty_edge_list(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("# nothing\n\nz z\n")
+        net = load_edge_list(path)
+        assert (net.node_count(), net.edge_count()) == (0, 0)
+        with pytest.raises(LookupError):
+            pick_seller(net, 1, seed=1)
+
+    def test_pick_seller_in_sorted_label_order(self, tmp_path):
+        labels = ["a9", "a10", "B", "b", "é", "ß", "007", "a", "a\x00"]
+        path = tmp_path / "mixed.txt"
+        path.write_text("".join(f"hub {x}\n" for x in labels), encoding="utf-8")
+        net = load_edge_list(path)
+        assert net.labels == tuple(sorted(labels + ["hub"]))
+        ordered = sorted(labels)
+        for seed in range(40):
+            want = ordered[int(np.random.default_rng(seed).integers(len(labels)))]
+            assert pick_seller(net, 1, seed=seed) == want
+        assert pick_seller(net, len(labels), seed=3) == "hub"
+
     def test_undirected_symmetry(self, tmp_path):
         path = tmp_path / "sym.txt"
         path.write_text("x y\n")
         net = load_edge_list(path)
-        assert net.adjacency["x"] == frozenset({"y"})
-        assert net.adjacency["y"] == frozenset({"x"})
-        assert Network(adjacency=net.adjacency).edge_count() == 1
+        assert net.neighbors("x") == ("y",)
+        assert net.neighbors("y") == ("x",)
+        assert Network.from_edges(["x", "y"], ["y", "x"]).edge_count() == 1
