@@ -20,7 +20,6 @@ from .graphs import (
     SubtreeProfile,
     build_graph,
     build_pot,
-    dcs,
     load_profile,
     save_profile,
     subtree_profile,
@@ -35,10 +34,8 @@ from .reserve import (
     parse_policy,
     resolve_reserve,
     subtree_optimal_reserve,
-    sup_gamma_x,
 )
 from .revenue import (
-    expected_subtree_revenue,
     expected_total_revenue,
     mys_lower_bound,
     opt_upper_bound,
@@ -47,7 +44,6 @@ from .revenue import (
     worst_partition,
 )
 from .simulation import (
-    Scenario,
     generate_scenario,
     load_edge_list,
     monte_carlo,
@@ -69,7 +65,6 @@ __all__ = [
     "SubtreeProfile",
     "build_graph",
     "build_pot",
-    "dcs",
     "subtree_profile",
     "load_profile",
     "save_profile",
@@ -81,17 +76,14 @@ __all__ = [
     "gamma_general",
     "subtree_optimal_reserve",
     "global_optimal_reserve",
-    "sup_gamma_x",
     "resolve_reserve",
     "parse_policy",
-    "expected_subtree_revenue",
     "expected_total_revenue",
     "opt_upper_bound",
     "mys_lower_bound",
     "ratio_lower_bound",
     "worst_partition",
     "revenue_ordering_report",
-    "Scenario",
     "generate_scenario",
     "monte_carlo",
     "load_edge_list",

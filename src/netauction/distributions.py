@@ -10,7 +10,11 @@ Sampling is inverse-cdf throughout: one uniform draw maps to one value draw,
 which keeps Monte Carlo streams aligned across distributions.
 
 ``regularity_check`` probes the virtual value v - (1-F)/f of standard
-auction theory on a grid.
+auction theory on a fixed grid of 1024 steps.
+
+``scipy.special`` is imported when the first truncated normal is built, so
+that the uniform and exponential families, and every command that uses
+only them, never load it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, DomainError, SingularityError
 
@@ -114,16 +117,17 @@ class TruncatedNormal(ValueDistribution):
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
-    @property
-    def _lo_mass(self) -> float:
-        return float(ndtr((0.0 - self.mu) / self.sigma))
+        from scipy.special import ndtr
 
-    @property
-    def _mass(self) -> float:
-        # untruncated mass of [0, vbar]; the renormalisation constant
-        return float(ndtr((self.vbar - self.mu) / self.sigma)) - self._lo_mass
+        # untruncated mass below 0, and of [0, vbar]: the renormalisation
+        # constant
+        lo_mass = float(ndtr((0.0 - self.mu) / self.sigma))
+        object.__setattr__(self, "_lo_mass", lo_mass)
+        object.__setattr__(self, "_mass", float(ndtr((self.vbar - self.mu) / self.sigma)) - lo_mass)
 
     def cdf(self, v):
+        from scipy.special import ndtr
+
         scalar = self._check_value(v)
         z = (np.asarray(v, dtype=float) - self.mu) / self.sigma
         out = (ndtr(z) - self._lo_mass) / self._mass
@@ -136,6 +140,8 @@ class TruncatedNormal(ValueDistribution):
         return _ret(out, scalar)
 
     def quantile(self, p):
+        from scipy.special import ndtri
+
         scalar = self._check_prob(p)
         inner = self._lo_mass + np.asarray(p, dtype=float) * self._mass
         out = self.mu + self.sigma * ndtri(inner)
@@ -180,46 +186,28 @@ class TruncatedExponential(ValueDistribution):
 class RegularityReport:
     """Finite-difference check that the virtual value increases on a grid."""
 
-    grid_step: float
     min_slope: float
     is_regular_on_grid: bool
 
 
-def regularity_check(
-    d: ValueDistribution, grid_step: float | None = None
-) -> RegularityReport:
-    """Probe monotonicity of the virtual value on a regular grid.
+def regularity_check(d: ValueDistribution) -> RegularityReport:
+    """Probe monotonicity of the virtual value on the grid of 1024 equal
+    steps over [0, vbar].
 
     The virtual value is evaluated on the whole grid with one cdf and one
     pdf call; a grid point where the pdf vanishes raises SingularityError,
-    since the virtual value is undefined there.
-
-    Args:
-        d: distribution to probe.
-        grid_step: spacing of the evaluation grid over [0, vbar];
-            defaults to vbar/1024.
-
-    Returns:
-        RegularityReport with the smallest finite-difference slope found.
+    since the virtual value is undefined there. The report carries the
+    smallest finite-difference slope found.
     """
-    if grid_step is None:
-        grid_step = d.vbar / 1024.0
-    if not (0 < grid_step < d.vbar):
-        raise DomainError(f"grid_step must lie in (0, vbar), got {grid_step}")
-    steps = int(round(d.vbar / grid_step))
-    points = np.append(np.minimum(np.arange(steps) * grid_step, d.vbar), d.vbar)
+    points = np.append(np.arange(1024) * (d.vbar / 1024), d.vbar)
     F, f = d.cdf(points), d.pdf(points)
     flat = np.flatnonzero(f <= 0.0)
     if flat.size:
         v = float(points[flat[0]])
         raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
     psi = points - (1.0 - F) / f
-    rise = np.diff(points)
-    keep = rise > 0.0
-    min_slope = float(np.min(np.diff(psi)[keep] / rise[keep]))
-    return RegularityReport(
-        grid_step=grid_step, min_slope=min_slope, is_regular_on_grid=min_slope > 0.0
-    )
+    min_slope = float(np.min(np.diff(psi) / np.diff(points)))
+    return RegularityReport(min_slope=min_slope, is_regular_on_grid=min_slope > 0.0)
 
 
 # config strings look like "normal:mu=50,sigma=16.67,vbar=100"

@@ -348,10 +348,11 @@ def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SubtreeProfile:
-    """Branch sizes of the tree below the seller: n bidders in m branches."""
+    """Branch sizes of the tree below the seller: n bidders in m branches,
+    both derived from the sizes."""
 
-    n: int
-    m: int
+    n: int = field(init=False)
+    m: int = field(init=False)
     sizes: tuple[int, ...]
 
     def __post_init__(self):
@@ -360,22 +361,18 @@ class SubtreeProfile:
             raise ValidationError("a branch profile needs at least one branch")
         if min(self.sizes) < 1:
             raise ValidationError(f"every branch size must be >= 1, got {self.sizes}")
-        if self.n != sum(self.sizes) or self.m != len(self.sizes):
-            raise ValidationError(
-                f"inconsistent profile: n={self.n}, m={self.m}, sizes={self.sizes}"
-            )
+        object.__setattr__(self, "n", sum(self.sizes))
+        object.__setattr__(self, "m", len(self.sizes))
 
     @classmethod
     def from_sizes(cls, sizes) -> "SubtreeProfile":
-        sizes = tuple(map(int, sizes))
-        return cls(n=sum(sizes), m=len(sizes), sizes=sizes)
+        return cls(sizes=sizes)
 
 
 def subtree_profile(pot: Pot) -> SubtreeProfile:
     """Sizes of the seller's top-level dominator subtrees."""
     tops = pot.children[pot.seller]
-    sizes = tuple(pot.subtree_size[c] for c in tops)
-    return SubtreeProfile(n=sum(sizes), m=len(sizes), sizes=sizes)
+    return SubtreeProfile(sizes=tuple(pot.subtree_size[c] for c in tops))
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -38,12 +38,7 @@ from .graphs import (
     subtree_profile,
 )
 from .mechanism import clear, run_apx_r, utilities
-from .reserve import (
-    ReservePolicy,
-    RootSolveSettings,
-    global_optimal_reserve,
-    resolve_reserve,
-)
+from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
     "DeviationGrid",
@@ -130,7 +125,6 @@ def check_dsic(
     d: ValueDistribution,
     policy: ReservePolicy,
     grid: DeviationGrid | None = None,
-    settings: RootSolveSettings | None = None,
 ) -> tuple[DeviationReport, ...]:
     """Best-response search for every bidder, holding the others truthful.
 
@@ -164,10 +158,10 @@ def check_dsic(
             return base_reserve
         key = tuple(sorted(profile.sizes))
         if key not in reserve_cache:
-            reserve_cache[key] = global_optimal_reserve(profile, d, settings)
+            reserve_cache[key] = global_optimal_reserve(profile, d)
         return reserve_cache[key]
 
-    base_reserve = resolve_reserve(policy, base_profile, d, settings)
+    base_reserve = resolve_reserve(policy, base_profile, d)
     if policy.kind == "global_opt":
         reserve_cache[tuple(sorted(base_profile.sizes))] = base_reserve
     truth_bids = {a: values[a] for a in graph.reachable}

@@ -7,14 +7,15 @@ mechanism incentive compatible. The analysis-only one, the global optimum
 r_opt, reads the realised branch sizes and is known to break truthfulness;
 it is exposed for study and for the counterexample tooling.
 
-All roots are found by bisection, inside a default bracket a hair inside
-(0, vbar) that bisection, unlike Newton steps, cannot escape. The subtree
-critical value phi(v; k) = v - (1 - F^k) / (k f F^(k-1)) diverges to -inf
-as the cdf approaches 0, and for k in the hundreds F^(k-1) underflows to 0
-over much of the bracket. gamma therefore bisects phi times its density
-term, which is finite with the same sign, and the global optimum counts a
-vanishing density term as phi = -inf; only the sign of either function
-steers the bisection.
+All roots are found by bisection on the fixed bracket [1e-9 vbar,
+vbar - 1e-9 vbar], a hair inside (0, vbar), which bisection, unlike Newton
+steps, cannot escape; it stops once the bracket is 1e-10 vbar wide or after
+200 halvings. The subtree critical value phi(v; k) = v - (1 - F^k) /
+(k f F^(k-1)) diverges to -inf as the cdf approaches 0, and for k in the
+hundreds F^(k-1) underflows to 0 over much of the bracket. gamma therefore
+bisects phi times its density term, which is finite with the same sign,
+and the global optimum counts a vanishing density term as phi = -inf; only
+the sign of either function steers the bisection.
 """
 
 from __future__ import annotations
@@ -31,12 +32,10 @@ from .graphs import SubtreeProfile
 
 __all__ = [
     "ReservePolicy",
-    "RootSolveSettings",
     "gamma_uniform",
     "gamma_general",
     "subtree_optimal_reserve",
     "global_optimal_reserve",
-    "sup_gamma_x",
     "resolve_reserve",
     "parse_policy",
 ]
@@ -67,37 +66,10 @@ class ReservePolicy:
             raise ValidationError(f"policy {self.kind!r} takes no kmin")
 
 
-@dataclass(frozen=True)
-class RootSolveSettings:
-    """Bisection controls; defaults resolve against the distribution's vbar."""
-
-    abs_tol: float | None = None
-    max_iter: int = 200
-    bracket: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.abs_tol is not None and not self.abs_tol > 0.0:
-            raise ValidationError(f"abs_tol must be > 0, got {self.abs_tol}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if not (0.0 <= lo < hi):
-                raise ValidationError(f"bracket needs 0 <= lo < hi, got {self.bracket}")
-
-    def resolved(self, vbar: float) -> tuple[float, int, float, float]:
-        tol = self.abs_tol if self.abs_tol is not None else 1e-10 * vbar
-        if self.bracket is not None:
-            lo, hi = self.bracket
-            if hi > vbar:
-                raise ValidationError(f"bracket {self.bracket} exceeds vbar={vbar}")
-        else:
-            eps = 1e-9 * vbar
-            lo, hi = eps, vbar - eps
-        return tol, self.max_iter, lo, hi
-
-
-def _bisect(f, lo: float, hi: float, abs_tol: float, max_iter: int) -> float:
+def _bisect(f, vbar: float) -> float:
+    """A sign change of f inside the fixed bracket, to 1e-10 vbar."""
+    eps = 1e-9 * vbar
+    lo, hi, abs_tol, max_iter = eps, vbar - eps, 1e-10 * vbar, 200
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -124,9 +96,9 @@ def _bisect(f, lo: float, hi: float, abs_tol: float, max_iter: int) -> float:
     )
 
 
-def _check_count(name: str, value: int, minimum: int = 1) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_vbar(vbar: float) -> None:
@@ -143,11 +115,7 @@ def gamma_uniform(kmin: int, vbar: float) -> float:
     return vbar * (kmin + 1) ** (-1.0 / kmin)
 
 
-def gamma_general(
-    kmin: int,
-    d: ValueDistribution,
-    settings: RootSolveSettings | None = None,
-) -> float:
+def gamma_general(kmin: int, d: ValueDistribution) -> float:
     """Near-optimal reserve for a general regular distribution: the root of
     the subtree critical value phi(v; kmin).
 
@@ -155,46 +123,32 @@ def gamma_general(
     which has phi's sign wherever phi is finite and stays finite where
     F^(k-1) underflows near 0, as it does for k in the hundreds."""
     _check_count("kmin", kmin)
-    settings = settings or RootSolveSettings()
-    tol, max_iter, lo, hi = settings.resolved(d.vbar)
 
     def scaled_phi(v: float) -> float:
         F = d.cdf(v)
         return v * kmin * d.pdf(v) * F ** (kmin - 1) - (1.0 - F**kmin)
 
-    return _bisect(scaled_phi, lo, hi, tol, max_iter)
+    return _bisect(scaled_phi, d.vbar)
 
 
-def subtree_optimal_reserve(
-    k: int,
-    d: ValueDistribution,
-    settings: RootSolveSettings | None = None,
-) -> float:
+def subtree_optimal_reserve(k: int, d: ValueDistribution) -> float:
     """Revenue-maximising reserve for one branch of k bidders."""
     if isinstance(d, Uniform):
         _check_count("k", k)
         return gamma_uniform(k, d.vbar)
-    return gamma_general(k, d, settings)
+    return gamma_general(k, d)
 
 
-def global_optimal_reserve(
-    profile: SubtreeProfile,
-    d: ValueDistribution,
-    settings: RootSolveSettings | None = None,
-) -> float:
+def global_optimal_reserve(profile: SubtreeProfile, d: ValueDistribution) -> float:
     """Profile-dependent optimal reserve: the unique root of
     beta(r) = sum_x k_x * phi(r; k_x). Not DSIC-safe; analysis only."""
-    if profile.n < 1:
-        raise DomainError("global optimum needs a nonempty subtree profile")
     report = regularity_check(d)
     if not report.is_regular_on_grid:
         raise DomainError(
             "distribution failed the regularity check "
             f"(min virtual-value slope {report.min_slope:.3g} on a grid of "
-            f"step {report.grid_step:.3g}); the optimum root may not be unique"
+            f"step {d.vbar / 1024:.3g}); the optimum root may not be unique"
         )
-    settings = settings or RootSolveSettings()
-    tol, max_iter, lo, hi = settings.resolved(d.vbar)
     weights = sorted(Counter(profile.sizes).items())
     ks = np.array([k for k, _ in weights])
     mass = np.array([count * k for k, count in weights])
@@ -210,27 +164,13 @@ def global_optimal_reserve(
             # summed in size order, one term at a time, as a scalar loop would
             return sum((mass * phi).tolist())
 
-    return _bisect(beta, lo, hi, tol, max_iter)
-
-
-def sup_gamma_x(n: int, kx: int, vbar: float) -> float:
-    """Largest reserve that still cannot hurt revenue from a branch of size
-    kx in a market of n bidders: vbar * ((n+1)/((kx+1)(n-kx+1)))^(1/kx).
-    Nondecreasing in kx and equal to vbar at kx=n.
-    """
-    _check_count("n", n)
-    _check_count("kx", kx)
-    _check_vbar(vbar)
-    if kx > n:
-        raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
-    return vbar * ((n + 1) / ((kx + 1) * (n - kx + 1))) ** (1.0 / kx)
+    return _bisect(beta, d.vbar)
 
 
 def resolve_reserve(
     policy: ReservePolicy,
     profile: SubtreeProfile | None,
     d: ValueDistribution,
-    settings: RootSolveSettings | None = None,
 ) -> float:
     """Concrete reserve for a policy.
 
@@ -247,11 +187,11 @@ def resolve_reserve(
     if policy.kind == "uniform_gamma":
         return gamma_uniform(policy.kmin, d.vbar)
     if policy.kind == "general_gamma":
-        return gamma_general(policy.kmin, d, settings)
+        return gamma_general(policy.kmin, d)
     # global_opt
     if profile is None:
         raise ValidationError("global_opt policy needs a subtree profile to resolve")
-    return global_optimal_reserve(profile, d, settings)
+    return global_optimal_reserve(profile, d)
 
 
 def parse_policy(text: str) -> ReservePolicy:

@@ -42,7 +42,7 @@ from .graphs import (
     network_dominators,
     subtree_profile,
 )
-from .reserve import ReservePolicy, RootSolveSettings, resolve_reserve
+from .reserve import ReservePolicy, resolve_reserve
 
 __all__ = [
     "Scenario",
@@ -296,7 +296,6 @@ def monte_carlo(
     runs: int,
     master_seed: int,
     threads: int = 1,
-    root_settings: RootSolveSettings | None = None,
 ) -> RevenueStats:
     """Estimate expected revenue under truthful play.
 
@@ -328,7 +327,7 @@ def monte_carlo(
         raise ValidationError(f"threads must be >= 1, got {threads}")
     market = template if isinstance(template, Market) else Market.from_profile(template)
     prof = market.profile
-    reserve = resolve_reserve(policy, prof, d, root_settings)
+    reserve = resolve_reserve(policy, prof, d)
 
     branch = market.branch
     n = prof.n

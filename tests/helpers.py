@@ -26,8 +26,13 @@ from netauction.graphs import (
     subtree_profile,
 )
 from netauction.mechanism import Outcome
-from netauction.reserve import resolve_reserve, subtree_optimal_reserve
-from netauction.revenue import QuadratureSettings
+from netauction.reserve import (
+    _check_count,
+    _check_vbar,
+    resolve_reserve,
+    subtree_optimal_reserve,
+)
+from netauction.revenue import _subtree_revenues
 from netauction.simulation import RevenueStats, _batch_rows
 
 SELLER = "s"
@@ -292,7 +297,7 @@ def naive_apx_r(profile, reserve):
     return w, payments, revenue, False
 
 
-def slow_check_dsic(truth, d, policy, grid=None, settings=None):
+def slow_check_dsic(truth, d, policy, grid=None):
     """Reference deviation search: every candidate built and run from scratch.
 
     For each (bid, report) candidate the deviated profile is assembled with
@@ -316,7 +321,7 @@ def slow_check_dsic(truth, d, policy, grid=None, settings=None):
     if not graph.reachable:
         return ()
     base_profile = subtree_profile(build_pot(graph))
-    base_reserve = resolve_reserve(policy, base_profile, d, settings)
+    base_reserve = resolve_reserve(policy, base_profile, d)
     # global optima memoized by sorted branch sizes, filled in visiting order
     cache = {tuple(sorted(base_profile.sizes)): base_reserve}
 
@@ -325,7 +330,7 @@ def slow_check_dsic(truth, d, policy, grid=None, settings=None):
             return base_reserve
         key = tuple(sorted(profile.sizes))
         if key not in cache:
-            cache[key] = global_optimal_reserve(profile, d, settings)
+            cache[key] = global_optimal_reserve(profile, d)
         return cache[key]
 
     truth_utils = utilities(truth, values, run_apx_r(truth, base_reserve))
@@ -391,18 +396,17 @@ def _adapt(f, a, fa, m, fm, b, fb, whole, tol, depth):
     )
 
 
-def slow_integrate(f, a, b, settings=None):
-    settings = settings or QuadratureSettings()
+def slow_integrate(f, a, b):
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(a, fa, fm, b, fb)
-    tol = settings.rel_tol * max(abs(whole), 1.0)
-    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, settings.max_depth)
+    tol = 1e-9 * max(abs(whole), 1.0)
+    return _adapt(f, a, fa, m, fm, b, fb, whole, tol, 40)
 
 
-def _slow_subtree_quadrature(kx, n, d, r, settings):
+def _slow_subtree_quadrature(kx, n, d, r):
     c = kx / n
 
     def integrand(v: float) -> float:
@@ -410,19 +414,19 @@ def _slow_subtree_quadrature(kx, n, d, r, settings):
         return (c - 1.0) * F**n + F ** (n - kx)
 
     head = c * (d.vbar - r * float(d.cdf(r)) ** n)
-    return head - slow_integrate(integrand, r, d.vbar, settings)
+    return head - slow_integrate(integrand, r, d.vbar)
 
 
-def slow_expected_total_revenue(profile, d, r, settings=None):
+def slow_expected_total_revenue(profile, d, r):
     """Quadrature route of expected_total_revenue, one recursive integral
     per distinct branch size."""
     return sum(
-        count * _slow_subtree_quadrature(k, profile.n, d, r, settings)
+        count * _slow_subtree_quadrature(k, profile.n, d, r)
         for k, count in sorted(Counter(profile.sizes).items())
     )
 
 
-def slow_opt_upper_bound(n, d, settings=None):
+def slow_opt_upper_bound(n, d):
     """Quadrature route of opt_upper_bound."""
     rhat = subtree_optimal_reserve(1, d)
 
@@ -430,12 +434,13 @@ def slow_opt_upper_bound(n, d, settings=None):
         F = float(d.cdf(v))
         return n * F ** (n - 1) - (n - 1) * F**n
 
-    return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar, settings)
+    return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar)
 
 
-# Oracles the package no longer ships, kept verbatim from its graphs and
-# distributions modules: the subtree of a dominator-tree node, and the
-# virtual values the reserve tests solve against.
+# Oracles the package no longer ships, kept verbatim from its graphs,
+# distributions, reserve and revenue modules: the subtree of a
+# dominator-tree node, the virtual values the reserve tests solve against,
+# the secure-reserve bound and the revenue of a single branch.
 
 
 def ddg(pot: Pot, agent: str) -> frozenset[str]:
@@ -449,6 +454,28 @@ def ddg(pot: Pot, agent: str) -> frozenset[str]:
         out.append(v)
         stack.extend(pot.children[v])
     return frozenset(out)
+
+
+def sup_gamma_x(n: int, kx: int, vbar: float) -> float:
+    """Largest reserve that still cannot hurt revenue from a branch of size
+    kx in a market of n bidders: vbar * ((n+1)/((kx+1)(n-kx+1)))^(1/kx).
+    Nondecreasing in kx and equal to vbar at kx=n.
+    """
+    _check_count("n", n)
+    _check_count("kx", kx)
+    _check_vbar(vbar)
+    if kx > n:
+        raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
+    return vbar * ((n + 1) / ((kx + 1) * (n - kx + 1))) ** (1.0 / kx)
+
+
+def expected_subtree_revenue(kx: int, n: int, d, r: float, method: str = "auto") -> float:
+    """Expected revenue the seller extracts from one branch of size kx.
+
+    method: "auto" picks the uniform closed form when available, otherwise
+    quadrature; "closed" and "quadrature" force a route.
+    """
+    return _subtree_revenues([kx], n, d, r, method)[0]
 
 
 def virtual_value(d, v: float) -> float:
@@ -581,7 +608,6 @@ def slow_monte_carlo(
     runs,
     master_seed,
     threads=1,
-    root_settings=None,
 ):
     """Estimate expected revenue under truthful play."""
     if not isinstance(runs, int) or runs < 1:
@@ -593,7 +619,7 @@ def slow_monte_carlo(
         raise DomainError("the template reaches no bidders")
     pot = build_pot(graph)
     prof = subtree_profile(pot)
-    reserve = resolve_reserve(policy, prof, d, root_settings)
+    reserve = resolve_reserve(policy, prof, d)
 
     order = sorted(graph.reachable)
     col = {a: i for i, a in enumerate(order)}

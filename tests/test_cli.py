@@ -80,10 +80,12 @@ class TestBasics:
         assert proc.stdout.strip() == "0.500000"
 
     def test_import_loads_no_sparse_graph_library(self):
-        # scipy.sparse would add about 9 MB and 0.1 s to every start
+        # scipy.sparse would add about 9 MB and 0.1 s to every start, and
+        # scipy.special about 0.3 s; only the normal prior needs the latter
         probe = (
             "import sys, netauction.cli; "
-            "print([m for m in sys.modules if m.startswith(('scipy.sparse', 'networkx'))])"
+            "print([m for m in sys.modules"
+            " if m.startswith(('scipy.sparse', 'scipy.special', 'networkx'))])"
         )
         proc = subprocess.run(
             [sys.executable, "-c", probe],

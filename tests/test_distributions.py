@@ -157,16 +157,15 @@ class TestRegularity:
         assert report.min_slope > 0.0
 
     def test_uniform_slope_is_two(self):
-        report = regularity_check(UNI, grid_step=1.0)
+        report = regularity_check(UNI)
         assert report.min_slope == pytest.approx(2.0, rel=1e-9)
-        assert report.grid_step == 1.0
 
     @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
     def test_matches_pointwise_virtual_values(self, d):
         # the grid and the slope arithmetic of the array evaluation, one
         # virtual_value call per point
-        step = 0.37
-        points = [min(i * step, d.vbar) for i in range(int(round(d.vbar / step)))]
+        step = d.vbar / 1024
+        points = [i * step for i in range(1024)]
         points.append(d.vbar)
         psi = [virtual_value(d, v) for v in points]
         slopes = [
@@ -174,18 +173,12 @@ class TestRegularity:
             for i in range(len(points) - 1)
             if points[i + 1] > points[i]
         ]
-        assert regularity_check(d, grid_step=step).min_slope == min(slopes)
+        assert regularity_check(d).min_slope == min(slopes)
 
     def test_vanishing_pdf_is_a_singularity(self):
         # the density underflows to 0 at the bottom of the support
         with pytest.raises(SingularityError):
             regularity_check(TruncatedNormal(mu=200.0, sigma=5.0, vbar=100.0))
-
-    def test_bad_grid_step(self):
-        with pytest.raises(DomainError):
-            regularity_check(UNI, grid_step=0.0)
-        with pytest.raises(DomainError):
-            regularity_check(UNI, grid_step=1000.0)
 
 
 class TestParsing:

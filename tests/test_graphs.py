@@ -439,8 +439,6 @@ class TestSubtreeProfile:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            SubtreeProfile(n=5, m=2, sizes=(3, 3))
-        with pytest.raises(ValidationError):
             SubtreeProfile.from_sizes((0, 3))
         with pytest.raises(ValidationError):
             SubtreeProfile.from_sizes(())

