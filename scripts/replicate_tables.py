@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=20260815)
     args = parser.parse_args(argv)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     header = f"{'cell':>24} {'simulated':>10} {'recorded':>9} {'analytic':>9} {'3.5*SE':>7}"
 
     classic = REFERENCE_REVENUES["classic_3_6"]
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
                 f" {analytic:9.4f} {3.5 * stats.std_error:7.4f}"
             )
 
-    print(f"\n{seed - args.seed} cells in {time.time() - t0:.1f}s")
+    print(f"\n{seed - args.seed} cells in {time.perf_counter() - t0:.1f}s")
     return 0
 
 

@@ -75,6 +75,11 @@ def _batch_rows(n: int) -> int:
     return max(1, min(_BATCH_CAP_ROWS, _BATCH_CAP_CELLS // max(1, n)))
 
 
+# Largest market whose Monte Carlo batches are reduced over column views of
+# the draw rather than with a branch mask (see monte_carlo).
+_COLS_MAX = 24
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One synthetic market family member.
@@ -320,6 +325,21 @@ def monte_carlo(
     every-draw result only if two of its draws fall in those bands within
     about 2**-52 of each other and that pair decides a top-two branch
     maximum.
+
+    The top two uniforms are found on one of two paths, which agree bit for
+    bit because max and min are exact. Markets of at most ``_COLS_MAX`` (24)
+    bidders take each branch's maximum over its column views of the draw,
+    then keep a running top two of the branch maxima. Larger markets take
+    each row's largest draw, zero that draw's branch with a mask and take
+    the largest draw left. The column path makes one numpy call per column,
+    which pays while a batch stays in cache: on 2 cores, one 16,384-row
+    batch took 0.2-2.5 ms against the mask's 1.8-6.2 ms for 9-28 bidders,
+    but from 32 bidders up the two paths were about even, and the mask was
+    the faster with one bidder per branch.
+
+    Each batch draws only the rows it uses. The generator fills the array
+    in C order, so a short last batch is the prefix of a full one, and
+    replicate i stays row i % B of batch i // B.
     """
     if not isinstance(runs, int) or runs < 1:
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
@@ -335,21 +355,42 @@ def monte_carlo(
     vbar = d.vbar
     B = _batch_rows(n)
     n_batches = (runs + B - 1) // B
+    if n <= _COLS_MAX:
+        branch_cols = [np.flatnonzero(branch == b).tolist() for b in range(m)]
+
+    def top_two(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The largest draw of each row, and the largest outside its branch
+        (zeros when there is one branch)."""
+        rows = u.shape[0]
+        if n <= _COLS_MAX:
+            # draws are >= 0, so the running top two may start at zeros
+            ut = u.T
+            m1, m2 = np.zeros(rows), np.zeros(rows)
+            for c0, *rest in branch_cols:
+                x = ut[c0].copy()
+                for c in rest:
+                    np.maximum(x, ut[c], out=x)
+                np.maximum(m2, np.minimum(m1, x), out=m2)
+                np.maximum(m1, x, out=m1)
+            return m1, m2
+        if m == 1:
+            return u.max(axis=1), np.zeros(rows)
+        k = u.argmax(axis=1)
+        m1 = u[np.arange(rows), k]
+        # zero the top branch's draws in place; what is left peaks at the
+        # best draw of every other branch
+        np.copyto(u, 0.0, where=branch == branch[k][:, None])
+        return m1, u.max(axis=1)
 
     def one_batch(g: int) -> tuple[float, float, int, int, np.ndarray]:
         rng = np.random.default_rng([master_seed, g])
         rows = min(B, runs - g * B)
-        u = rng.random((B, n))[:rows]
+        m1, m2 = top_two(rng.random((rows, n)))
         if m >= 2:
-            k = u.argmax(axis=1)
-            top_u = u[np.arange(rows), k]
-            # zero the top branch's draws in place; what is left peaks at
-            # the best draw of every other branch
-            np.copyto(u, 0.0, where=branch == branch[k][:, None])
-            top, second = d.quantile(np.stack((top_u, u.max(axis=1))))
+            top, second = d.quantile(np.stack((m1, m2)))
         else:
-            top = d.quantile(u.max(axis=1))
-            second = np.zeros(rows)
+            # the second bid stays 0: the quantile need not map 0 to 0.0
+            top, second = d.quantile(m1), m2
         sold = top >= reserve
         revenue = np.where(sold, np.maximum(second, reserve), 0.0)
         positive = revenue[revenue > 0.0]
@@ -413,8 +454,8 @@ def draw_replicate(
     if n < 1:
         raise DomainError("the template reaches no bidders")
     g, row = divmod(i, _batch_rows(n))
-    rng = np.random.default_rng([master_seed, g])
-    u = rng.random((_batch_rows(n), n))
+    # the generator fills in C order: these rows are a prefix of the batch
+    u = np.random.default_rng([master_seed, g]).random((row + 1, n))
     values = d.quantile(u[row])
     value_of = dict(zip(order, (float(v) for v in values)))
     agents = tuple(

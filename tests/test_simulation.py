@@ -33,6 +33,7 @@ from netauction.simulation import (
     parse_scenario,
     pick_seller,
     stats_to_dict,
+    _COLS_MAX,
     _batch_rows,
     template_from_network,
     write_histogram_csv,
@@ -251,6 +252,18 @@ class TestMonteCarlo:
         assert all(r >= 0 for r in rev)
         assert stats.runs == B + 3
 
+    def test_replicate_rows_at_a_batch_boundary(self):
+        template = chains_profile((3, 6))
+        d = TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
+        order = sorted(a.agent for a in template.agents if a.agent != template.seller)
+        n = len(order)
+        B = _batch_rows(n)
+        for i in (B - 1, B):
+            g, row = divmod(i, B)
+            want = d.quantile(np.random.default_rng([17, g]).random((B, n))[row])
+            rep = draw_replicate(template, d, 17, i)
+            assert [rep.action(a).bid for a in order] == want.tolist()
+
     def test_matches_analytic_revenue(self):
         cases = [
             ((3, 3), FIX50, UNI),
@@ -388,6 +401,10 @@ def _diff_templates():
         ("chains_6_to_1", chains_profile((6, 5, 4, 3, 2, 1)), 20_000),
         ("random_small", helpers.random_connected_profile(np.random.default_rng(3)), 16_400),
         *((f"large_{len(t.agents) - 1}", t, 1_000_000 // (len(t.agents) - 1) + 7) for t in large),
+        # both sides of the column-view threshold
+        ("cols_max_one_chain", chains_profile((_COLS_MAX,)), 16_384 + 5),
+        ("cols_max_mixed", chains_profile((_COLS_MAX - 10, 5, 3, 1, 1)), 16_384 + 9),
+        ("cols_max_plus_one", chains_profile((_COLS_MAX - 9, 4, 3, 2, 1)), 16_384 + 13),
     ]
 
 
