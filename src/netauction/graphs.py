@@ -42,7 +42,6 @@ __all__ = [
     "build_graph",
     "build_pot",
     "network_dominators",
-    "dcs",
     "subtree_profile",
     "profile_to_dict",
     "profile_from_dict",
@@ -161,43 +160,52 @@ def build_graph(profile: ActionProfile) -> DiffusionGraph:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pot:
-    """Dominator tree of a diffusion graph, rooted at the seller.
+    """Dominator tree of a diffusion graph, rooted at the seller, on
+    integer bidder indices.
 
-    ``parent`` maps each reachable bidder to its immediate dominator (the
-    seller for top-level bidders). ``order`` is a depth-first preorder:
-    parents come before children, so subtree aggregates fall out of one
-    reversed sweep, and every subtree is the contiguous slice of
-    ``subtree_size`` entries starting at its root.
+    ``ids`` lists the reachable bidders in id order, so bidder v is
+    ``ids[v]``. ``up[v]`` is v's immediate dominator, -1 for the seller.
+    ``order`` is a depth-first preorder over id-sorted children: parents
+    come before children, so subtree aggregates fall out of one reversed
+    sweep, and v's subtree is the contiguous slice of ``size[v]`` entries
+    starting at ``at[v]``, v's position in ``order``.
     """
 
     seller: str
-    parent: dict[str, str] = field(compare=False)
-    children: dict[str, tuple[str, ...]] = field(compare=False)
-    subtree_size: dict[str, int] = field(compare=False)
-    order: tuple[str, ...] = ()
+    ids: list[str]
+    up: list[int]
+    order: list[int]
+    at: list[int]
+    size: list[int]
+
+    @property
+    def parent(self) -> dict[str, str]:
+        """Each reachable bidder's immediate dominator, by id."""
+        ids, seller = self.ids, self.seller
+        return {v: seller if u < 0 else ids[u] for v, u in zip(ids, self.up)}
 
 
 def build_pot(graph: DiffusionGraph) -> Pot:
     """Immediate dominators by iterative data-flow over reverse postorder.
 
-    The seller is node 0 and the reachable bidders are 1..n in id order;
-    the depth-first search, the data-flow passes and the tree walk run on
-    these integer indices, and ids come back only to fill the ``Pot``.
-    The first pass sets every immediate dominator; later passes revisit
-    the nodes with several predecessors until one changes nothing.
+    The reachable bidders are 0..n-1 in id order and the seller is -1, so
+    that the seller's entries sit in one spare slot at the end of every
+    list. The first pass sets every immediate dominator; later passes
+    revisit the nodes with several predecessors until one changes nothing.
     """
-    ids = [graph.seller, *sorted(graph.reachable)]
+    ids = sorted(graph.reachable)
     index = {v: i for i, v in enumerate(ids)}
     get = graph.successors.get
-    succ = [[index[v] for v in get(u, ())] for u in ids]
-    size = len(ids)
+    succ = [[index[v] for v in get(u, ())] for u in [*ids, graph.seller]]
+    n = len(ids)
+    slots = n + 1  # the bidders, then the seller
 
-    seen = [False] * size
-    seen[0] = True
+    seen = [False] * slots
+    seen[-1] = True
     post: list[int] = []
-    stack = [(0, iter(succ[0]))]
+    stack = [(-1, iter(succ[-1]))]
     while stack:
         node, out = stack[-1]
         for nxt in out:
@@ -209,13 +217,13 @@ def build_pot(graph: DiffusionGraph) -> Pot:
             stack.pop()
             post.append(node)
     rpo = post[::-1]  # rpo[0] is the seller
-    rank = [0] * size
+    rank = [0] * slots
     for i, v in enumerate(rpo):
         rank[v] = i
     # predecessors by rank, in rank order: preds[v][0] is below v (the
     # search reached v from some earlier node), so every pass has already
     # visited it when it comes to v
-    preds: list[list[int]] = [[] for _ in range(size)]
+    preds: list[list[int]] = [[] for _ in range(slots)]
     for i, u in enumerate(rpo):
         for v in succ[u]:
             preds[rank[v]].append(i)
@@ -223,9 +231,9 @@ def build_pot(graph: DiffusionGraph) -> Pot:
     # idom by rank. The first pass visits every node and skips the
     # predecessors it has not reached yet; a node with one predecessor is
     # then final, so later passes revisit only the nodes with several
-    idom = [-1] * size
+    idom = [-1] * slots
     idom[0] = 0
-    todo = range(1, size)
+    todo = range(1, slots)
     joins = [v for v in todo if len(preds[v]) > 1]
     changed = True
     while changed:
@@ -245,33 +253,31 @@ def build_pot(graph: DiffusionGraph) -> Pot:
                 changed = True
         todo = joins
 
-    # back to id indices; children come out id-sorted
-    up = [0] * size
-    for i in range(1, size):
+    # back to bidder indices; children come out id-sorted
+    up = [0] * n
+    for i in range(1, slots):
         up[rpo[i]] = rpo[idom[i]]
-    kids: list[list[int]] = [[] for _ in range(size)]
-    for v in range(1, size):
+    kids: list[list[int]] = [[] for _ in range(slots)]
+    for v in range(n):
         kids[up[v]].append(v)
 
     # parent-before-child ordering via DFS over id-sorted children
-    tree_order: list[int] = []
-    walk = kids[0][::-1]
+    order: list[int] = []
+    walk = kids[-1][::-1]
     while walk:
         node = walk.pop()
-        tree_order.append(node)
+        order.append(node)
         walk.extend(kids[node][::-1])
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
 
-    count = [1] * size
-    for v in reversed(tree_order):
+    count = [1] * slots
+    for v in reversed(order):
         count[up[v]] += count[v]
+    count.pop()  # the seller's slot
 
-    return Pot(
-        seller=graph.seller,
-        parent={ids[v]: ids[up[v]] for v in range(1, size)},
-        children={ids[v]: tuple([ids[c] for c in k]) if k else () for v, k in enumerate(kids)},
-        subtree_size={ids[v]: count[v] for v in tree_order},
-        order=tuple([ids[v] for v in tree_order]),
-    )
+    return Pot(seller=graph.seller, ids=ids, up=up, order=order, at=at, size=count)
 
 
 def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:
@@ -330,22 +336,6 @@ def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np
     return np.array(idom, dtype=np.intp)
 
 
-def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
-    """Dominator chain from the seller's side down to the agent.
-
-    Starts at the agent's top-level dominator and ends at the agent itself;
-    the seller is not included. Every member controls the agent's access to
-    the market.
-    """
-    if agent not in pot.parent:
-        raise KeyError(agent)
-    chain = [agent]
-    while pot.parent[chain[-1]] != pot.seller:
-        chain.append(pot.parent[chain[-1]])
-    chain.reverse()
-    return tuple(chain)
-
-
 @dataclass(frozen=True)
 class SubtreeProfile:
     """Branch sizes of the tree below the seller: n bidders in m branches,
@@ -371,8 +361,7 @@ class SubtreeProfile:
 
 def subtree_profile(pot: Pot) -> SubtreeProfile:
     """Sizes of the seller's top-level dominator subtrees."""
-    tops = pot.children[pot.seller]
-    return SubtreeProfile(sizes=tuple(pot.subtree_size[c] for c in tops))
+    return SubtreeProfile(sizes=[k for k, u in zip(pot.size, pot.up) if u < 0])
 
 
 # --- JSON interchange -------------------------------------------------------

@@ -164,8 +164,7 @@ def check_dsic(
     base_reserve = resolve_reserve(policy, base_profile, d)
     if policy.kind == "global_opt":
         reserve_cache[tuple(sorted(base_profile.sizes))] = base_reserve
-    truth_bids = {a: values[a] for a in graph.reachable}
-    truth_outcome = clear(pot, truth_bids, base_reserve)
+    truth_outcome = clear(pot, [values[a] for a in pot.ids], base_reserve)
     truth_utils = utilities(truth, values, truth_outcome)
 
     reports = []
@@ -194,12 +193,13 @@ def check_dsic(
             # one subset's tree and reserve serve every bid candidate
             gains = [0.0] * tested
             for subset, members in by_subset.items():
-                dev_graph = build_graph(truth.replace_action(agent, values[agent], subset))
-                dev_pot = build_pot(dev_graph)
+                deviated = truth.replace_action(agent, values[agent], subset)
+                dev_pot = build_pot(build_graph(deviated))
                 r = reserve_for(subtree_profile(dev_pot))
-                bids = {a: values[a] for a in dev_graph.reachable}
+                bids = [values[a] for a in dev_pot.ids]
+                slot = dev_pot.ids.index(agent)
                 for i in members:
-                    bids[agent] = deviations[i][0]
+                    bids[slot] = deviations[i][0]
                     outcome = clear(dev_pot, bids, r)
                     paid = outcome.payments.get(agent, 0.0)
                     u = values[agent] - paid if outcome.winner == agent else -paid

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import DomainError, ValidationError
-from .graphs import ActionProfile, Pot, build_graph, build_pot, dcs
+from .graphs import ActionProfile, Pot, build_graph, build_pot
 
 __all__ = [
     "Outcome",
@@ -67,43 +67,44 @@ def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
     or earn. The empty market (or every reachable bid under the reserve)
     fails the auction.
     """
-    graph = build_graph(profile)
-    bids = {a.agent: a.bid for a in profile.bidders() if a.agent in graph.reachable}
-    return clear(build_pot(graph), bids, reserve)
+    pot = build_pot(build_graph(profile))
+    bids = profile.bids()
+    return clear(pot, [bids[a] for a in pot.ids], reserve)
 
 
-def clear(pot: Pot, bids: dict[str, float], reserve: float) -> Outcome:
+def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     """Winner and payments on a prebuilt dominator tree.
 
-    ``bids`` maps every bidder in ``pot`` (the reachable bidders) to its
-    bid, so one tree serves any number of bid vectors over the same
-    reported links.
+    ``bids[v]`` is the bid of bidder ``pot.ids[v]``, so one tree serves any
+    number of bid vectors over the same reported links.
     """
     _check_reserve(reserve)
-    if not bids:
+    n = len(bids)
+    if not n:
         return _failed_outcome()
 
-    # highest bidder; ties broken toward the smaller id
-    h = min(bids, key=lambda a: (-bids[a], a))
+    # highest bidder; index order is id order, so ties go to the smaller id
+    h = max(range(n), key=bids.__getitem__)
     if bids[h] < reserve:
         return _failed_outcome()
 
-    chain = dcs(pot, h)
+    # dominator chain from the seller's side down to h
+    up = pot.up
+    chain = [h]
+    while up[chain[-1]] >= 0:
+        chain.append(up[chain[-1]])
+    chain.reverse()
 
     # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone.
     # Every subtree is a contiguous slice of the preorder pot.order, so
     # excl[t] is the larger of a prefix and a suffix maximum. The best bid
     # over an empty set is 0, which keeps the telescoping sum equal to the
     # seller's revenue when one branch holds the whole market.
-    order = pot.order
-    vals = [bids[v] for v in order]
+    at, size = pot.at, pot.size
+    vals = [bids[v] for v in pot.order]
     before = list(accumulate(vals, max, initial=0.0))
     after = list(accumulate(reversed(vals), max, initial=0.0))
-    excl = []
-    i = 0
-    for z in chain:
-        i = order.index(z, i)  # each member lies inside the last one's slice
-        excl.append(max(before[i], after[len(order) - i - pot.subtree_size[z]]))
+    excl = [max(before[at[z]], after[n - at[z] - size[z]]) for z in chain]
     excl.append(bids[h])  # everyone: the top bid
 
     w_idx = len(chain) - 1  # h itself always qualifies
@@ -113,12 +114,16 @@ def clear(pot: Pot, bids: dict[str, float], reserve: float) -> Outcome:
             break
     winner = chain[w_idx]
 
-    payments = {a: 0.0 for a in sorted(bids)}
-    payments[winner] = max(excl[w_idx], reserve)
+    pay = [0.0] * n
+    pay[winner] = max(excl[w_idx], reserve)
     for t in range(w_idx):
-        payments[chain[t]] = max(excl[t], reserve) - max(excl[t + 1], reserve)
-    revenue = max(excl[0], reserve)
-    return Outcome(winner=winner, payments=payments, revenue=revenue, failed=False)
+        pay[chain[t]] = max(excl[t], reserve) - max(excl[t + 1], reserve)
+    return Outcome(
+        winner=pot.ids[winner],
+        payments=dict(zip(pot.ids, pay)),
+        revenue=max(excl[0], reserve),
+        failed=False,
+    )
 
 
 def utilities(

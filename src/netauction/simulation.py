@@ -104,7 +104,8 @@ class Scenario:
                 )
             if (self.mer * (self.n + 1)) % 100 != 0:
                 raise ScenarioError(
-                    f"mer {self.mer}% with n={self.n} gives a fractional seller degree"
+                    f"mer {self.mer}% of the {self.n + 1} nodes (n={self.n} bidders "
+                    f"and the seller) gives a fractional seller degree"
                 )
             if self.rho() < 1:
                 raise ScenarioError(f"mer {self.mer}% with n={self.n} leaves no neighbors")
@@ -251,10 +252,9 @@ class RevenueStats:
 class Market:
     """What the Monte Carlo reads of a reported network.
 
-    The columns are the reachable bidders in id order; ``branch`` holds the
-    top-level dominator branch of each column, and ``profile`` the branch
-    sizes, branches numbered and ordered by head id as ``Pot.children``
-    orders the seller's children.
+    The columns are the reachable bidders in id order, as in ``Pot.ids``;
+    ``branch`` holds the top-level dominator branch of each column, and
+    ``profile`` the branch sizes, branches numbered and ordered by head id.
     """
 
     branch: np.ndarray
@@ -268,10 +268,9 @@ class Market:
             raise DomainError("the template reaches no bidders")
         pot = build_pot(graph)
         prof = subtree_profile(pot)
-        col = {a: i for i, a in enumerate(sorted(graph.reachable))}
         # the branches are consecutive preorder slices of prof.sizes bidders
         branch = np.empty(prof.n, dtype=np.intp)
-        branch[[col[a] for a in pot.order]] = np.repeat(np.arange(prof.m), prof.sizes)
+        branch[pot.order] = np.repeat(np.arange(prof.m), prof.sizes)
         return cls(branch=branch, profile=prof)
 
     @classmethod

@@ -7,6 +7,7 @@ independent cross-check of the package's optimized implementations.
 import math
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +22,9 @@ from netauction.graphs import (
     AgentAction,
     DiffusionGraph,
     Pot,
+    SubtreeProfile,
     build_graph,
     build_pot,
-    subtree_profile,
 )
 from netauction.mechanism import Outcome
 from netauction.reserve import (
@@ -263,8 +264,6 @@ def naive_apx_r(profile, reserve):
     raw max() calls, with no incremental bookkeeping to share bugs with the
     production implementation.
     """
-    from netauction.graphs import dcs
-
     g = build_graph(profile)
     bids = {a.agent: a.bid for a in profile.bidders() if a.agent in g.reachable}
     if not bids:
@@ -437,22 +436,43 @@ def slow_opt_upper_bound(n, d):
     return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar)
 
 
-# Oracles the package no longer ships, kept verbatim from its graphs,
-# distributions, reserve and revenue modules: the subtree of a
-# dominator-tree node, the virtual values the reserve tests solve against,
-# the secure-reserve bound and the revenue of a single branch.
+# Oracles the package no longer ships, kept from its graphs, distributions,
+# reserve and revenue modules: the dominator chain and the subtree of a
+# dominator-tree node (both read only the id-keyed ``Pot.parent`` view, never
+# the index arrays), the virtual values the reserve tests solve against, the
+# secure-reserve bound and the revenue of a single branch.
+
+
+def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
+    """Dominator chain from the seller's side down to the agent.
+
+    Starts at the agent's top-level dominator and ends at the agent itself;
+    the seller is not included.
+    """
+    parent = pot.parent
+    if agent not in parent:
+        raise KeyError(agent)
+    chain = [agent]
+    while parent[chain[-1]] != pot.seller:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    return tuple(chain)
 
 
 def ddg(pot: Pot, agent: str) -> frozenset[str]:
     """All bidders whose participation the agent controls, itself included."""
-    if agent not in pot.parent:
+    parent = pot.parent
+    if agent not in parent:
         raise KeyError(agent)
+    children: dict[str, list[str]] = {}
+    for v, p in parent.items():
+        children.setdefault(p, []).append(v)
     out = []
     stack = [agent]
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(pot.children[v])
+        stack.extend(children.get(v, ()))
     return frozenset(out)
 
 
@@ -513,7 +533,18 @@ def subtree_critical_value(d, v: float, k: int) -> float:
 
 
 # The dominator tree on string-keyed dicts, as build_pot computed it before
-# it moved to integer indices, kept verbatim as a reference.
+# it moved to integer indices, kept as a reference with its own result type.
+
+
+@dataclass(frozen=True)
+class SlowPot:
+    """Dominator tree keyed by id: immediate dominators, subtree sizes and
+    the preorder over id-sorted children."""
+
+    seller: str
+    parent: dict[str, str]
+    subtree_size: dict[str, int]
+    order: tuple[str, ...]
 
 
 def _slow_reverse_postorder(graph: DiffusionGraph) -> list[str]:
@@ -536,7 +567,7 @@ def _slow_reverse_postorder(graph: DiffusionGraph) -> list[str]:
     return post
 
 
-def slow_build_pot(graph: DiffusionGraph) -> Pot:
+def slow_build_pot(graph: DiffusionGraph) -> SlowPot:
     """Immediate dominators by iterative data-flow over reverse postorder."""
     order = _slow_reverse_postorder(graph)  # order[0] is the seller
     index = {v: i for i, v in enumerate(order)}
@@ -587,10 +618,9 @@ def slow_build_pot(graph: DiffusionGraph) -> Pot:
         for c in children[v]:
             size[v] += size[c]
 
-    return Pot(
+    return SlowPot(
         seller=graph.seller,
         parent=parent,
-        children={v: tuple(children[v]) for v in order},
         subtree_size=size,
         order=tuple(tree_order),
     )
@@ -618,15 +648,17 @@ def slow_monte_carlo(
     if not graph.reachable:
         raise DomainError("the template reaches no bidders")
     pot = build_pot(graph)
-    prof = subtree_profile(pot)
-    reserve = resolve_reserve(policy, prof, d)
-
     order = sorted(graph.reachable)
-    col = {a: i for i, a in enumerate(order)}
-    branch_cols = [
-        np.array(sorted(col[v] for v in ddg(pot, c)), dtype=np.intp)
-        for c in pot.children[pot.seller]
-    ]
+    parent = pot.parent
+    heads: dict[str, list[int]] = {}
+    for i, v in enumerate(order):  # columns in id order
+        top = v
+        while parent[top] != pot.seller:
+            top = parent[top]
+        heads.setdefault(top, []).append(i)
+    branch_cols = [np.array(heads[c], dtype=np.intp) for c in sorted(heads)]
+    prof = SubtreeProfile.from_sizes([len(c) for c in branch_cols])
+    reserve = resolve_reserve(policy, prof, d)
     n = len(order)
     m = len(branch_cols)
     vbar = d.vbar

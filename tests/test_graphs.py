@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import ddg
+from helpers import dcs, ddg
 from netauction.errors import ValidationError
 from netauction.graphs import (
     ActionProfile,
@@ -15,7 +15,6 @@ from netauction.graphs import (
     SubtreeProfile,
     build_graph,
     build_pot,
-    dcs,
     load_profile,
     network_dominators,
     profile_from_dict,
@@ -141,14 +140,24 @@ class TestBuildGraph:
         assert g.successors["s"] == ("a", "b", "c")
 
 
+def _preorder(pot):
+    return [pot.ids[v] for v in pot.order]
+
+
+def _sizes(pot):
+    return dict(zip(pot.ids, pot.size))
+
+
 class TestPot:
     def test_chain_pot(self):
         p = _profile(["A"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
         pot = build_pot(build_graph(p))
         assert pot.parent == {"A": "s", "B": "A"}
-        assert pot.children["A"] == ("B",)
-        assert pot.subtree_size == {"A": 2, "B": 1}
-        assert pot.order == ("A", "B")
+        assert pot.ids == ["A", "B"]
+        assert pot.up == [-1, 0]
+        assert _sizes(pot) == {"A": 2, "B": 1}
+        assert _preorder(pot) == ["A", "B"]
+        assert pot.at == [0, 1]
         assert dcs(pot, "B") == ("A", "B")
         assert dcs(pot, "A") == ("A",)
         assert ddg(pot, "A") == frozenset({"A", "B"})
@@ -163,7 +172,7 @@ class TestPot:
         pot = build_pot(build_graph(p))
         assert pot.parent["c"] == "s"
         assert dcs(pot, "c") == ("c",)
-        assert pot.subtree_size == {"a": 1, "b": 1, "c": 1}
+        assert _sizes(pot) == {"a": 1, "b": 1, "c": 1}
 
     def test_mid_chain_diamond(self):
         # s -> a -> {b, c} -> d: a dominates d, b and c do not.
@@ -180,7 +189,7 @@ class TestPot:
         assert pot.parent == {"a": "s", "b": "a", "c": "a", "d": "a"}
         assert dcs(pot, "d") == ("a", "d")
         assert ddg(pot, "a") == frozenset({"a", "b", "c", "d"})
-        assert pot.subtree_size["a"] == 4
+        assert _sizes(pot)["a"] == 4
 
     def test_dcs_unknown_agent(self):
         p = _profile(["a"], [("a", 1.0, [])])
@@ -195,11 +204,14 @@ class TestPot:
         for _ in range(50):
             p = helpers.random_sparse_profile(rng)
             pot = build_pot(build_graph(p))
+            parent = pot.parent
             seen = {pot.seller}
-            for node in pot.order:
-                assert pot.parent[node] in seen
+            for node in _preorder(pot):
+                assert parent[node] in seen
                 seen.add(node)
-            assert seen - {pot.seller} == set(pot.parent)
+            assert seen - {pot.seller} == set(parent)
+            # at inverts the preorder
+            assert [pot.at[v] for v in pot.order] == list(range(len(pot.ids)))
 
     def test_matches_deletion_oracle_on_random_graphs(self):
         rng = np.random.default_rng(11)
@@ -229,33 +241,33 @@ class TestPot:
         pot = build_pot(g)
         assert pot.parent == want
         # deep chains, not a flat star under the seller
-        depth = max(len(dcs(pot, v)) for v in pot.order)
-        assert depth > 10
+        assert any(len(dcs(pot, v)) > 10 for v in pot.parent)
 
     def test_subtree_sizes_consistent_with_ddg(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
             pot = build_pot(build_graph(helpers.random_sparse_profile(rng)))
-            for i, node in enumerate(pot.order):
-                assert pot.subtree_size[node] == len(ddg(pot, node))
+            order, sizes = _preorder(pot), _sizes(pot)
+            for i, node in enumerate(order):
+                assert sizes[node] == len(ddg(pot, node))
                 # preorder: the subtree is the slice starting at its root
-                size = pot.subtree_size[node]
-                assert frozenset(pot.order[i : i + size]) == ddg(pot, node)
+                size = sizes[node]
+                assert frozenset(order[i : i + size]) == ddg(pot, node)
 
 
 class TestAgainstSlowReference:
     """build_pot on integer indices against the dict-based data-flow it
-    replaced (tests/helpers.py): the dominator tree is unique, so every
-    field must agree."""
+    replaced (tests/helpers.py): the dominator tree is unique, so the
+    immediate dominators, the subtree sizes and the preorder must agree,
+    read by id."""
 
     @staticmethod
     def _check(graph):
         got, want = build_pot(graph), helpers.slow_build_pot(graph)
         assert got.seller == want.seller
         assert got.parent == want.parent
-        assert got.children == want.children
-        assert got.subtree_size == want.subtree_size
-        assert got.order == want.order
+        assert _sizes(got) == want.subtree_size
+        assert _preorder(got) == list(want.order)
 
     def test_random_directed_profiles(self):
         rng = np.random.default_rng(2718)

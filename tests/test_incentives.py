@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import helpers
-from netauction.distributions import Uniform
+from netauction.distributions import TruncatedNormal, Uniform
 from netauction.errors import DomainError, ValidationError
-from netauction.graphs import build_graph, build_pot, dcs, subtree_profile
+from netauction.graphs import (
+    ActionProfile,
+    AgentAction,
+    build_graph,
+    build_pot,
+    subtree_profile,
+)
 from netauction.incentives import (
     DeviationGrid,
     check_dsic,
@@ -180,7 +186,7 @@ class TestDsicPolicies:
             if out.failed:
                 continue
             pot = build_pot(build_graph(deviated))
-            path = dcs(pot, out.winner)
+            path = helpers.dcs(pot, out.winner)
             if out.winner == "C":
                 seen.add("wins")
                 assert out.payments["C"] >= 25.0
@@ -215,6 +221,48 @@ class TestAgainstSlowReference:
                 gains += sum(r.best_gain > 0.0 for r in fast)
         # the global optimum is manipulable, so the tie rule is exercised
         assert gains > 0
+
+    # criterion 6's policies and priors, as the benchmark runs them
+    CRITERION6_POLICIES = [
+        (ReservePolicy(kind="none"), UNI),
+        (ReservePolicy(kind="fixed", r=37.5), UNI),
+        (ReservePolicy(kind="uniform_gamma", kmin=2), UNI),
+        (
+            ReservePolicy(kind="general_gamma", kmin=2),
+            TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0),
+        ),
+    ]
+
+    @pytest.mark.parametrize("bid_seed, part", [(1, 0), (2, 1), (3, 2)])
+    def test_criterion6_links_with_redrawn_bids(self, bid_seed, part):
+        # criterion 6 draws 50 link structures and their bids from seed 606;
+        # here every bid is redrawn from another seed, and each case checks
+        # a third of the structures
+        links = np.random.default_rng(606)
+        redraw = np.random.default_rng(bid_seed)
+        grid = DeviationGrid(points=5)
+        for k in range(50):
+            drawn = helpers.random_sparse_profile(links, n_max=7)
+            truth = ActionProfile(
+                drawn.seller,
+                tuple(
+                    a
+                    if a.agent == drawn.seller
+                    else AgentAction(a.agent, float(redraw.uniform(0.0, 100.0)), a.neighbors)
+                    for a in drawn.agents
+                ),
+            )
+            if k % 3 != part:
+                continue
+            bidders = len(truth.ids()) if build_graph(truth).reachable else 0
+            for policy, d in self.CRITERION6_POLICIES:
+                fast = check_dsic(truth, d, policy, grid)
+                assert fast == helpers.slow_check_dsic(truth, d, policy, grid), (
+                    policy.kind,
+                    truth,
+                )
+                assert len(fast) == bidders
+                assert all(r.best_gain <= 1e-9 for r in fast), (policy.kind, truth)
 
     def test_counterexample(self):
         truth = counterexample_instance()

@@ -141,27 +141,89 @@ class TestInvariants:
             checked_success += not failed
         assert checked_success > 100
 
+    @staticmethod
+    def _check_clear(profile, pot, bids, reserve):
+        # bids[v] is the bid of pot.ids[v]; the reference gets the profile
+        # rebuilt around them
+        by_id = dict(zip(pot.ids, bids))
+        rebid = ActionProfile(
+            profile.seller,
+            tuple(
+                AgentAction(a.agent, by_id.get(a.agent, a.bid), a.neighbors)
+                for a in profile.agents
+            ),
+        )
+        out = clear(pot, bids, reserve)
+        w, pay, rev, failed = helpers.naive_apx_r(rebid, reserve)
+        assert (out.winner, out.payments, out.revenue, out.failed) == (
+            w, pay, rev, failed
+        )
+        return out
+
     def test_one_tree_clears_many_bid_vectors(self):
         # clear() on a tree built once agrees with the reference run on the
         # profile rebuilt around each new bid vector
         rng = np.random.default_rng(107)
         for profile, reserve in self._random_cases(100, seed=103):
-            graph = build_graph(profile)
-            pot = build_pot(graph)
+            pot = build_pot(build_graph(profile))
             for _ in range(5):
-                bids = {a: float(rng.uniform(0.0, 100.0)) for a in graph.reachable}
-                rebid = ActionProfile(
-                    profile.seller,
-                    tuple(
-                        AgentAction(a.agent, bids.get(a.agent, a.bid), a.neighbors)
-                        for a in profile.agents
-                    ),
-                )
-                out = clear(pot, bids, reserve)
-                w, pay, rev, failed = helpers.naive_apx_r(rebid, reserve)
-                assert (out.winner, out.payments, out.revenue, out.failed) == (
-                    w, pay, rev, failed
-                )
+                bids = [float(rng.uniform(0.0, 100.0)) for _ in pot.ids]
+                self._check_clear(profile, pot, bids, reserve)
+        # the large graphs of test_matches_networkx_on_large_graphs: long
+        # dominator chains, so the at/size slices reach deep into the preorder
+        for n, extra in [(1000, 0.3), (1500, 0.15), (2000, 0.1), (3000, 0.05)]:
+            self._clear_deep_tree(n, extra)
+
+    def _clear_deep_tree(self, n, extra):
+        rng = np.random.default_rng(n)
+        profile = helpers.random_large_profile(rng, n, extra)
+        pot = build_pot(build_graph(profile))
+        parent = pot.parent
+
+        def depth(v):
+            k = 0
+            while v != pot.seller:
+                v, k = parent[v], k + 1
+            return k
+
+        chain = helpers.dcs(pot, max(parent, key=depth))
+        assert len(chain) > 10
+        index = {v: i for i, v in enumerate(pot.ids)}
+        cases = []
+        for reserve in (0.0, 60.0):
+            cases.append(([float(b) for b in rng.uniform(0.0, 100.0, n)], reserve))
+        # integer bids: the top bid is tied among many bidders
+        cases.append(([float(b) for b in rng.integers(0, 10, n)], 9.0))
+        cases.append(([1.0] * n, 0.0))  # every bid tied
+        # the deepest bidder ties for the top with every other chain member
+        # and with one bidder off the chain
+        tied = [float(b) for b in rng.uniform(0.0, 50.0, n)]
+        for v in chain[::2] + (chain[-1],):
+            tied[index[v]] = 100.0
+        tied[min(set(range(n)) - {index[v] for v in chain})] = 100.0
+        cases += [(tied, 0.0), (tied, 100.0)]
+        cases.append((tied, 100.5))  # every bid under the reserve
+        winners = set()
+        for bids, reserve in cases:
+            winners.add(self._check_clear(profile, pot, bids, reserve).winner)
+        assert None in winners and len(winners) > 3
+        # a deep winner: the chain above the deepest bidder bids 0, and a
+        # bidder off the chain bids about the number of chain members above
+        # it, so the item travels down the whole chain and the best bid
+        # outside each member's subtree grows on the way
+        level = {v: t + 1 for t, v in enumerate(chain)}
+        deep = [0.0] * n
+        for v in pot.ids:
+            u = v
+            while u != pot.seller and u not in level:
+                u = parent[u]
+            if v not in level:
+                deep[index[v]] = level.get(u, 0) + float(rng.uniform(0.0, 0.5))
+        deep[index[chain[-1]]] = 100.0
+        for reserve in (0.0, len(chain) / 2):
+            out = self._check_clear(profile, pot, deep, reserve)
+            assert out.winner == chain[-1]
+            assert sum(out.payments[v] < 0.0 for v in chain) > 1
 
     def test_payments_telescope_to_revenue(self):
         for profile, reserve in self._random_cases(300, seed=7):

@@ -16,7 +16,7 @@ from netauction.errors import (
     ScenarioError,
     ValidationError,
 )
-from netauction.graphs import SubtreeProfile, build_graph, build_pot, dcs, subtree_profile
+from netauction.graphs import SubtreeProfile, build_graph, build_pot, subtree_profile
 from netauction.mechanism import run_apx_r
 from netauction.reserve import ReservePolicy, gamma_uniform
 from netauction.revenue import expected_total_revenue
@@ -52,7 +52,7 @@ def realized_sizes(profile):
 
 def realized_depth(profile):
     pot = build_pot(build_graph(profile))
-    return max(len(dcs(pot, a)) for a in pot.parent)
+    return max(len(helpers.dcs(pot, a)) for a in pot.parent)
 
 
 class TestScenarioValidation:
@@ -66,6 +66,14 @@ class TestScenarioValidation:
         # 30% of eleven participants is not a whole neighbor count
         with pytest.raises(ScenarioError):
             Scenario("mer", n=10, mer=30)
+
+    def test_mer_ratio_counts_the_seller(self):
+        # the ratio is of the n + 1 nodes: 40% of 51 is rejected and named,
+        # 40% of 50 gives seller degree 20, so rho 19
+        with pytest.raises(ScenarioError) as err:
+            Scenario("mer", n=50, mer=40)
+        assert "51 nodes" in str(err.value)
+        assert Scenario("mer", n=49, mer=40).rho() == 19
 
     def test_mer_needs_at_least_one_neighbor(self):
         with pytest.raises(ScenarioError):
