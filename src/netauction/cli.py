@@ -220,10 +220,12 @@ def _cmd_dsic(args) -> int:
         # templates carry no true values; draw one truthful replicate
         template = draw_replicate(template, d, args.seed, 0)
     reports = check_dsic(template, d, policy, DeviationGrid(points=args.grid))
-    worst = max(reports, key=lambda rep: rep.best_gain)
     for rep in reports:
         print(f"agent {rep.agent}: best_gain {_fmt(rep.best_gain)}")
-    if worst.best_gain > 1e-9:
+    worst = max(reports, key=lambda rep: rep.best_gain, default=None)
+    if worst is None:
+        print("no bidder hears of the sale")
+    elif worst.best_gain > 1e-9:
         print(
             f"profitable deviation: agent {worst.agent} bids {_fmt(worst.best_bid)} "
             f"reporting {sorted(worst.best_report)} for +{_fmt(worst.best_gain)}"

@@ -10,8 +10,9 @@ seller carry no information, so they are excluded from the subset universe.
 A reported subset alone fixes the deviated graph, its dominator tree, the
 branch profile and hence every policy's reserve, since a bidder's own links
 never change whether the bidder itself is reachable. The search therefore
-builds that structure once per subset and clears every bid candidate on it
-with ``mechanism.clear``, the same clearing ``run_apx_r`` uses.
+builds that structure once per subset (the truthful subset reuses the
+truth's) and reads every bid candidate's utility off the two dominator
+chains that can hold the winner, by ``mechanism.clear``'s own rule.
 
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
@@ -37,7 +38,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import clear, run_apx_r, utilities
+from .mechanism import _deviator_utility, clear, run_apx_r, utilities
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -134,8 +135,9 @@ def check_dsic(
     deviator exploits; every other policy resolves once and stays fixed.
 
     Each reported-neighbour subset's graph, dominator tree and reserve are
-    built once, and the subset's bid candidates are cleared on that
-    structure. Of equally good deviations, the first in
+    built once, and every bid candidate's utility is read off that
+    structure by the rule ``clear`` applies, without clearing the whole
+    market per candidate. Of equally good deviations, the first in
     ``enumerate_deviations`` order is reported.
     """
     grid = grid or DeviationGrid()
@@ -190,20 +192,26 @@ def check_dsic(
             for i, (_, subset) in enumerate(deviations):
                 by_subset.setdefault(subset, []).append(i)
             # the agent's own links never decide whether it is reachable, so
-            # one subset's tree and reserve serve every bid candidate
+            # one subset's tree and reserve serve every bid candidate; the
+            # truthful report (links to the seller are inert) is the truth
+            truthful = truth.action(agent).neighbors - {truth.seller}
             gains = [0.0] * tested
             for subset, members in by_subset.items():
-                deviated = truth.replace_action(agent, values[agent], subset)
-                dev_pot = build_pot(build_graph(deviated))
-                r = reserve_for(subtree_profile(dev_pot))
-                bids = [values[a] for a in dev_pot.ids]
-                slot = dev_pot.ids.index(agent)
+                if subset == truthful:
+                    dev_pot, r = pot, base_reserve
+                else:
+                    deviated = truth.replace_action(agent, values[agent], subset)
+                    dev_pot = build_pot(build_graph(deviated))
+                    r = reserve_for(subtree_profile(dev_pot))
+                u = _deviator_utility(
+                    dev_pot,
+                    [values[a] for a in dev_pot.ids],
+                    dev_pot.ids.index(agent),
+                    r,
+                    values[agent],
+                )
                 for i in members:
-                    bids[slot] = deviations[i][0]
-                    outcome = clear(dev_pot, bids, r)
-                    paid = outcome.payments.get(agent, 0.0)
-                    u = values[agent] - paid if outcome.winner == agent else -paid
-                    gains[i] = u - u_truth
+                    gains[i] = u(deviations[i][0]) - u_truth
             # strict improvement in enumeration order: the first best wins ties
             for (bid, subset), gain in zip(deviations, gains):
                 if gain > best_gain:

@@ -72,6 +72,31 @@ def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
     return clear(pot, [bids[a] for a in pot.ids], reserve)
 
 
+def _chain(up: list[int], v: int) -> list[int]:
+    """The dominator chain from the seller's side down to v."""
+    chain = [v]
+    while up[chain[-1]] >= 0:
+        chain.append(up[chain[-1]])
+    chain.reverse()
+    return chain
+
+
+def _outside_maxima(pot: Pot, bids: list[float]):
+    """z -> the best bid outside z's subtree.
+
+    Every subtree is a contiguous slice of the preorder ``pot.order``, so
+    the answer is the larger of a prefix and a suffix maximum. The best bid
+    over an empty set is 0, which keeps the telescoping sum equal to the
+    seller's revenue when one branch holds the whole market.
+    """
+    n = len(bids)
+    at, size = pot.at, pot.size
+    vals = [bids[v] for v in pot.order]
+    before = list(accumulate(vals, max, initial=0.0))
+    after = list(accumulate(reversed(vals), max, initial=0.0))
+    return lambda z: max(before[at[z]], after[n - at[z] - size[z]])
+
+
 def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     """Winner and payments on a prebuilt dominator tree.
 
@@ -88,23 +113,11 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     if bids[h] < reserve:
         return _failed_outcome()
 
-    # dominator chain from the seller's side down to h
-    up = pot.up
-    chain = [h]
-    while up[chain[-1]] >= 0:
-        chain.append(up[chain[-1]])
-    chain.reverse()
+    chain = _chain(pot.up, h)
 
-    # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone.
-    # Every subtree is a contiguous slice of the preorder pot.order, so
-    # excl[t] is the larger of a prefix and a suffix maximum. The best bid
-    # over an empty set is 0, which keeps the telescoping sum equal to the
-    # seller's revenue when one branch holds the whole market.
-    at, size = pot.at, pot.size
-    vals = [bids[v] for v in pot.order]
-    before = list(accumulate(vals, max, initial=0.0))
-    after = list(accumulate(reversed(vals), max, initial=0.0))
-    excl = [max(before[at[z]], after[n - at[z] - size[z]]) for z in chain]
+    # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone
+    outside = _outside_maxima(pot, bids)
+    excl = [outside(z) for z in chain]
     excl.append(bids[h])  # everyone: the top bid
 
     w_idx = len(chain) - 1  # h itself always qualifies
@@ -124,6 +137,56 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
         revenue=max(excl[0], reserve),
         failed=False,
     )
+
+
+def _deviator_utility(
+    pot: Pot, bids: list[float], slot: int, reserve: float, value: float
+):
+    """Bidder ``slot``'s utility under ``clear`` as a function of its own bid.
+
+    ``u(b)`` is the utility (``value`` less the payment if ``slot`` wins,
+    less the payment otherwise) that ``clear(pot, bids', reserve)`` gives
+    ``slot``, where ``bids'`` is ``bids`` with ``bids'[slot] = b``. Only b
+    moves, so the rest of ``clear``'s rule is read off once. The top bidder
+    is ``slot`` or h0, the others' first top bidder, and ``slot`` is paid
+    only on the chain down to it: its own chain, or h0's when h0 is in its
+    subtree. Both chains share the members above ``slot``, whose subtrees
+    contain ``slot``, so whether one of them wins does not depend on b; if
+    one does, ``slot`` gets nothing. Otherwise ``slot`` wins when b clears
+    the reserve and is the best bid outside the subtree of the next member
+    down (everyone, when ``slot`` holds the top bid), and else it relays.
+    """
+    _check_reserve(reserve)
+    vals = list(bids)
+    vals[slot] = 0.0  # counts for nothing in a maximum; b is added per candidate
+    outside = _outside_maxima(pot, vals)
+    chain = _chain(pot.up, slot)
+    for z, below in zip(chain, chain[1:]):
+        if bids[z] >= reserve and bids[z] == outside(below):
+            return lambda b: -0.0
+
+    held = outside(slot)
+    win = value - max(held, reserve)
+    others = [v for v in range(len(bids)) if v != slot]
+    if not others:
+        return lambda b: win if b >= reserve else -0.0
+    h0 = max(others, key=bids.__getitem__)  # ties go to the smaller index
+    top = bids[h0]
+    beside = None  # the others' best bid outside the next member's subtree
+    at, size = pot.at, pot.size
+    if at[slot] < at[h0] < at[slot] + size[slot]:
+        beside = outside(_chain(pot.up, h0)[len(chain)])
+
+    def u(b: float) -> float:
+        if b > top or (b == top and slot < h0):
+            return win if b >= reserve else -0.0
+        if beside is None:
+            return -0.0
+        if b >= reserve and b >= beside:
+            return win
+        return -(max(held, reserve) - max(beside, b, reserve))
+
+    return u
 
 
 def utilities(

@@ -15,7 +15,13 @@ import netauction.cli
 import netauction.simulation
 from netauction.cli import main
 from netauction.distributions import parse_distribution
-from netauction.graphs import load_profile, profile_to_dict, save_profile
+from netauction.graphs import (
+    ActionProfile,
+    AgentAction,
+    load_profile,
+    profile_to_dict,
+    save_profile,
+)
 from netauction.reserve import parse_policy
 from netauction.simulation import (
     Scenario,
@@ -493,6 +499,30 @@ class TestDsic:
         blob = json.loads(out.read_text())
         assert len(blob["reports"]) == 4
         assert all(rep["best_gain"] <= 1e-9 for rep in blob["reports"])
+
+    def test_seller_reaching_nobody(self, tmp_path, capsys):
+        profile = ActionProfile(
+            "s",
+            (AgentAction("s", 0.0, frozenset()), AgentAction("a", 30.0, frozenset())),
+        )
+        net, out = tmp_path / "silent.json", tmp_path / "dsic.json"
+        save_profile(profile, net)
+        code = main(
+            [
+                "dsic",
+                "--net",
+                str(net),
+                "--dist",
+                "uniform:vbar=100",
+                "--reserve",
+                "none",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == "no bidder hears of the sale\n"
+        assert json.loads(out.read_text()) == {"reports": []}
 
     def test_missing_arguments_is_usage_error(self, capsys):
         assert main(["dsic", "--net", "symmetry:sizes=2+2"]) == 2

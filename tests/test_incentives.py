@@ -200,9 +200,10 @@ class TestDsicPolicies:
 
 
 class TestAgainstSlowReference:
-    """check_dsic builds each reported subset once and clears every bid on
-    it; the reference rebuilds the profile, graph, tree and reserve for
-    every candidate. Reports must agree on every field."""
+    """check_dsic builds each reported subset once and reads every bid's
+    utility off it; the reference rebuilds the profile, graph, tree and
+    reserve for every candidate and runs the whole auction. Reports must
+    agree on every field."""
 
     POLICIES = DSIC_POLICIES + [ReservePolicy(kind="global_opt")]
 
@@ -233,25 +234,28 @@ class TestAgainstSlowReference:
         ),
     ]
 
-    @pytest.mark.parametrize("bid_seed, part", [(1, 0), (2, 1), (3, 2)])
-    def test_criterion6_links_with_redrawn_bids(self, bid_seed, part):
+    @staticmethod
+    def _criterion6_links(draw):
         # criterion 6 draws 50 link structures and their bids from seed 606;
-        # here every bid is redrawn from another seed, and each case checks
-        # a third of the structures
+        # here every bid is redrawn by draw()
         links = np.random.default_rng(606)
-        redraw = np.random.default_rng(bid_seed)
-        grid = DeviationGrid(points=5)
-        for k in range(50):
+        for _ in range(50):
             drawn = helpers.random_sparse_profile(links, n_max=7)
-            truth = ActionProfile(
+            yield ActionProfile(
                 drawn.seller,
                 tuple(
-                    a
-                    if a.agent == drawn.seller
-                    else AgentAction(a.agent, float(redraw.uniform(0.0, 100.0)), a.neighbors)
+                    a if a.agent == drawn.seller else AgentAction(a.agent, draw(), a.neighbors)
                     for a in drawn.agents
                 ),
             )
+
+    @pytest.mark.parametrize("bid_seed, part", [(1, 0), (2, 1), (3, 2)])
+    def test_criterion6_links_with_redrawn_bids(self, bid_seed, part):
+        # each case checks a third of the structures
+        redraw = np.random.default_rng(bid_seed)
+        grid = DeviationGrid(points=5)
+        profiles = self._criterion6_links(lambda: float(redraw.uniform(0.0, 100.0)))
+        for k, truth in enumerate(profiles):
             if k % 3 != part:
                 continue
             bidders = len(truth.ids()) if build_graph(truth).reachable else 0
@@ -263,6 +267,25 @@ class TestAgainstSlowReference:
                 )
                 assert len(fast) == bidders
                 assert all(r.best_gain <= 1e-9 for r in fast), (policy.kind, truth)
+
+    def test_criterion6_links_with_tied_bids(self):
+        # bids redrawn as multiples of 10: a deviator's candidates tie the
+        # top other bid, and under the fixed reserve of 40 some bids and
+        # candidates sit exactly at the reserve
+        redraw = np.random.default_rng(4)
+        grid = DeviationGrid(points=5)
+        policies = [
+            ReservePolicy(kind="none"),
+            ReservePolicy(kind="fixed", r=40.0),
+            ReservePolicy(kind="global_opt"),
+        ]
+        for truth in self._criterion6_links(lambda: 10.0 * float(redraw.integers(0, 11))):
+            for policy in policies:
+                fast = check_dsic(truth, UNI, policy, grid)
+                assert fast == helpers.slow_check_dsic(truth, UNI, policy, grid), (
+                    policy.kind,
+                    truth,
+                )
 
     def test_counterexample(self):
         truth = counterexample_instance()

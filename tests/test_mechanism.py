@@ -9,7 +9,13 @@ import helpers
 from helpers import run_spa_reserve
 from netauction.errors import DomainError, ValidationError
 from netauction.graphs import ActionProfile, AgentAction, build_graph, build_pot
-from netauction.mechanism import Outcome, clear, run_apx_r, utilities
+from netauction.mechanism import (
+    Outcome,
+    _deviator_utility,
+    clear,
+    run_apx_r,
+    utilities,
+)
 
 
 def _profile(seller_out, rows, seller="s"):
@@ -267,6 +273,119 @@ class TestInvariants:
             if out.failed:
                 continue
             assert out.payments[out.winner] <= profile.bids()[out.winner] + 1e-12
+
+
+class TestDeviatorUtility:
+    """The utility read off two dominator chains must equal the utility
+    ``clear`` gives on the full bid vector, for every candidate bid the
+    deviation search can try."""
+
+    EPS = 1e-6 * 100.0  # enumerate_deviations' probe around the reserve
+
+    @staticmethod
+    def _from_clear(pot, bids, slot, reserve, value, b):
+        bids = list(bids)
+        bids[slot] = b
+        out = clear(pot, bids, reserve)
+        paid = out.payments.get(pot.ids[slot], 0.0)
+        if out.winner == pot.ids[slot]:
+            return value - paid, "wins"
+        return -paid, "relays" if paid < 0.0 else "idle"
+
+    def _check_slot(self, pot, bids, slot, value, reserves, kinds, probes=None):
+        # the candidates: a grid, the other bids (or the given probes), the
+        # value, and the reserve probed exactly and a hair on each side
+        others = bids[:slot] + bids[slot + 1 :]
+        top = max(others, default=None)
+        grid = np.linspace(0.0, 100.0, 6).tolist()
+        for reserve in reserves:
+            u = _deviator_utility(pot, bids, slot, reserve, value)
+            near = (reserve, reserve - self.EPS, reserve + self.EPS, value)
+            for b in {*grid, *(others if probes is None else probes), *near}:
+                b = min(max(b, 0.0), 100.0)
+                want, kind = self._from_clear(pot, bids, slot, reserve, value, b)
+                assert u(b) == want, (pot.ids, bids, slot, reserve, value, b)
+                kinds.add("ties the top" if b == top else kind)
+
+    @staticmethod
+    def _above_top(pot, bids, slot):
+        # is slot an ancestor of the top bidder among the others?
+        others = [v for v in range(len(bids)) if v != slot]
+        if not others:
+            return False
+        v = max(others, key=bids.__getitem__)
+        while v >= 0 and v != slot:
+            v = pot.up[v]
+        return v == slot
+
+    def test_matches_clear_on_every_slot(self):
+        rng = np.random.default_rng(211)
+        kinds, above = set(), 0
+        for k in range(160):
+            make = helpers.random_sparse_profile if k % 2 else helpers.random_directed_profile
+            profile = make(rng, n_max=7)
+            pot = build_pot(build_graph(profile))
+            if k % 4 < 2:
+                # integer bids: many ties with the top bid and the reserve
+                bids = [float(b) for b in rng.integers(0, 5, len(pot.ids)) * 10]
+            else:
+                bids = [profile.bids()[a] for a in pot.ids]
+            for slot in range(len(bids)):
+                value = float(rng.choice([bids[slot], rng.uniform(0.0, 100.0)]))
+                reserves = (0.0, 40.0, bids[slot], max(bids))
+                self._check_slot(pot, bids, slot, value, reserves, kinds)
+                above += self._above_top(pot, bids, slot)
+        assert kinds == {"wins", "relays", "idle", "ties the top"}
+        assert above > 50
+
+    def test_one_bidder_market(self):
+        profile = _profile(["a"], [("a", 30.0, [])])
+        pot = build_pot(build_graph(profile))
+        kinds = set()
+        self._check_slot(pot, [30.0], 0, 30.0, (0.0, 30.0, 55.0), kinds)
+        assert kinds == {"wins", "idle"}
+
+    def test_deviator_above_the_top_bidder(self):
+        # A relays to both B and C; the deviator A is paid for relaying
+        # until its own bid matches the best bid outside B's subtree
+        pot = build_pot(build_graph(FORK))
+        bids = [30.0, 70.0, 60.0]
+        kinds = set()
+        self._check_slot(pot, bids, 0, 30.0, (0.0, 20.0, 60.0, 70.0), kinds)
+        assert {"wins", "relays", "ties the top"} <= kinds
+        u = _deviator_utility(pot, bids, 0, 20.0, 30.0)
+        assert (u(30.0), u(60.0), u(70.0)) == (40.0, 30.0 - 20.0, 30.0 - 20.0)
+
+    def test_deep_chains(self):
+        # like the deep winner of TestInvariants: each member of the deepest
+        # chain bids its depth and a bidder off the chain a little more than
+        # the chain member it hangs below, so members above the deepest
+        # bidder earn diffusion rewards
+        rng = np.random.default_rng(223)
+        profile = helpers.random_large_profile(rng, 600, 0.2)
+        pot = build_pot(build_graph(profile))
+        up, n = pot.up, len(pot.ids)
+        depth = [0] * n
+        for v in pot.order:
+            depth[v] = 1 + (depth[up[v]] if up[v] >= 0 else 0)
+        chain = [max(range(n), key=depth.__getitem__)]
+        while up[chain[-1]] >= 0:
+            chain.append(up[chain[-1]])
+        assert len(chain) > 10
+        level = {v: float(depth[v]) for v in chain}
+        bids = [0.0] * n
+        for v in range(n):
+            w = v
+            while w >= 0 and w not in level:
+                w = up[w]
+            bids[v] = level[v] if v in level else level.get(w, 0.0) + float(rng.uniform(0.0, 0.5))
+        bids[chain[0]] = 95.0  # the top other bid for every member above
+        probes = [bids[v] for v in chain] + [bids[v] + 0.25 for v in chain]
+        kinds = set()
+        for slot in chain[:: max(1, len(chain) // 6)] + [chain[-1]]:
+            reserves = (0.0, len(chain) / 2, bids[slot], 95.0)
+            self._check_slot(pot, bids, slot, bids[slot], reserves, kinds, probes)
+        assert kinds == {"wins", "relays", "idle", "ties the top"}
 
 
 class TestSpaReference:
