@@ -14,7 +14,9 @@ the iterative data-flow algorithm of Cooper, Harvey and Kennedy over a
 reverse postorder, on integer node indices: one pass over every node, then
 passes over the nodes with several predecessors until nothing changes. On
 the 10k-node benchmark networks that is four or five passes in all, the
-last of which only confirms; the worst case is quadratic.
+last of which only confirms; the worst case is quadratic. The same integer
+core rebuilds one bidder's subtree alone when the bidder withholds links
+(``Pot.cut``), for the deviation search.
 
 An undirected network (an ingested edge list, every node forwarding to all
 of its neighbours) needs no data-flow: links into the seller never change
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -166,7 +169,8 @@ class Pot:
     integer bidder indices.
 
     ``ids`` lists the reachable bidders in id order, so bidder v is
-    ``ids[v]``. ``up[v]`` is v's immediate dominator, -1 for the seller.
+    ``ids[v]``. ``succ[v]`` lists the bidders v informs, and ``succ[-1]``
+    the seller's. ``up[v]`` is v's immediate dominator, -1 for the seller.
     ``order`` is a depth-first preorder over id-sorted children: parents
     come before children, so subtree aggregates fall out of one reversed
     sweep, and v's subtree is the contiguous slice of ``size[v]`` entries
@@ -175,6 +179,7 @@ class Pot:
 
     seller: str
     ids: list[str]
+    succ: list[list[int]]
     up: list[int]
     order: list[int]
     at: list[int]
@@ -186,21 +191,63 @@ class Pot:
         ids, seller = self.ids, self.seller
         return {v: seller if u < 0 else ids[u] for v, u in zip(ids, self.up)}
 
+    def subtree(self, v: int) -> tuple[list[int], list[int]]:
+        """The bidders below v in preorder, and each one's immediate
+        dominator."""
+        below = self.order[self.at[v] + 1 : self.at[v] + self.size[v]]
+        up = self.up
+        return below, [up[w] for w in below]
+
+    def cut(self, v: int, links) -> tuple[list[int], list[int]]:
+        """``subtree(v)`` once v informs only the bidders ``links``.
+
+        v's own links never decide which bidders outside its subtree are
+        reachable or who dominates v, and no link enters the subtree from
+        outside it: its head would be reachable without v. So the bidders
+        v still reaches, and their immediate dominators, are those of the
+        links inside the subtree, rooted at v. Bidders cut off are left
+        out.
+        """
+        first = self.at[v] + 1
+        inside = self.order[first : self.at[v] + self.size[v]]
+        k = len(inside)
+        at = self.at
+        # local node j is inside[j], at preorder position first + j, and v
+        # is the root, -1; links leaving the subtree or into v are dropped
+        succ = [[j for w in self.succ[u] if 0 <= (j := at[w] - first) < k] for u in inside]
+        succ.append([j for w in links if 0 <= (j := at[w] - first) < k])
+        up, order, _, _ = _dominators(succ)
+        return [inside[j] for j in order], [v if up[j] < 0 else inside[up[j]] for j in order]
+
 
 def build_pot(graph: DiffusionGraph) -> Pot:
-    """Immediate dominators by iterative data-flow over reverse postorder.
+    """The dominator tree of the reachable bidders, in id order.
 
     The reachable bidders are 0..n-1 in id order and the seller is -1, so
     that the seller's entries sit in one spare slot at the end of every
-    list. The first pass sets every immediate dominator; later passes
-    revisit the nodes with several predecessors until one changes nothing.
+    list.
     """
     ids = sorted(graph.reachable)
     index = {v: i for i, v in enumerate(ids)}
     get = graph.successors.get
     succ = [[index[v] for v in get(u, ())] for u in [*ids, graph.seller]]
-    n = len(ids)
-    slots = n + 1  # the bidders, then the seller
+    up, order, at, size = _dominators(succ)
+    return Pot(seller=graph.seller, ids=ids, succ=succ, up=up, order=order, at=at, size=size)
+
+
+def _dominators(succ: list[list[int]]) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Immediate dominators by iterative data-flow over reverse postorder.
+
+    ``succ`` holds the successor lists of nodes 0..n-1 and, last, of the
+    root, which is node -1. Returns ``up``, ``order``, ``at`` and ``size``
+    as ``Pot`` keeps them, with children in index order. Nodes the root
+    does not reach are left out of ``order``, and their entries in the
+    other lists mean nothing. The first pass sets every immediate
+    dominator; later passes revisit the nodes with several predecessors
+    until one changes nothing.
+    """
+    slots = len(succ)
+    n = slots - 1
 
     seen = [False] * slots
     seen[-1] = True
@@ -216,14 +263,15 @@ def build_pot(graph: DiffusionGraph) -> Pot:
         else:
             stack.pop()
             post.append(node)
-    rpo = post[::-1]  # rpo[0] is the seller
+    rpo = post[::-1]  # rpo[0] is the root
+    reached = len(rpo)
     rank = [0] * slots
     for i, v in enumerate(rpo):
         rank[v] = i
     # predecessors by rank, in rank order: preds[v][0] is below v (the
     # search reached v from some earlier node), so every pass has already
     # visited it when it comes to v
-    preds: list[list[int]] = [[] for _ in range(slots)]
+    preds: list[list[int]] = [[] for _ in range(reached)]
     for i, u in enumerate(rpo):
         for v in succ[u]:
             preds[rank[v]].append(i)
@@ -231,9 +279,9 @@ def build_pot(graph: DiffusionGraph) -> Pot:
     # idom by rank. The first pass visits every node and skips the
     # predecessors it has not reached yet; a node with one predecessor is
     # then final, so later passes revisit only the nodes with several
-    idom = [-1] * slots
+    idom = [-1] * reached
     idom[0] = 0
-    todo = range(1, slots)
+    todo = range(1, reached)
     joins = [v for v in todo if len(preds[v]) > 1]
     changed = True
     while changed:
@@ -253,15 +301,15 @@ def build_pot(graph: DiffusionGraph) -> Pot:
                 changed = True
         todo = joins
 
-    # back to bidder indices; children come out id-sorted
-    up = [0] * n
-    for i in range(1, slots):
+    # back to node indices; children come out in index order
+    up = [-1] * n
+    for i in range(1, reached):
         up[rpo[i]] = rpo[idom[i]]
     kids: list[list[int]] = [[] for _ in range(slots)]
-    for v in range(n):
+    for v in compress(range(n), seen):
         kids[up[v]].append(v)
 
-    # parent-before-child ordering via DFS over id-sorted children
+    # parent-before-child ordering via DFS over index-sorted children
     order: list[int] = []
     walk = kids[-1][::-1]
     while walk:
@@ -275,9 +323,8 @@ def build_pot(graph: DiffusionGraph) -> Pot:
     count = [1] * slots
     for v in reversed(order):
         count[up[v]] += count[v]
-    count.pop()  # the seller's slot
-
-    return Pot(seller=graph.seller, ids=ids, up=up, order=order, at=at, size=count)
+    count.pop()  # the root's slot
+    return up, order, at, count
 
 
 def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:

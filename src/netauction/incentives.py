@@ -9,10 +9,15 @@ seller carry no information, so they are excluded from the subset universe.
 
 A reported subset alone fixes the deviated graph, its dominator tree, the
 branch profile and hence every policy's reserve, since a bidder's own links
-never change whether the bidder itself is reachable. The search therefore
-builds that structure once per subset (the truthful subset reuses the
-truth's) and reads every bid candidate's utility off the two dominator
-chains that can hold the winner, by ``mechanism.clear``'s own rule.
+never change whether the bidder itself is reachable. Nor do they change
+anything outside the bidder's dominator subtree that its utility reads: its
+chain, and who lies outside each chain member's subtree. Under a fixed
+reserve the search therefore rebuilds only that subtree, on integer indices
+and only for subsets that drop a link into it, and reads every bid
+candidate's utility off the two dominator chains that can hold the winner,
+by ``mechanism.clear``'s own rule. The global-optimum reserve reads branch
+sizes, which a dropped link can change outside the subtree, so under it
+every subset rebuilds the whole market.
 
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,7 +44,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import _deviator_utility, clear, run_apx_r, utilities
+from .mechanism import _deviator_utility, _relay_rule, _silent, clear, run_apx_r, utilities
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -101,24 +107,35 @@ def enumerate_deviations(
     value, and the reserve probed exactly and a hair on each side. Reports:
     every subset of the informative neighbors.
     """
+    subsets = _reported_subsets(neighbors, seller)
+    bids = _bid_candidates(grid, vbar, [*others_bids, value], reserve)
+    return tuple((b, s) for b in bids for s in subsets)
+
+
+def _reported_subsets(neighbors, seller: str | None) -> list[frozenset[str]]:
+    """Every subset of the informative neighbors, by size, then in
+    ``combinations`` order; the last one holds them all."""
     informative = sorted(frozenset(neighbors) - {seller})
     if len(informative) > _SUBSET_CAP:
         raise DomainError(
             f"{len(informative)} neighbors exceed the 2^{_SUBSET_CAP} subset cap"
         )
-    eps = 1e-6 * vbar
-    raw = list(np.linspace(0.0, vbar, grid.points))
-    raw.extend(others_bids)
-    raw.append(value)
-    if reserve is not None:
-        raw.extend((reserve, reserve - eps, reserve + eps))
-    bids = sorted({min(max(float(b), 0.0), vbar) for b in raw})
-    subsets = [
+    return [
         frozenset(chosen)
         for size in range(len(informative) + 1)
         for chosen in combinations(informative, size)
     ]
-    return tuple((b, s) for b in bids for s in subsets)
+
+
+def _bid_candidates(grid: DeviationGrid, vbar: float, bids, reserve: float | None) -> list[float]:
+    """The grid, ``bids`` and the reserve probed exactly and a hair on each
+    side, clipped to [0, vbar], sorted and without repeats."""
+    eps = 1e-6 * vbar
+    raw = list(np.linspace(0.0, vbar, grid.points))
+    raw.extend(bids)
+    if reserve is not None:
+        raw.extend((reserve, reserve - eps, reserve + eps))
+    return sorted({min(max(float(b), 0.0), vbar) for b in raw})
 
 
 def check_dsic(
@@ -134,11 +151,13 @@ def check_dsic(
     against each deviated profile, since that feedback is precisely what a
     deviator exploits; every other policy resolves once and stays fixed.
 
-    Each reported-neighbour subset's graph, dominator tree and reserve are
-    built once, and every bid candidate's utility is read off that
-    structure by the rule ``clear`` applies, without clearing the whole
-    market per candidate. Of equally good deviations, the first in
-    ``enumerate_deviations`` order is reported.
+    The bid candidates are the same for every agent and are listed once.
+    Under a fixed reserve each subset rebuilds at most the deviator's
+    subtree (see the module docstring); under the global optimum it
+    rebuilds the whole market. Every candidate's utility is read off that
+    structure by the rule ``clear`` applies. Of equally good deviations,
+    the first in ``enumerate_deviations`` order is reported, and
+    ``deviations_tested`` counts that whole enumeration.
     """
     grid = grid or DeviationGrid()
     values = truth.bids()
@@ -153,70 +172,52 @@ def check_dsic(
         return ()
     pot = build_pot(graph)
     base_profile = subtree_profile(pot)
-    reserve_cache: dict[tuple[int, ...], float] = {}
-
-    def reserve_for(profile) -> float:
-        if policy.kind != "global_opt":
-            return base_reserve
-        key = tuple(sorted(profile.sizes))
-        if key not in reserve_cache:
-            reserve_cache[key] = global_optimal_reserve(profile, d)
-        return reserve_cache[key]
-
     base_reserve = resolve_reserve(policy, base_profile, d)
-    if policy.kind == "global_opt":
-        reserve_cache[tuple(sorted(base_profile.sizes))] = base_reserve
-    truth_outcome = clear(pot, [values[a] for a in pot.ids], base_reserve)
-    truth_utils = utilities(truth, values, truth_outcome)
+    bids = [values[a] for a in pot.ids]
+    truth_utils = utilities(truth, values, clear(pot, bids, base_reserve))
+    candidates = _bid_candidates(grid, d.vbar, values.values(), base_reserve)
+    slot_of = {a: i for i, a in enumerate(pot.ids)}
+    reserve_cache = {tuple(sorted(base_profile.sizes)): base_reserve}
+
+    def rebuilt(action: AgentAction, subset: frozenset[str]):
+        # the whole deviated market, for the global optimum's reserve; the
+        # truthful report (links to the seller are inert) is the truth
+        if subset == action.neighbors - {truth.seller}:
+            dev_pot, r = pot, base_reserve
+        else:
+            dev_pot = build_pot(build_graph(truth.replace_action(action.agent, action.bid, subset)))
+            profile = subtree_profile(dev_pot)
+            key = tuple(sorted(profile.sizes))
+            if key not in reserve_cache:
+                reserve_cache[key] = global_optimal_reserve(profile, d)
+            r = reserve_cache[key]
+        dev_bids = [values[a] for a in dev_pot.ids]
+        return _deviator_utility(dev_pot, dev_bids, dev_pot.ids.index(action.agent), r, action.bid)
 
     reports = []
-    for agent in sorted(values):
+    for action in sorted(truth.bidders(), key=attrgetter("agent")):
+        agent, value = action.agent, action.bid
         u_truth = truth_utils[agent]
-        best_gain = 0.0
-        best_bid = values[agent]
-        best_report = truth.action(agent).neighbors
+        best_gain, best_bid, best_report = 0.0, value, action.neighbors
         tested = 0
-        if agent in graph.reachable:
-            others = [b for a, b in values.items() if a != agent]
-            deviations = enumerate_deviations(
-                values[agent],
-                truth.action(agent).neighbors,
-                grid,
-                d.vbar,
-                others_bids=others,
-                reserve=base_reserve,
-                seller=truth.seller,
-            )
-            tested = len(deviations)
-            by_subset: dict[frozenset[str], list[int]] = {}
-            for i, (_, subset) in enumerate(deviations):
-                by_subset.setdefault(subset, []).append(i)
-            # the agent's own links never decide whether it is reachable, so
-            # one subset's tree and reserve serve every bid candidate; the
-            # truthful report (links to the seller are inert) is the truth
-            truthful = truth.action(agent).neighbors - {truth.seller}
-            gains = [0.0] * tested
-            for subset, members in by_subset.items():
-                if subset == truthful:
-                    dev_pot, r = pot, base_reserve
-                else:
-                    deviated = truth.replace_action(agent, values[agent], subset)
-                    dev_pot = build_pot(build_graph(deviated))
-                    r = reserve_for(subtree_profile(dev_pot))
-                u = _deviator_utility(
-                    dev_pot,
-                    [values[a] for a in dev_pot.ids],
-                    dev_pot.ids.index(agent),
-                    r,
-                    values[agent],
-                )
-                for i in members:
-                    gains[i] = u(deviations[i][0]) - u_truth
-            # strict improvement in enumeration order: the first best wins ties
-            for (bid, subset), gain in zip(deviations, gains):
-                if gain > best_gain:
-                    best_gain = gain
-                    best_bid, best_report = bid, subset
+        if agent in slot_of:
+            subsets = _reported_subsets(action.neighbors, truth.seller)
+            tested = len(candidates) * len(subsets)
+            if policy.kind == "global_opt":
+                utils = [rebuilt(action, subset) for subset in subsets]
+            else:
+                utils = _subset_utilities(pot, bids, slot_of, slot_of[agent], base_reserve, subsets)
+            # strict improvement in enumeration order: the first best wins
+            # ties, so of the subsets sharing one utility only the first
+            # can be reported
+            first: dict = {}
+            for subset, u in zip(subsets, utils):
+                first.setdefault(u, subset)
+            for b in candidates:
+                for u, subset in first.items():
+                    gain = u(b) - u_truth
+                    if gain > best_gain:
+                        best_gain, best_bid, best_report = gain, b, subset
         reports.append(
             DeviationReport(
                 agent=agent,
@@ -228,6 +229,34 @@ def check_dsic(
             )
         )
     return tuple(reports)
+
+
+def _subset_utilities(pot, bids, slot_of, slot, reserve, subsets):
+    """Bidder ``slot``'s utility for each reported subset under a fixed
+    reserve, as a function of its bid.
+
+    Only the bidder's informative links into its own subtree shape what
+    the utility reads, so subsets that keep the same ones share one
+    function, and those that keep them all read the truth's subtree.
+    """
+    rule = _relay_rule(pot, bids, slot, reserve, bids[slot])
+    if rule is None:
+        return [_silent] * len(subsets)
+    start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
+    inner = frozenset(
+        v for v in subsets[-1] if v in slot_of and start < pot.at[slot_of[v]] < stop
+    )
+    shared: dict[frozenset[str], object] = {}
+    utils = []
+    for subset in subsets:
+        kept = subset & inner
+        if kept not in shared:
+            if kept == inner:
+                shared[kept] = rule(*pot.subtree(slot))
+            else:
+                shared[kept] = rule(*pot.cut(slot, [slot_of[v] for v in sorted(kept)]))
+        utils.append(shared[kept])
+    return utils
 
 
 def counterexample_instance(top_value: float | None = None) -> ActionProfile:

@@ -156,6 +156,31 @@ def _deviator_utility(
     the reserve and is the best bid outside the subtree of the next member
     down (everyone, when ``slot`` holds the top bid), and else it relays.
     """
+    rule = _relay_rule(pot, bids, slot, reserve, value)
+    return _silent if rule is None else rule(*pot.subtree(slot))
+
+
+def _silent(b: float) -> float:
+    return -0.0
+
+
+def _first_top(bids: list[float], nodes) -> int | None:
+    """The smallest index among ``nodes`` holding their top bid."""
+    if not nodes:
+        return None
+    top = max(bids[v] for v in nodes)
+    return min(v for v in nodes if bids[v] == top)
+
+
+def _relay_rule(pot: Pot, bids: list[float], slot: int, reserve: float, value: float):
+    """The part of ``_deviator_utility`` read outside ``slot``'s subtree.
+
+    ``slot``'s chain, and the bidders outside the subtree of each member
+    of it, do not depend on ``slot``'s own links. Returns None when a
+    member above ``slot`` wins whatever it bids. Otherwise returns the map
+    from ``slot``'s subtree, as ``Pot.subtree`` or ``Pot.cut`` lists it,
+    to ``u``.
+    """
     _check_reserve(reserve)
     vals = list(bids)
     vals[slot] = 0.0  # counts for nothing in a maximum; b is added per candidate
@@ -163,30 +188,43 @@ def _deviator_utility(
     chain = _chain(pot.up, slot)
     for z, below in zip(chain, chain[1:]):
         if bids[z] >= reserve and bids[z] == outside(below):
-            return lambda b: -0.0
+            return None
 
     held = outside(slot)
     win = value - max(held, reserve)
-    others = [v for v in range(len(bids)) if v != slot]
-    if not others:
-        return lambda b: win if b >= reserve else -0.0
-    h0 = max(others, key=bids.__getitem__)  # ties go to the smaller index
-    top = bids[h0]
-    beside = None  # the others' best bid outside the next member's subtree
-    at, size = pot.at, pot.size
-    if at[slot] < at[h0] < at[slot] + size[slot]:
-        beside = outside(_chain(pot.up, h0)[len(chain)])
+    start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
+    h_out = _first_top(bids, pot.order[:start] + pot.order[stop:])
 
-    def u(b: float) -> float:
-        if b > top or (b == top and slot < h0):
-            return win if b >= reserve else -0.0
-        if beside is None:
-            return -0.0
-        if b >= reserve and b >= beside:
-            return win
-        return -(max(held, reserve) - max(beside, b, reserve))
+    def rule(below: list[int], up: list[int]):
+        # ties go to the smaller index
+        h_in = _first_top(bids, below)
+        h0 = _first_top(bids, [h for h in (h_out, h_in) if h is not None])
+        if h0 is None:
+            return lambda b: win if b >= reserve else -0.0
+        top = bids[h0]
+        beside = None  # the others' best bid outside the next member's subtree
+        if h0 == h_in:
+            # slot's child above h0 heads the preorder run that holds h0
+            first = last = below.index(h0)
+            while up[first] != slot:
+                first -= 1
+            last += 1
+            while last < len(below) and up[last] != slot:
+                last += 1
+            beside = max([held] + [bids[v] for v in below[:first] + below[last:]])
 
-    return u
+        def u(b: float) -> float:
+            if b > top or (b == top and slot < h0):
+                return win if b >= reserve else -0.0
+            if beside is None:
+                return -0.0
+            if b >= reserve and b >= beside:
+                return win
+            return -(max(held, reserve) - max(beside, b, reserve))
+
+        return u
+
+    return rule
 
 
 def utilities(

@@ -447,8 +447,16 @@ def draw_replicate(
     one the aggregate run consumed. Unreachable bidders bid 0."""
     if i < 0:
         raise ValidationError(f"replicate index must be >= 0, got {i}")
-    graph = build_graph(template)
-    order = sorted(graph.reachable)
+    # the bidders the seller reaches, in id order, as build_graph finds them
+    reports = {a.agent: a.neighbors for a in template.bidders()}
+    stack = [v for v in template.seller_report() if v in reports]
+    reached = set(stack)
+    while stack:
+        for v in reports[stack.pop()]:
+            if v in reports and v not in reached:
+                reached.add(v)
+                stack.append(v)
+    order = sorted(reached)
     n = len(order)
     if n < 1:
         raise DomainError("the template reaches no bidders")

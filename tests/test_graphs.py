@@ -255,6 +255,81 @@ class TestPot:
                 assert frozenset(order[i : i + size]) == ddg(pot, node)
 
 
+class TestCut:
+    """``Pot.cut`` rebuilds a bidder's subtree alone, once the bidder
+    reports only some of its links. Against the whole deviated market
+    rebuilt by ``build_pot(build_graph(...))``: the bidders outside the
+    subtree are reached as before, the bidder keeps its own immediate
+    dominator, and inside the subtree the reached bidders and their
+    immediate dominators are the cut's."""
+
+    @staticmethod
+    def _check(truth, pot, agent, subset):
+        slot = pot.ids.index(agent)
+        first, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
+        inside = {pot.ids[v] for v in pot.order[first:stop]}
+        index = {a: i for i, a in enumerate(pot.ids)}
+        below, up = pot.cut(slot, [index[v] for v in sorted(subset) if v in index])
+
+        deviated = truth.replace_action(agent, truth.action(agent).bid, subset)
+        dev = build_pot(build_graph(deviated)).parent
+        assert set(dev) - inside == set(pot.ids) - inside
+        assert dev[agent] == pot.parent[agent]
+        want = {v: p for v, p in dev.items() if v in inside and v != agent}
+        assert dict(zip((pot.ids[v] for v in below), (pot.ids[u] for u in up))) == want
+        # a preorder: every bidder's immediate dominator is on the open path
+        path = [slot]
+        for v, u in zip(below, up):
+            while path[-1] != u:
+                path.pop()
+            path.append(v)
+
+    @staticmethod
+    def _subsets(rng, neighbors, count):
+        links = sorted(neighbors)
+        if len(links) <= 4:
+            return [
+                frozenset(v for j, v in enumerate(links) if mask >> j & 1)
+                for mask in range(1 << len(links))
+            ]
+        return [frozenset(v for v in links if rng.random() < 0.5) for _ in range(count)]
+
+    def test_small_profiles_every_bidder(self):
+        rng = np.random.default_rng(71)
+        cut_off = 0
+        for k in range(150):
+            make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
+            truth = make(rng, n_max=10)
+            graph = build_graph(truth)
+            if not graph.reachable:
+                continue
+            pot = build_pot(graph)
+            for agent in pot.ids:
+                for subset in self._subsets(rng, truth.action(agent).neighbors, 8):
+                    self._check(truth, pot, agent, subset)
+                    deviated = truth.replace_action(agent, 0.0, subset)
+                    cut_off += len(build_graph(deviated).reachable) < len(pot.ids)
+        assert cut_off > 100
+
+    def test_large_profile_sampled_bidders(self):
+        rng = np.random.default_rng(72)
+        truth = helpers.random_large_profile(rng, 600, 0.3)
+        pot = build_pot(build_graph(truth))
+        heads = [a for v, a in enumerate(pot.ids) if pot.size[v] > 1]
+        agents = rng.choice(heads, size=24, replace=False).tolist()
+        agents += rng.choice(pot.ids, size=6, replace=False).tolist()
+        for agent in agents:
+            for subset in self._subsets(rng, truth.action(agent).neighbors, 3):
+                self._check(truth, pot, agent, subset)
+
+    def test_truth_links_give_the_truth_subtree(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            pot = build_pot(build_graph(helpers.random_directed_profile(rng)))
+            for v in range(len(pot.ids)):
+                assert pot.cut(v, pot.succ[v]) == pot.subtree(v)
+
+
 class TestAgainstSlowReference:
     """build_pot on integer indices against the dict-based data-flow it
     replaced (tests/helpers.py): the dominator tree is unique, so the

@@ -15,6 +15,9 @@ from netauction.graphs import (
 )
 from netauction.incentives import (
     DeviationGrid,
+    _bid_candidates,
+    _reported_subsets,
+    _subset_utilities,
     check_dsic,
     counterexample_instance,
     enumerate_deviations,
@@ -235,19 +238,23 @@ class TestAgainstSlowReference:
     ]
 
     @staticmethod
-    def _criterion6_links(draw):
+    def _rebid(profile, draw):
+        """The profile with every bidder's bid redrawn by draw()."""
+        return ActionProfile(
+            profile.seller,
+            tuple(
+                a if a.agent == profile.seller else AgentAction(a.agent, draw(), a.neighbors)
+                for a in profile.agents
+            ),
+        )
+
+    @classmethod
+    def _criterion6_links(cls, draw):
         # criterion 6 draws 50 link structures and their bids from seed 606;
         # here every bid is redrawn by draw()
         links = np.random.default_rng(606)
         for _ in range(50):
-            drawn = helpers.random_sparse_profile(links, n_max=7)
-            yield ActionProfile(
-                drawn.seller,
-                tuple(
-                    a if a.agent == drawn.seller else AgentAction(a.agent, draw(), a.neighbors)
-                    for a in drawn.agents
-                ),
-            )
+            yield cls._rebid(helpers.random_sparse_profile(links, n_max=7), draw)
 
     @pytest.mark.parametrize("bid_seed, part", [(1, 0), (2, 1), (3, 2)])
     def test_criterion6_links_with_redrawn_bids(self, bid_seed, part):
@@ -286,6 +293,93 @@ class TestAgainstSlowReference:
                     policy.kind,
                     truth,
                 )
+
+    def test_dropped_link_moves_a_dominator_outside_the_subtree(self):
+        # seller -> a -> v and seller -> b -> c -> v: v sits under the
+        # seller until a drops a -> v, then under c, outside a's subtree,
+        # which changes the branch sizes the global optimum reads
+        links = {"s": ["a", "b"], "a": ["v"], "b": ["c"], "c": ["v"]}
+        truth = helpers.truthful_from_values(dict.fromkeys("abcv", 50.0), links)
+        assert build_pot(build_graph(truth)).parent["v"] == "s"
+        dropped = build_pot(build_graph(truth.replace_action("a", 50.0, frozenset())))
+        assert dropped.parent["v"] == "c"
+        assert sorted(subtree_profile(dropped).sizes) == [1, 3]
+
+        rng = np.random.default_rng(83)
+        grid = DeviationGrid(points=5)
+        for k in range(12):
+            draw = rng.integers(0, 11, 4) * 10.0 if k % 2 else rng.uniform(0.0, 100.0, 4)
+            truth = helpers.truthful_from_values(dict(zip("abcv", draw.tolist())), links)
+            for policy in self.POLICIES:
+                fast = check_dsic(truth, UNI, policy, grid)
+                slow = helpers.slow_check_dsic(truth, UNI, policy, grid)
+                assert fast == slow, (policy.kind, truth)
+
+    def test_tied_bids_with_the_reserve_at_a_bid(self):
+        # bids are multiples of 10 and the fixed reserve equals one of them;
+        # deviations_tested counts enumerate_deviations, and the reported
+        # deviation is its first best
+        rng = np.random.default_rng(89)
+        grid = DeviationGrid(points=6)
+        for k in range(30):
+            make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
+            truth = self._rebid(make(rng, n_max=7), lambda: 10.0 * float(rng.integers(0, 11)))
+            if not build_graph(truth).reachable:
+                continue
+            values = truth.bids()
+            policy = ReservePolicy(kind="fixed", r=values[sorted(values)[0]])
+            fast = check_dsic(truth, UNI, policy, grid)
+            assert fast == helpers.slow_check_dsic(truth, UNI, policy, grid), truth
+            reachable = build_graph(truth).reachable
+            for report in fast:
+                want = 0
+                if report.agent in reachable:
+                    want = len(
+                        enumerate_deviations(
+                            values[report.agent],
+                            truth.action(report.agent).neighbors,
+                            grid,
+                            UNI.vbar,
+                            others_bids=[b for a, b in values.items() if a != report.agent],
+                            reserve=policy.r,
+                            seller=truth.seller,
+                        )
+                    )
+                assert report.deviations_tested == want
+
+    def test_subset_utilities_match_the_rebuilt_market(self):
+        # under a fixed reserve a withheld link never pays, so reports alone
+        # cannot tell a wrong subtree rebuild from the truth's; compare each
+        # subset's utility with the whole deviated market's auction instead
+        rng = np.random.default_rng(97)
+        grid = DeviationGrid(points=4)
+        cut_off = 0
+        for k in range(60):
+            make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
+            truth = make(rng, n_max=7)
+            if k % 3 == 0:
+                truth = self._rebid(truth, lambda: 10.0 * float(rng.integers(0, 11)))
+            graph = build_graph(truth)
+            if not graph.reachable:
+                continue
+            pot = build_pot(graph)
+            values = truth.bids()
+            bids = [values[a] for a in pot.ids]
+            slot_of = {a: i for i, a in enumerate(pot.ids)}
+            reserve = float(rng.choice([0.0, 40.0, *bids]))
+            candidates = _bid_candidates(grid, UNI.vbar, values.values(), reserve)
+            for agent in pot.ids:
+                subsets = _reported_subsets(truth.action(agent).neighbors, truth.seller)
+                utils = _subset_utilities(pot, bids, slot_of, slot_of[agent], reserve, subsets)
+                for subset, u in zip(subsets, utils):
+                    for b in candidates:
+                        deviated = truth.replace_action(agent, b, subset)
+                        out = run_apx_r(deviated, reserve)
+                        paid = out.payments.get(agent, 0.0)
+                        want = values[agent] - paid if out.winner == agent else -paid
+                        assert u(b) == want, (truth, agent, subset, b, reserve)
+                    cut_off += len(build_graph(deviated).reachable) < len(pot.ids)
+        assert cut_off > 50
 
     def test_counterexample(self):
         truth = counterexample_instance()

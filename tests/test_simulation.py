@@ -363,6 +363,24 @@ class TestMonteCarlo:
         assert rep.action("ghost").bid == 0.0
         assert rep.action("a").bid > 0.0
 
+    def test_replicate_columns_are_the_reachable_bidders(self):
+        # cycles, self-links, links to the seller and to unknown ids, and
+        # bidders the seller does not reach: the columns are build_graph's
+        # reachable bidders in id order, every other bidder bids 0
+        rng = np.random.default_rng(101)
+        for _ in range(40):
+            template = helpers.random_directed_profile(rng)
+            order = sorted(build_graph(template).reachable)
+            if not order:
+                with pytest.raises(DomainError):
+                    draw_replicate(template, UNI, 5, 3)
+                continue
+            rep = draw_replicate(template, UNI, 5, 3)
+            row = np.random.default_rng([5, 0]).random((4, len(order)))[3]
+            want = dict.fromkeys(template.ids(), 0.0)
+            want.update(zip(order, UNI.quantile(row).tolist()))
+            assert rep.bids() == want
+
     def test_stats_to_dict_round_trip_fields(self):
         stats = monte_carlo(chains_profile((2, 2)), UNI, FIX50, 100, 7)
         blob = stats_to_dict(stats)
