@@ -495,7 +495,7 @@ def expected_subtree_revenue(kx: int, n: int, d, r: float, method: str = "auto")
     method: "auto" picks the uniform closed form when available, otherwise
     quadrature; "closed" and "quadrature" force a route.
     """
-    return _subtree_revenues([kx], n, d, r, method)[0]
+    return _subtree_revenues([kx], n, d, [r], method)[0][0]
 
 
 def virtual_value(d, v: float) -> float:

@@ -221,6 +221,27 @@ class TestRevenue:
         assert lines[0] == "sizes,r,revenue"
         assert len(lines) == 6
 
+    def test_sweep_past_vbar_writes_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            [
+                "revenue",
+                "--sizes",
+                "3,6",
+                "--dist",
+                "normal:mu=50,sigma=16.67,vbar=100",
+                "--r",
+                "10",
+                "--sweep",
+                "0:120:3",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "reserve must lie in [0, 100.0], got 120.0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_without_out_is_usage_error(self, capsys):
         code = main(
             [

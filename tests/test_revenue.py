@@ -14,6 +14,7 @@ from scipy.integrate import quad
 
 import helpers
 from helpers import expected_subtree_revenue
+from netauction import revenue
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
@@ -271,6 +272,57 @@ class TestAgainstRecursiveSimpson:
         assert len(calls) <= 64
 
 
+class TestSimpsonIsolation:
+    """Integrals run together in one _adaptive_simpson call give, bit for
+    bit, what each gives run alone, whatever their lower bounds."""
+
+    LOWER = np.array([0.0, 12.5, 37.1, 100.0, 99.9, 50.0, 0.0, 100.0, 63.2])
+    POWER = np.array([9, 3, 6, 2, 1, 4, 30, 5, 7])
+    NAN = 5  # this integral's integrand is NaN everywhere
+
+    def _run(self, idx, seen=None):
+        idx = np.asarray(idx)
+
+        def f(v, j):
+            k = idx[j]
+            if seen is not None:
+                seen.update(k.tolist())
+            F = NORM.cdf(v)
+            # a negative integrand, so a zero-width integral could come out -0.0
+            out = F ** (self.POWER[k] + 1) - F ** self.POWER[k]
+            return np.where(k == self.NAN, np.nan, out)
+
+        return revenue._adaptive_simpson(f, self.LOWER[idx], 100.0, idx.size)
+
+    def test_together_equals_alone(self):
+        together = self._run(np.arange(self.LOWER.size))
+        for i in range(self.LOWER.size):
+            alone = self._run([i])
+            assert together[i].tobytes() == alone[0].tobytes(), i
+
+    def test_zero_width_is_plus_zero_and_never_evaluated(self):
+        seen = set()
+        got = self._run(np.arange(self.LOWER.size), seen)
+        for i in np.flatnonzero(self.LOWER == 100.0):
+            assert got[i] == 0.0 and math.copysign(1.0, got[i]) == 1.0
+            assert i not in seen
+        assert self._run([3]).tobytes() == np.zeros(1).tobytes()
+
+    def test_nan_stays_in_its_own_integral(self):
+        got = self._run(np.arange(self.LOWER.size))
+        assert math.isnan(got[self.NAN])
+        others = np.arange(self.LOWER.size) != self.NAN
+        assert not np.isnan(got[others]).any()
+        assert np.all(got[others & (self.LOWER < 100.0)] < 0.0)
+
+    def test_scalar_lower_bound_broadcasts(self):
+        idx = np.arange(self.LOWER.size)
+        f = lambda v, j: NORM.cdf(v) ** self.POWER[j]
+        one = revenue._adaptive_simpson(f, 12.5, 100.0, idx.size)
+        each = revenue._adaptive_simpson(f, np.full(idx.size, 12.5), 100.0, idx.size)
+        assert one.tobytes() == each.tobytes()
+
+
 class TestBenchmarks:
     def test_opt_uniform_closed_form(self):
         assert opt_upper_bound(9, UNI) == pytest.approx(80.01953125, abs=1e-12)
@@ -407,3 +459,44 @@ class TestCsv:
         assert float(rows[2]["revenue"]) == pytest.approx(
             72.28097098214286, abs=1e-6
         )
+
+    def test_rows_equal_per_point_revenue(self, tmp_path):
+        prof = _prof(*range(1, 71), 3, 3, 40)
+        distinct = len(set(prof.sizes))
+        grid = [0.0, 100.0, 37.5, 37.5, 0.0] + [float(r) for r in np.linspace(0.0, 100.0, 17)]
+        # more integrals than one quadrature call carries: the grid is chunked
+        assert len(grid) * distinct > revenue._CAP_INTEGRALS
+        for d in (UNI, NORM, EXPD):
+            path = tmp_path / "sweep.csv"
+            got = write_revenue_csv(path, prof, d, grid)
+            want = [expected_total_revenue(prof, d, r) for r in grid]
+            assert [repr(x) for x in got] == [repr(x) for x in want]
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [row["revenue"] for row in rows] == [repr(x) for x in want]
+            assert [float(row["r"]) for row in rows] == grid
+
+    def test_empty_grid_writes_the_header_alone(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        assert write_revenue_csv(path, _prof(3, 6), NORM, []) == []
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["sizes", "r", "revenue"]]
+
+    def test_bad_reserve_leaves_no_file(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        with pytest.raises(DomainError):
+            write_revenue_csv(path, _prof(3, 6), NORM, [0.0, 60.0, 120.0])
+        assert not path.exists()
+
+    def test_uniform_quadrature_route_unchanged(self):
+        # frozen floats of criterion 4's quadrature route, each reserve integrated alone
+        cases = [
+            ((3, 6), 0.0, 70.7142857144926),
+            ((3, 6), 37.5, 71.21751893179169),
+            ((3, 6), 100.0, 0.0),
+            ((1, 2, 2, 5, 7), 61.8, 87.10323300693909),
+            ((4,), 12.25, 12.247241452646477),
+        ]
+        for sizes, r, want in cases:
+            got = expected_total_revenue(_prof(*sizes), UNI, r, method="quadrature")
+            assert repr(got) == repr(want), (sizes, r)
