@@ -16,7 +16,8 @@ passes over the nodes with several predecessors until nothing changes. On
 the 10k-node benchmark networks that is four or five passes in all, the
 last of which only confirms; the worst case is quadratic. The same integer
 core rebuilds one bidder's subtree alone when the bidder withholds links
-(``Pot.cut``), for the deviation search.
+(``Pot.cut``), and the whole market's branch sizes (``Pot.branch_sizes``),
+for the deviation search.
 
 An undirected network (an ingested edge list, every node forwarding to all
 of its neighbours) needs no data-flow: links into the seller never change
@@ -218,6 +219,14 @@ class Pot:
         succ.append([j for w in links if 0 <= (j := at[w] - first) < k])
         up, order, _, _ = _dominators(succ)
         return [inside[j] for j in order], [v if up[j] < 0 else inside[up[j]] for j in order]
+
+    def branch_sizes(self, v: int, links) -> list[int]:
+        """``subtree_profile``'s sizes, in its order, once v informs only
+        the bidders ``links``; bidders cut off are left out."""
+        succ = list(self.succ)
+        succ[v] = [w for w in links if w != v]
+        up, order, _, size = _dominators(succ)
+        return [size[w] for w in order if up[w] < 0]
 
 
 def build_pot(graph: DiffusionGraph) -> Pot:

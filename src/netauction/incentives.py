@@ -11,13 +11,13 @@ A reported subset alone fixes the deviated graph, its dominator tree, the
 branch profile and hence every policy's reserve, since a bidder's own links
 never change whether the bidder itself is reachable. Nor do they change
 anything outside the bidder's dominator subtree that its utility reads: its
-chain, and who lies outside each chain member's subtree. Under a fixed
-reserve the search therefore rebuilds only that subtree, on integer indices
-and only for subsets that drop a link into it, and reads every bid
-candidate's utility off the two dominator chains that can hold the winner,
-by ``mechanism.clear``'s own rule. The global-optimum reserve reads branch
-sizes, which a dropped link can change outside the subtree, so under it
-every subset rebuilds the whole market.
+chain, and who lies outside each chain member's subtree. So the search
+rebuilds only that subtree, on the truth's integer indices and only for
+subsets that drop a link into it, and reads every bid candidate's utility
+off the two dominator chains that can hold the winner, by
+``mechanism.clear``'s own rule. Only the reserve can differ between
+subsets: the global optimum reads the branch sizes, which a dropped link
+can change outside the subtree, so it reruns the data-flow for them alone.
 
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
@@ -44,7 +44,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import _deviator_utility, _relay_rule, _silent, clear, run_apx_r, utilities
+from .mechanism import _outside_maxima, _relay_rule, _silent, clear, run_apx_r, utilities
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -151,13 +151,12 @@ def check_dsic(
     against each deviated profile, since that feedback is precisely what a
     deviator exploits; every other policy resolves once and stays fixed.
 
-    The bid candidates are the same for every agent and are listed once.
-    Under a fixed reserve each subset rebuilds at most the deviator's
-    subtree (see the module docstring); under the global optimum it
-    rebuilds the whole market. Every candidate's utility is read off that
-    structure by the rule ``clear`` applies. Of equally good deviations,
-    the first in ``enumerate_deviations`` order is reported, and
-    ``deviations_tested`` counts that whole enumeration.
+    The bid candidates and the best bid outside each subtree are the same
+    for every agent and are listed once. Each subset rebuilds at most the
+    deviator's subtree (see the module docstring), and every candidate's
+    utility is read off it by the rule ``clear`` applies. Of equally good
+    deviations, the first in ``enumerate_deviations`` order is reported,
+    and ``deviations_tested`` counts that whole enumeration.
     """
     grid = grid or DeviationGrid()
     values = truth.bids()
@@ -176,23 +175,17 @@ def check_dsic(
     bids = [values[a] for a in pot.ids]
     truth_utils = utilities(truth, values, clear(pot, bids, base_reserve))
     candidates = _bid_candidates(grid, d.vbar, values.values(), base_reserve)
+    outside = _outside_maxima(pot, bids)
     slot_of = {a: i for i, a in enumerate(pot.ids)}
     reserve_cache = {tuple(sorted(base_profile.sizes)): base_reserve}
 
-    def rebuilt(action: AgentAction, subset: frozenset[str]):
-        # the whole deviated market, for the global optimum's reserve; the
-        # truthful report (links to the seller are inert) is the truth
-        if subset == action.neighbors - {truth.seller}:
-            dev_pot, r = pot, base_reserve
-        else:
-            dev_pot = build_pot(build_graph(truth.replace_action(action.agent, action.bid, subset)))
-            profile = subtree_profile(dev_pot)
-            key = tuple(sorted(profile.sizes))
-            if key not in reserve_cache:
-                reserve_cache[key] = global_optimal_reserve(profile, d)
-            r = reserve_cache[key]
-        dev_bids = [values[a] for a in dev_pot.ids]
-        return _deviator_utility(dev_pot, dev_bids, dev_pot.ids.index(action.agent), r, action.bid)
+    def reserve_for(slot: int, subset: frozenset[str]) -> float:
+        # the global optimum of the deviated market's branch sizes
+        sizes = pot.branch_sizes(slot, [slot_of[v] for v in subset if v in slot_of])
+        key = tuple(sorted(sizes))
+        if key not in reserve_cache:
+            reserve_cache[key] = global_optimal_reserve(SubtreeProfile.from_sizes(sizes), d)
+        return reserve_cache[key]
 
     reports = []
     for action in sorted(truth.bidders(), key=attrgetter("agent")):
@@ -201,12 +194,15 @@ def check_dsic(
         best_gain, best_bid, best_report = 0.0, value, action.neighbors
         tested = 0
         if agent in slot_of:
+            slot = slot_of[agent]
             subsets = _reported_subsets(action.neighbors, truth.seller)
             tested = len(candidates) * len(subsets)
             if policy.kind == "global_opt":
-                utils = [rebuilt(action, subset) for subset in subsets]
+                # the last subset is the truth: links to the seller are inert
+                reserves = [reserve_for(slot, subset) for subset in subsets[:-1]] + [base_reserve]
             else:
-                utils = _subset_utilities(pot, bids, slot_of, slot_of[agent], base_reserve, subsets)
+                reserves = [base_reserve] * len(subsets)
+            utils = _subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets)
             # strict improvement in enumeration order: the first best wins
             # ties, so of the subsets sharing one utility only the first
             # can be reported
@@ -231,31 +227,35 @@ def check_dsic(
     return tuple(reports)
 
 
-def _subset_utilities(pot, bids, slot_of, slot, reserve, subsets):
-    """Bidder ``slot``'s utility for each reported subset under a fixed
+def _subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets):
+    """Bidder ``slot``'s utility for each reported subset, at that subset's
     reserve, as a function of its bid.
 
     Only the bidder's informative links into its own subtree shape what
-    the utility reads, so subsets that keep the same ones share one
-    function, and those that keep them all read the truth's subtree.
+    the utility reads, so subsets that keep the same ones at the same
+    reserve share one function, and those that keep them all read the
+    truth's subtree.
     """
-    rule = _relay_rule(pot, bids, slot, reserve, bids[slot])
-    if rule is None:
-        return [_silent] * len(subsets)
     start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
     inner = frozenset(
         v for v in subsets[-1] if v in slot_of and start < pot.at[slot_of[v]] < stop
     )
-    shared: dict[frozenset[str], object] = {}
+    rules: dict[float, object] = {}
+    shared: dict[tuple[frozenset[str], float], object] = {}
     utils = []
-    for subset in subsets:
+    for subset, r in zip(subsets, reserves):
         kept = subset & inner
-        if kept not in shared:
-            if kept == inner:
-                shared[kept] = rule(*pot.subtree(slot))
+        if (kept, r) not in shared:
+            if r not in rules:
+                rules[r] = _relay_rule(pot, bids, outside, slot, r, bids[slot])
+            rule = rules[r]
+            if rule is None:
+                shared[kept, r] = _silent
+            elif kept == inner:
+                shared[kept, r] = rule(*pot.subtree(slot))
             else:
-                shared[kept] = rule(*pot.cut(slot, [slot_of[v] for v in sorted(kept)]))
-        utils.append(shared[kept])
+                shared[kept, r] = rule(*pot.cut(slot, [slot_of[v] for v in sorted(kept)]))
+        utils.append(shared[kept, r])
     return utils
 
 

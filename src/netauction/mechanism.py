@@ -139,27 +139,6 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     )
 
 
-def _deviator_utility(
-    pot: Pot, bids: list[float], slot: int, reserve: float, value: float
-):
-    """Bidder ``slot``'s utility under ``clear`` as a function of its own bid.
-
-    ``u(b)`` is the utility (``value`` less the payment if ``slot`` wins,
-    less the payment otherwise) that ``clear(pot, bids', reserve)`` gives
-    ``slot``, where ``bids'`` is ``bids`` with ``bids'[slot] = b``. Only b
-    moves, so the rest of ``clear``'s rule is read off once. The top bidder
-    is ``slot`` or h0, the others' first top bidder, and ``slot`` is paid
-    only on the chain down to it: its own chain, or h0's when h0 is in its
-    subtree. Both chains share the members above ``slot``, whose subtrees
-    contain ``slot``, so whether one of them wins does not depend on b; if
-    one does, ``slot`` gets nothing. Otherwise ``slot`` wins when b clears
-    the reserve and is the best bid outside the subtree of the next member
-    down (everyone, when ``slot`` holds the top bid), and else it relays.
-    """
-    rule = _relay_rule(pot, bids, slot, reserve, value)
-    return _silent if rule is None else rule(*pot.subtree(slot))
-
-
 def _silent(b: float) -> float:
     return -0.0
 
@@ -172,19 +151,29 @@ def _first_top(bids: list[float], nodes) -> int | None:
     return min(v for v in nodes if bids[v] == top)
 
 
-def _relay_rule(pot: Pot, bids: list[float], slot: int, reserve: float, value: float):
-    """The part of ``_deviator_utility`` read outside ``slot``'s subtree.
+def _relay_rule(pot: Pot, bids: list[float], outside, slot: int, reserve: float, value: float):
+    """Bidder ``slot``'s utility under ``clear`` as a function of its bid.
 
-    ``slot``'s chain, and the bidders outside the subtree of each member
-    of it, do not depend on ``slot``'s own links. Returns None when a
-    member above ``slot`` wins whatever it bids. Otherwise returns the map
-    from ``slot``'s subtree, as ``Pot.subtree`` or ``Pot.cut`` lists it,
-    to ``u``.
+    ``u(b)`` is the utility (``value`` less the payment if ``slot`` wins,
+    less the payment otherwise) that ``clear(pot, bids', reserve)`` gives
+    ``slot``, where ``bids'`` is ``bids`` with ``bids'[slot] = b``. Only b
+    moves, so the rest of ``clear``'s rule is read off once. The top bidder
+    is ``slot`` or h0, the others' first top bidder, and ``slot`` is paid
+    only on the chain down to it: its own chain, or h0's when h0 is in its
+    subtree. Both chains share the members above ``slot``, whose subtrees
+    contain ``slot``, so whether one of them wins does not depend on b; if
+    one does, ``slot`` gets nothing. Otherwise ``slot`` wins when b clears
+    the reserve and is the best bid outside the subtree of the next member
+    down (everyone, when ``slot`` holds the top bid), and else it relays.
+
+    ``slot``'s chain, and who lies outside each member's subtree, do not
+    depend on ``slot``'s own links. ``outside`` is ``_outside_maxima(pot,
+    bids)``; each maximum read from it leaves out ``slot``'s subtree, so
+    ``bids[slot]`` never counts. Returns None when a member above ``slot``
+    wins whatever it bids, and else the map from ``slot``'s subtree, as
+    ``Pot.subtree`` or ``Pot.cut`` lists it, to ``u``.
     """
     _check_reserve(reserve)
-    vals = list(bids)
-    vals[slot] = 0.0  # counts for nothing in a maximum; b is added per candidate
-    outside = _outside_maxima(pot, vals)
     chain = _chain(pot.up, slot)
     for z, below in zip(chain, chain[1:]):
         if bids[z] >= reserve and bids[z] == outside(below):

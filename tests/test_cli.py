@@ -22,10 +22,12 @@ from netauction.graphs import (
     profile_to_dict,
     save_profile,
 )
+from netauction.incentives import DeviationGrid, report_to_dict
 from netauction.reserve import parse_policy
 from netauction.simulation import (
     Scenario,
     chains_profile,
+    draw_replicate,
     generate_scenario,
     load_edge_list,
     monte_carlo,
@@ -544,6 +546,29 @@ class TestDsic:
         assert code == 0
         assert capsys.readouterr().out == "no bidder hears of the sale\n"
         assert json.loads(out.read_text()) == {"reports": []}
+
+    @pytest.mark.parametrize(
+        "policy, verdict",
+        [("ugamma:k=2", "no profitable deviation found"), ("ropt", "profitable deviation:")],
+        ids=["ugamma", "ropt"],
+    )
+    def test_edge_list_matches_the_slow_search(self, tmp_path, capsys, policy, verdict):
+        # a seeded 36-node, 36-pair list: 26 bidders hear of the sale, and
+        # under the global optimum one of them gains by deviating
+        pairs = np.random.default_rng(14).integers(0, 36, (36, 2))
+        net, out = tmp_path / "net.txt", tmp_path / "dsic.json"
+        net.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))
+        args = ["dsic", "--net", str(net), "--rho", "2", "--seed", "3", "--grid", "5"]
+        args += ["--dist", "uniform:vbar=100", "--reserve", policy, "--out", str(out)]
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(verdict)
+
+        network = load_edge_list(str(net))
+        d = parse_distribution("uniform:vbar=100")
+        truth = draw_replicate(template_from_network(network, pick_seller(network, 2, 3)), d, 3, 0)
+        slow = helpers.slow_check_dsic(truth, d, parse_policy(policy), DeviationGrid(5))
+        assert len(slow) == 26
+        assert json.loads(out.read_text()) == {"reports": [report_to_dict(r) for r in slow]}
 
     def test_missing_arguments_is_usage_error(self, capsys):
         assert main(["dsic", "--net", "symmetry:sizes=2+2"]) == 2

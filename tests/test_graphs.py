@@ -261,7 +261,8 @@ class TestCut:
     rebuilt by ``build_pot(build_graph(...))``: the bidders outside the
     subtree are reached as before, the bidder keeps its own immediate
     dominator, and inside the subtree the reached bidders and their
-    immediate dominators are the cut's."""
+    immediate dominators are the cut's. ``Pot.branch_sizes`` gives the
+    deviated market's branch sizes."""
 
     @staticmethod
     def _check(truth, pot, agent, subset):
@@ -272,7 +273,8 @@ class TestCut:
         below, up = pot.cut(slot, [index[v] for v in sorted(subset) if v in index])
 
         deviated = truth.replace_action(agent, truth.action(agent).bid, subset)
-        dev = build_pot(build_graph(deviated)).parent
+        dev_pot = build_pot(build_graph(deviated))
+        dev = dev_pot.parent
         assert set(dev) - inside == set(pot.ids) - inside
         assert dev[agent] == pot.parent[agent]
         want = {v: p for v, p in dev.items() if v in inside and v != agent}
@@ -283,6 +285,8 @@ class TestCut:
             while path[-1] != u:
                 path.pop()
             path.append(v)
+        links = [index[v] for v in subset if v in index]
+        assert sorted(pot.branch_sizes(slot, links)) == sorted(subtree_profile(dev_pot).sizes)
 
     @staticmethod
     def _subsets(rng, neighbors, count):

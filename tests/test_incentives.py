@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from netauction import incentives
 from netauction.distributions import TruncatedNormal, Uniform
 from netauction.errors import DomainError, ValidationError
 from netauction.graphs import (
@@ -16,8 +17,6 @@ from netauction.graphs import (
 from netauction.incentives import (
     DeviationGrid,
     _bid_candidates,
-    _reported_subsets,
-    _subset_utilities,
     check_dsic,
     counterexample_instance,
     enumerate_deviations,
@@ -25,7 +24,7 @@ from netauction.incentives import (
     ropt_counterexample,
 )
 from netauction.mechanism import run_apx_r
-from netauction.reserve import ReservePolicy
+from netauction.reserve import ReservePolicy, global_optimal_reserve
 
 UNI = Uniform(vbar=100.0)
 
@@ -171,6 +170,40 @@ class TestDsicPolicies:
                     worst = u if worst is None else max(worst, u)
                 assert full is not None
                 assert full >= worst - 1e-12
+
+    def test_one_string_keyed_graph_per_search(self, monkeypatch):
+        # every reported subset is read off the truth's integer tree, under
+        # every policy: no deviated profile is assembled and only the
+        # truth's graph is built
+        built = []
+
+        def counting_build_graph(profile):
+            built.append(profile)
+            return build_graph(profile)
+
+        def no_replace(*args):
+            raise AssertionError("check_dsic assembled a deviated profile")
+
+        rng = np.random.default_rng(101)
+        instances = [(counterexample_instance(), Uniform(vbar=1.0))]
+        while len(instances) < 6:
+            truth = helpers.random_directed_profile(rng, n_max=8)
+            if build_graph(truth).reachable:
+                instances.append((truth, UNI))
+        monkeypatch.setattr(incentives, "build_graph", counting_build_graph)
+        monkeypatch.setattr(ActionProfile, "replace_action", no_replace)
+        for truth, d in instances:
+            policies = [
+                ReservePolicy(kind="none"),
+                ReservePolicy(kind="fixed", r=0.3 * d.vbar),
+                ReservePolicy(kind="uniform_gamma", kmin=2),
+                ReservePolicy(kind="general_gamma", kmin=1),
+                ReservePolicy(kind="global_opt"),
+            ]
+            for policy in policies:
+                built.clear()
+                assert check_dsic(truth, d, policy, DeviationGrid(5))
+                assert built == [truth], policy.kind
 
     def test_deviator_case_coverage(self):
         # every deviation outcome puts the deviator in one of three spots:
@@ -347,39 +380,65 @@ class TestAgainstSlowReference:
                     )
                 assert report.deviations_tested == want
 
-    def test_subset_utilities_match_the_rebuilt_market(self):
-        # under a fixed reserve a withheld link never pays, so reports alone
-        # cannot tell a wrong subtree rebuild from the truth's; compare each
-        # subset's utility with the whole deviated market's auction instead
+    def test_subset_utilities_match_the_rebuilt_market(self, monkeypatch):
+        # a withheld link that never pays leaves the reports unchanged, so
+        # reports alone cannot tell a wrong subtree rebuild or a wrong
+        # reserve from the truth's; compare each subset's utility, as
+        # check_dsic computes it, with the whole deviated market's auction
+        # at that market's reserve instead
+        calls = []
+        subset_utilities = incentives._subset_utilities
+
+        def spy(pot, bids, outside, slot_of, slot, reserves, subsets):
+            utils = subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets)
+            calls.append((pot.ids[slot], reserves, subsets, utils))
+            return utils
+
+        monkeypatch.setattr(incentives, "_subset_utilities", spy)
         rng = np.random.default_rng(97)
         grid = DeviationGrid(points=4)
-        cut_off = 0
-        for k in range(60):
-            make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
-            truth = make(rng, n_max=7)
-            if k % 3 == 0:
-                truth = self._rebid(truth, lambda: 10.0 * float(rng.integers(0, 11)))
-            graph = build_graph(truth)
-            if not graph.reachable:
-                continue
-            pot = build_pot(graph)
-            values = truth.bids()
-            bids = [values[a] for a in pot.ids]
-            slot_of = {a: i for i, a in enumerate(pot.ids)}
-            reserve = float(rng.choice([0.0, 40.0, *bids]))
-            candidates = _bid_candidates(grid, UNI.vbar, values.values(), reserve)
-            for agent in pot.ids:
-                subsets = _reported_subsets(truth.action(agent).neighbors, truth.seller)
-                utils = _subset_utilities(pot, bids, slot_of, slot_of[agent], reserve, subsets)
-                for subset, u in zip(subsets, utils):
-                    for b in candidates:
-                        deviated = truth.replace_action(agent, b, subset)
-                        out = run_apx_r(deviated, reserve)
-                        paid = out.payments.get(agent, 0.0)
-                        want = values[agent] - paid if out.winner == agent else -paid
-                        assert u(b) == want, (truth, agent, subset, b, reserve)
-                    cut_off += len(build_graph(deviated).reachable) < len(pot.ids)
-        assert cut_off > 50
+        global_opt = {}
+        moved = 0
+        for kind in ("fixed", "global_opt"):
+            cut_off = 0
+            for k in range(60):
+                make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
+                truth = make(rng, n_max=7)
+                if k % 3 == 0:
+                    truth = self._rebid(truth, lambda: 10.0 * float(rng.integers(0, 11)))
+                reachable = build_graph(truth).reachable
+                if not reachable:
+                    continue
+                values = truth.bids()
+                if kind == "fixed":
+                    policy = ReservePolicy(kind, r=float(rng.choice([0.0, 40.0, *values.values()])))
+                else:
+                    policy = ReservePolicy(kind)
+                calls.clear()
+                check_dsic(truth, UNI, policy, grid)
+                assert len(calls) == len(reachable)
+                for agent, reserves, subsets, utils in calls:
+                    for subset, r, u in zip(subsets, reserves, utils):
+                        deviated = truth.replace_action(agent, values[agent], subset)
+                        sizes = subtree_profile(build_pot(build_graph(deviated)))
+                        if kind == "fixed":
+                            assert r == policy.r
+                        else:
+                            key = tuple(sorted(sizes.sizes))
+                            if key not in global_opt:
+                                global_opt[key] = global_optimal_reserve(sizes, UNI)
+                            assert r == global_opt[key], (truth, agent, subset)
+                            moved += r != reserves[-1]
+                        for b in _bid_candidates(grid, UNI.vbar, values.values(), r):
+                            out = run_apx_r(truth.replace_action(agent, b, subset), r)
+                            paid = out.payments.get(agent, 0.0)
+                            want = values[agent] - paid if out.winner == agent else -paid
+                            assert u(b) == want, (truth, agent, subset, b, r)
+                        cut_off += sizes.n < len(reachable)
+            assert cut_off > 50, kind
+        # under the global optimum, subsets that shrink the market move the
+        # reserve away from the truth's
+        assert moved > 50, moved
 
     def test_counterexample(self):
         truth = counterexample_instance()

@@ -11,7 +11,9 @@ from netauction.errors import DomainError, ValidationError
 from netauction.graphs import ActionProfile, AgentAction, build_graph, build_pot
 from netauction.mechanism import (
     Outcome,
-    _deviator_utility,
+    _outside_maxima,
+    _relay_rule,
+    _silent,
     clear,
     run_apx_r,
     utilities,
@@ -283,6 +285,13 @@ class TestDeviatorUtility:
     EPS = 1e-6 * 100.0  # enumerate_deviations' probe around the reserve
 
     @staticmethod
+    def _utility(pot, bids, slot, reserve, value):
+        # the deviation search's path: the truth's outside maxima, then the
+        # truth's subtree
+        rule = _relay_rule(pot, bids, _outside_maxima(pot, bids), slot, reserve, value)
+        return _silent if rule is None else rule(*pot.subtree(slot))
+
+    @staticmethod
     def _from_clear(pot, bids, slot, reserve, value, b):
         bids = list(bids)
         bids[slot] = b
@@ -299,7 +308,7 @@ class TestDeviatorUtility:
         top = max(others, default=None)
         grid = np.linspace(0.0, 100.0, 6).tolist()
         for reserve in reserves:
-            u = _deviator_utility(pot, bids, slot, reserve, value)
+            u = self._utility(pot, bids, slot, reserve, value)
             near = (reserve, reserve - self.EPS, reserve + self.EPS, value)
             for b in {*grid, *(others if probes is None else probes), *near}:
                 b = min(max(b, 0.0), 100.0)
@@ -353,7 +362,7 @@ class TestDeviatorUtility:
         kinds = set()
         self._check_slot(pot, bids, 0, 30.0, (0.0, 20.0, 60.0, 70.0), kinds)
         assert {"wins", "relays", "ties the top"} <= kinds
-        u = _deviator_utility(pot, bids, 0, 20.0, 30.0)
+        u = self._utility(pot, bids, 0, 20.0, 30.0)
         assert (u(30.0), u(60.0), u(70.0)) == (40.0, 30.0 - 20.0, 30.0 - 20.0)
 
     def test_deep_chains(self):
