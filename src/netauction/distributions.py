@@ -160,11 +160,9 @@ class TruncatedExponential(ValueDistribution):
             raise DomainError(f"vbar must be positive and finite, got {self.vbar}")
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise DomainError(f"lambda must be positive and finite, got {self.lam}")
-
-    @property
-    def _mass(self) -> float:
-        # same expm1 as cdf so that cdf(vbar) is exactly 1.0
-        return -float(np.expm1(-self.lam * self.vbar))
+        # the untruncated mass of [0, vbar], through the same expm1 as cdf so
+        # that cdf(vbar) is exactly 1.0
+        object.__setattr__(self, "_mass", -float(np.expm1(-self.lam * self.vbar)))
 
     def cdf(self, v):
         scalar = self._check_value(v)

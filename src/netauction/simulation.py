@@ -75,6 +75,36 @@ def _batch_rows(n: int) -> int:
     return max(1, min(_BATCH_CAP_ROWS, _BATCH_CAP_CELLS // max(1, n)))
 
 
+# Half-width, in probability, of the band around F(reserve) inside which a
+# Monte Carlo batch decides a sale with the quantile (see monte_carlo).
+_BAND = 1e-9
+
+
+def _bin_edges(vbar: float) -> np.ndarray:
+    """The edges of the 100 equal revenue bins on [0, vbar], as
+    ``np.histogram`` builds them."""
+    return np.linspace(0.0, vbar, 101)
+
+
+def _bin_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """``np.histogram(values, bins=100, range=(0, vbar))[0]`` for values in
+    [0, vbar], with ``edges = _bin_edges(vbar)``.
+
+    This is numpy's own rule for equal bins: scale each value to an index,
+    put vbar in the last bin, step the index down by one where the value
+    lies below its bin's left edge and up by one where it reaches the next
+    bin's, but never past the last bin, then count. So a value on an edge
+    lands in the bin ``np.histogram`` puts it in.
+    """
+    scaled = values / edges[-1]
+    scaled *= 100
+    idx = scaled.astype(np.intp)
+    np.minimum(idx, 99, out=idx)
+    idx -= values < edges.take(idx)
+    idx += values >= np.append(edges[1:-1], np.inf).take(idx)
+    return np.bincount(idx, minlength=100)
+
+
 # Largest market whose Monte Carlo batches are reduced over column views of
 # the draw rather than with a branch mask (see monte_carlo).
 _COLS_MAX = 24
@@ -313,17 +343,34 @@ def monte_carlo(
     bidder, and the quantile is nondecreasing, so the top two branch maxima
     are the quantiles of two uniforms: the largest draw, and the largest
     draw outside that draw's branch. Each replicate evaluates the quantile
-    at those two points only (one when there is a single branch). This
-    equals applying the quantile to every draw wherever ``d.quantile`` is
-    nondecreasing in floating point, which holds for the uniform and
-    exponential families. The truncated normal's quantile goes through
-    scipy's ``ndtri``, which is not nondecreasing at ulp scale: for
-    arguments below about 0.18 it can step down by up to 4 output ulps over
-    spans of at most a few tens of input ulps, and between about 0.84 and
-    0.95 over spans of 1-2 input ulps. A replicate can then differ from the
-    every-draw result only if two of its draws fall in those bands within
-    about 2**-52 of each other and that pair decides a top-two branch
-    maximum.
+    at most at those two points (see below). This equals applying the
+    quantile to every draw wherever ``d.quantile`` is nondecreasing in
+    floating point, which holds for the uniform and exponential families.
+    The truncated normal's quantile goes through scipy's ``ndtri``, which
+    is not nondecreasing at ulp scale: for arguments below about 0.18 it
+    can step down by up to 4 output ulps over spans of at most a few tens
+    of input ulps, and between about 0.84 and 0.95 over spans of 1-2 input
+    ulps. A replicate can then differ from the every-draw result only if
+    two of its draws fall in those bands within about 2**-52 of each other
+    and that pair decides a top-two branch maximum.
+
+    A value below the reserve r matters only through missing it, so a batch
+    maps a uniform only where its value can change revenue. With p =
+    ``d.cdf(r)``, a replicate whose top uniform is at least p + 1e-9 sells,
+    one below p - 1e-9 fails, and the quantile decides the rest. With two
+    or more branches, a sale whose second uniform is at least p - 1e-9 maps
+    it and nets max(value, r); every other sale nets exactly r. The band is
+    safe: 1e-9 in probability moves a value by at least 1e-9 over the peak
+    density, more than 1e-8 for the priors of the experiments, while the
+    quantile errs by a few ulps and ``ndtri``'s downward steps span a few
+    tens of input ulps. Before the first batch the quantile is checked at
+    the band's ends. If it already reaches r at p - 1e-9, or still misses
+    it at p + 1e-9, the prior's cdf and quantile part by more than the band
+    (as for a peak density of millions, or a normal truncated to a far
+    tail), and the band widens to every row: the batch then maps both top
+    uniforms. Revenue above r is binned with numpy's own rule for equal
+    bins (the counts are ``np.histogram``'s), and the sales at r are added
+    to r's bin.
 
     The top two uniforms are found on one of two paths, which agree bit for
     bit because max and min are exact. Markets of at most ``_COLS_MAX`` (24)
@@ -381,24 +428,42 @@ def monte_carlo(
         np.copyto(u, 0.0, where=branch == branch[k][:, None])
         return m1, u.max(axis=1)
 
+    # the top uniforms whose values may lie either side of the reserve
+    p = d.cdf(reserve)
+    lo, hi = p - _BAND, p + _BAND
+    q_lo, q_hi = d.quantile(np.clip([lo, hi], 0.0, 1.0))
+    if (lo > 0.0 and q_lo >= reserve) or (hi < 1.0 and q_hi < reserve):
+        lo, hi = 0.0, 1.0  # the prior's cdf and quantile disagree: every row
+    edges = _bin_edges(vbar)
+    # the bin of a sale at the reserve (at a reserve of 0 a sale nets 0 and
+    # counts with the zeros)
+    at_reserve = _bin_counts(np.array([reserve] if reserve > 0.0 else []), edges)
+
     def one_batch(g: int) -> tuple[float, float, int, int, np.ndarray]:
         rng = np.random.default_rng([master_seed, g])
         rows = min(B, runs - g * B)
         m1, m2 = top_two(rng.random((rows, n)))
+        sold = m1 >= hi
+        near = (m1 >= lo) ^ sold  # lo <= m1 < hi
+        if near.any():
+            sold[near] = d.quantile(m1[near]) >= reserve
+        revenue = sold * reserve  # r where sold, else 0.0
         if m >= 2:
-            top, second = d.quantile(np.stack((m1, m2)))
+            # a sale whose second uniform lies below the band nets r
+            paid = np.flatnonzero(sold & (m2 >= lo))
+            second = np.maximum(d.quantile(m2[paid]), reserve)
+            revenue[paid] = second
+            above = second[second > reserve]
         else:
-            # the second bid stays 0: the quantile need not map 0 to 0.0
-            top, second = d.quantile(m1), m2
-        sold = top >= reserve
-        revenue = np.where(sold, np.maximum(second, reserve), 0.0)
-        positive = revenue[revenue > 0.0]
-        hist, _ = np.histogram(positive, bins=100, range=(0.0, vbar))
+            above = np.empty(0)  # the second bid is 0: every sale nets r
+        # the sales above the reserve are binned, the rest share its bin
+        n_sold = np.count_nonzero(sold)
+        hist = _bin_counts(above, edges) + (n_sold - above.size) * at_reserve
         return (
             float(revenue.sum()),
             float(np.square(revenue).sum()),
-            int(rows - sold.sum()),
-            int(rows - positive.size),
+            rows - n_sold,
+            rows - int(hist.sum()),
             hist,
         )
 
@@ -490,12 +555,12 @@ def stats_to_dict(stats: RevenueStats) -> dict:
 
 def write_histogram_csv(stats: RevenueStats, path) -> None:
     """Zero bin first, then the 100 equal-width bins on (0, vbar]."""
-    step = stats.vbar / 100.0
+    edges = _bin_edges(stats.vbar).tolist()  # the edges the batches bin with
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count\n")
         fh.write(f"0,0,{stats.histogram[0]}\n")
-        for b, count in enumerate(stats.histogram[1:]):
-            fh.write(f"{b * step!r},{(b + 1) * step!r},{count}\n")
+        for lo, hi, count in zip(edges, edges[1:], stats.histogram[1:]):
+            fh.write(f"{lo!r},{hi!r},{count}\n")
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,6 +35,8 @@ from netauction.simulation import (
     stats_to_dict,
     _COLS_MAX,
     _batch_rows,
+    _bin_counts,
+    _bin_edges,
     template_from_network,
     write_histogram_csv,
 )
@@ -400,6 +402,44 @@ class TestMonteCarlo:
         counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
         assert sum(counts) == 500
 
+    def test_histogram_csv_edges_are_the_binning_edges(self, tmp_path):
+        # 100 * (7 / 100) is 7.000000000000001, above the support
+        stats = monte_carlo(chains_profile((2, 2)), Uniform(vbar=7.0), NONE, 500, 7)
+        path = tmp_path / "hist.csv"
+        write_histogram_csv(stats, path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+        edges = _bin_edges(7.0).tolist()
+        assert [float(lo) for lo, _, _ in rows] == edges[:-1]
+        assert [float(hi) for _, hi, _ in rows] == edges[1:]
+        assert rows[-1][1] == "7.0"
+
+
+class TestBinCounts:
+    """The batch's binning against np.histogram, value by value."""
+
+    @pytest.mark.parametrize("vbar", [100.0, 7.0, 0.3, 123.456])
+    def test_edges_and_their_neighbours(self, vbar):
+        edges = _bin_edges(vbar)
+        values = np.concatenate(
+            (
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                np.arange(101) * (vbar / 100),  # the edges of a scaled step
+                np.random.default_rng(5).uniform(0.0, vbar, 200),
+                [vbar],
+            )
+        )
+        # one ulp below 0 and above vbar lie outside the support
+        values = values[(values >= 0.0) & (values <= vbar)]
+        assert np.array_equal(
+            _bin_counts(values, edges), np.histogram(values, bins=100, range=(0.0, vbar))[0]
+        )
+        for v in values:
+            one = np.array([v])
+            got = _bin_counts(one, edges)
+            assert np.array_equal(got, np.histogram(one, bins=100, range=(0.0, vbar))[0]), v
+
 
 _DIFF_PRIORS = [
     ("uniform", UNI),
@@ -410,6 +450,16 @@ _DIFF_PRIORS = [
     # beyond vbar maps every draw below 0.11)
     ("normal_mu_near_0", TruncatedNormal(mu=0.5, sigma=16.67, vbar=100.0)),
     ("normal_lower_tail", TruncatedNormal(mu=150.0, sigma=40.0, vbar=100.0)),
+]
+
+
+# priors whose quantile and cdf part by more than a band of 1e-9 in
+# probability: a peak density of about 4e6, where values 1e-9 apart in
+# probability round to the same float, and a normal truncated to a tail
+# holding 3e-14 of its mass, where they part by about 1e-3
+_BAND_PRIORS = _DIFF_PRIORS + [
+    ("normal_narrow", TruncatedNormal(mu=50.0, sigma=1e-7, vbar=100.0)),
+    ("normal_far_below_0", TruncatedNormal(mu=-300.0, sigma=40.0, vbar=100.0)),
 ]
 
 
@@ -457,6 +507,47 @@ class TestAgainstSlowMonteCarlo:
                 assert got == want, (name, prior_name, policy, threads)
                 cases += 1
         assert cases >= 40
+
+    def test_reserves_at_the_band(self):
+        """A batch decides a sale with the quantile only for top uniforms
+        within 1e-9 of F(reserve). Reserves on a replicate's own top bid put
+        that replicate's top uniform inside the band; 0 and vbar are the
+        ends of the support. The last two priors need the fallback to
+        every row."""
+        templates = [
+            ("one_chain", chains_profile((4,)), 16_384 + 5),
+            ("two_bidders", chains_profile((1, 1)), 3_000),
+            ("chains_3_6", chains_profile((3, 6)), 16_384 + 6),
+        ]
+        cases = 0
+        for name, template, runs in templates:
+            for prior_name, d in _BAND_PRIORS:
+                seed = 500 + cases
+                i = runs - 1 - 97 * cases  # a different replicate each case
+                top = max(draw_replicate(template, d, seed, i).bids().values())
+                for r in (top, 0.0, d.vbar):
+                    policy = ReservePolicy("fixed", r=r)
+                    want = helpers.slow_monte_carlo(template, d, policy, runs, seed)
+                    for threads in (1, 2):
+                        got = monte_carlo(template, d, policy, runs, seed, threads=threads)
+                        assert got == want, (name, prior_name, r, threads)
+                cases += 1
+
+    def test_quantile_only_where_revenue_can_change(self):
+        """Below the band a value counts only as missing the reserve: the
+        batches map fewer uniforms than there are replicates."""
+        mapped = []
+
+        class Counted(Uniform):
+            def quantile(self, p):
+                mapped.append(np.size(p))
+                return super().quantile(p)
+
+        runs = 16_384 + 6
+        policy = ReservePolicy("fixed", r=63.0)
+        got = monte_carlo(chains_profile((3, 6)), Counted(vbar=100.0), policy, runs, 8)
+        assert got == helpers.slow_monte_carlo(chains_profile((3, 6)), UNI, policy, runs, 8)
+        assert sum(mapped) < runs
 
 
 def _histogram_digest(stats):
