@@ -119,18 +119,23 @@ class TruncatedNormal(ValueDistribution):
 
         from scipy.special import ndtr
 
-        # untruncated mass below 0, and of [0, vbar]: the renormalisation
-        # constant
-        lo_mass = float(ndtr((0.0 - self.mu) / self.sigma))
-        object.__setattr__(self, "_lo_mass", lo_mass)
-        object.__setattr__(self, "_mass", float(ndtr((self.vbar - self.mu) / self.sigma)) - lo_mass)
+        # F(v) = (T(v) - T(0)) / (T(vbar) - T(0)), z = (v - mu) / sigma, with
+        # T = Phi(z) for mu >= 0 and T = -Phi(-z) for mu < 0: T reads the
+        # tail on the side of 0 away from mu, so T(0) is never a number near
+        # 1 (or -1) that F's differences would cancel to a few bits
+        side = -1.0 if self.mu < 0 else 1.0
+        object.__setattr__(self, "_side", side)
+        lo = side * float(ndtr(side * ((0.0 - self.mu) / self.sigma)))
+        object.__setattr__(self, "_lo", lo)
+        top = side * float(ndtr(side * ((self.vbar - self.mu) / self.sigma)))
+        object.__setattr__(self, "_mass", top - lo)
 
     def cdf(self, v):
         from scipy.special import ndtr
 
         scalar = self._check_value(v)
         z = (np.asarray(v, dtype=float) - self.mu) / self.sigma
-        out = (ndtr(z) - self._lo_mass) / self._mass
+        out = (self._side * ndtr(self._side * z) - self._lo) / self._mass
         return _ret(np.clip(out, 0.0, 1.0), scalar)
 
     def pdf(self, v):
@@ -143,8 +148,8 @@ class TruncatedNormal(ValueDistribution):
         from scipy.special import ndtri
 
         scalar = self._check_prob(p)
-        inner = self._lo_mass + np.asarray(p, dtype=float) * self._mass
-        out = self.mu + self.sigma * ndtri(inner)
+        inner = self._lo + np.asarray(p, dtype=float) * self._mass
+        out = self.mu + self.sigma * (self._side * ndtri(self._side * inner))
         return _ret(np.clip(out, 0.0, self.vbar), scalar)
 
 

@@ -4,7 +4,11 @@ Every bidder's action is a bid plus the set of neighbours it forwards the
 sale information to. The seller's own outgoing links travel in the same
 profile as a bid-less report row (its id equals the seller id), because the
 seller starts the diffusion but never bids. Only bidders reachable from the
-seller through reported links can take part.
+seller through reported links can take part. Reported ids are resolved
+once: ``build_graph`` walks the links out from the seller and compiles what
+it reaches to integer successor lists over the reachable bidders in id
+order, and the dominator tree, the clearing and the deviation search read
+only those indices.
 
 The dominator tree rooted at the seller captures the control structure of
 the diffusion: agent u is an ancestor of agent v exactly when every reported
@@ -125,43 +129,44 @@ class ActionProfile:
         return ActionProfile(self.seller, replaced)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiffusionGraph:
-    """Reported links restricted to what the seller can actually reach.
+    """Reported links among the bidders the seller reaches, on integer
+    indices.
 
-    ``successors`` maps the seller and every reachable bidder to the
-    reachable bidders they inform; links aimed at the seller, at self, or at
-    ids that never report are inert and dropped here.
+    ``reachable`` lists those bidders in id order, so bidder v is
+    ``reachable[v]``. ``succ[v]`` lists, ascending, the bidders v informs,
+    and ``succ[-1]`` the seller's: the seller is -1, so its entries sit in
+    one spare slot at the end of every list. Links aimed at the seller, at
+    self, or at ids that never report are inert and dropped here.
     """
 
     seller: str
-    reachable: frozenset[str]
-    successors: dict[str, tuple[str, ...]] = field(compare=False)
+    reachable: list[str]
+    succ: list[list[int]]
+
+
+def _reach(profile: ActionProfile) -> tuple[dict[str, frozenset[str]], list[str]]:
+    """Each bidder's reported links, and the bidders the seller reaches
+    through them, in id order."""
+    reports = {a.agent: a.neighbors for a in profile.bidders()}
+    stack = [v for v in profile.seller_report() if v in reports]
+    reached = set(stack)
+    while stack:
+        for v in reports[stack.pop()]:
+            if v in reports and v not in reached:
+                reached.add(v)
+                stack.append(v)
+    return reports, sorted(reached)
 
 
 def build_graph(profile: ActionProfile) -> DiffusionGraph:
-    """BFS the reported links outward from the seller."""
-    known = profile.ids()
-    reports = {a.agent: a.neighbors for a in profile.bidders()}
-    seller_out = tuple(sorted(v for v in profile.seller_report() if v in known))
-    succ: dict[str, tuple[str, ...]] = {profile.seller: seller_out}
-    reachable: set[str] = set(seller_out)
-    frontier = list(seller_out)
-    while frontier:
-        nxt: list[str] = []
-        for u in frontier:
-            out = tuple(sorted(v for v in reports[u] if v in known and v != u))
-            succ[u] = out
-            for v in out:
-                if v not in reachable:
-                    reachable.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return DiffusionGraph(
-        seller=profile.seller,
-        reachable=frozenset(reachable),
-        successors={u: succ[u] for u in [profile.seller, *sorted(reachable)]},
-    )
+    """Compile the reported links the seller's diffusion can travel."""
+    reports, reachable = _reach(profile)
+    index = dict(zip(reachable, range(len(reachable))))
+    succ = [sorted(index[w] for w in reports[v] if w in index and w != v) for v in reachable]
+    succ.append(sorted(index[w] for w in profile.seller_report() if w in index))
+    return DiffusionGraph(seller=profile.seller, reachable=reachable, succ=succ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,18 +235,9 @@ class Pot:
 
 
 def build_pot(graph: DiffusionGraph) -> Pot:
-    """The dominator tree of the reachable bidders, in id order.
-
-    The reachable bidders are 0..n-1 in id order and the seller is -1, so
-    that the seller's entries sit in one spare slot at the end of every
-    list.
-    """
-    ids = sorted(graph.reachable)
-    index = {v: i for i, v in enumerate(ids)}
-    get = graph.successors.get
-    succ = [[index[v] for v in get(u, ())] for u in [*ids, graph.seller]]
-    up, order, at, size = _dominators(succ)
-    return Pot(seller=graph.seller, ids=ids, succ=succ, up=up, order=order, at=at, size=size)
+    """The dominator tree of the graph's reachable bidders."""
+    up, order, at, size = _dominators(graph.succ)
+    return Pot(graph.seller, graph.reachable, graph.succ, up, order, at, size)
 
 
 def _dominators(succ: list[list[int]]) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -8,9 +8,10 @@ before the winner are paid (not charged) the marginal value of the market
 they unlocked, which is what makes forwarding the sale information a
 dominant strategy. Payments telescope, so the seller nets
 max(best bid outside the first critical node's subtree, reserve).
-``run_apx_r`` builds the graph and its dominator tree from a profile;
-``clear`` runs the sale on a prebuilt tree, so a caller that varies only
-the bids over one set of reported links builds the tree once.
+``run_apx_r`` compiles a profile's reported links to integer indices and
+builds their dominator tree; ``clear`` runs the sale on a prebuilt tree, so
+a caller that varies only the bids over one set of reported links builds
+the tree once.
 
 At reserve 0 the mechanism is the classic information diffusion mechanism.
 """

@@ -37,6 +37,7 @@ from .graphs import (
     ActionProfile,
     AgentAction,
     SubtreeProfile,
+    _reach,
     build_graph,
     build_pot,
     network_dominators,
@@ -366,11 +367,10 @@ def monte_carlo(
     tens of input ulps. Before the first batch the quantile is checked at
     the band's ends. If it already reaches r at p - 1e-9, or still misses
     it at p + 1e-9, the prior's cdf and quantile part by more than the band
-    (as for a peak density of millions, or a normal truncated to a far
-    tail), and the band widens to every row: the batch then maps both top
-    uniforms. Revenue above r is binned with numpy's own rule for equal
-    bins (the counts are ``np.histogram``'s), and the sales at r are added
-    to r's bin.
+    (as for a peak density of millions), and the band widens to every row:
+    the batch then maps both top uniforms. Revenue above r is binned with
+    numpy's own rule for equal bins (the counts are ``np.histogram``'s),
+    and the sales at r are added to r's bin.
 
     The top two uniforms are found on one of two paths, which agree bit for
     bit because max and min are exact. Markets of at most ``_COLS_MAX`` (24)
@@ -512,16 +512,7 @@ def draw_replicate(
     one the aggregate run consumed. Unreachable bidders bid 0."""
     if i < 0:
         raise ValidationError(f"replicate index must be >= 0, got {i}")
-    # the bidders the seller reaches, in id order, as build_graph finds them
-    reports = {a.agent: a.neighbors for a in template.bidders()}
-    stack = [v for v in template.seller_report() if v in reports]
-    reached = set(stack)
-    while stack:
-        for v in reports[stack.pop()]:
-            if v in reports and v not in reached:
-                reached.add(v)
-                stack.append(v)
-    order = sorted(reached)
+    _, order = _reach(template)  # the columns: the bidders reached, in id order
     n = len(order)
     if n < 1:
         raise DomainError("the template reaches no bidders")
@@ -608,10 +599,6 @@ class Network:
         if i == len(self.labels) or self.labels[i] != node:
             raise KeyError(node)
         return i
-
-    def degree(self, node: str) -> int:
-        i = self.index(node)
-        return int(self.indptr[i + 1] - self.indptr[i])
 
     def neighbors(self, node: str) -> tuple[str, ...]:
         i = self.index(node)

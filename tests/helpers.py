@@ -7,7 +7,7 @@ independent cross-check of the package's optimized implementations.
 import math
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +20,7 @@ from netauction.errors import (
 from netauction.graphs import (
     ActionProfile,
     AgentAction,
-    DiffusionGraph,
-    Pot,
     SubtreeProfile,
-    build_graph,
-    build_pot,
 )
 from netauction.mechanism import Outcome
 from netauction.reserve import (
@@ -192,7 +188,49 @@ def truthful_from_values(values, reports, seller=SELLER):
     return ActionProfile(seller, tuple(agents))
 
 
-def reachable_without(graph: DiffusionGraph, removed):
+@dataclass(frozen=True)
+class SlowGraph:
+    """Reported links restricted to what the seller can actually reach,
+    keyed by id.
+
+    ``successors`` maps the seller and every reachable bidder to the
+    reachable bidders they inform, in id order; links aimed at the seller,
+    at self, or at ids that never report are inert and dropped here.
+    """
+
+    seller: str
+    reachable: frozenset[str]
+    successors: dict[str, tuple[str, ...]] = field(compare=False)
+
+
+def slow_graph(profile: ActionProfile) -> SlowGraph:
+    """BFS the reported links outward from the seller, on ids: the graph
+    the package built before it compiled profiles to integer links, kept so
+    that the oracles share no reachability code with the package."""
+    known = profile.ids()
+    reports = {a.agent: a.neighbors for a in profile.bidders()}
+    seller_out = tuple(sorted(v for v in profile.seller_report() if v in known))
+    succ: dict[str, tuple[str, ...]] = {profile.seller: seller_out}
+    reachable: set[str] = set(seller_out)
+    frontier = list(seller_out)
+    while frontier:
+        nxt: list[str] = []
+        for u in frontier:
+            out = tuple(sorted(v for v in reports[u] if v in known and v != u))
+            succ[u] = out
+            for v in out:
+                if v not in reachable:
+                    reachable.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return SlowGraph(
+        seller=profile.seller,
+        reachable=frozenset(reachable),
+        successors={u: succ[u] for u in [profile.seller, *sorted(reachable)]},
+    )
+
+
+def reachable_without(graph: SlowGraph, removed):
     """BFS from the seller skipping one node.  Oracle for domination."""
     seen = {graph.seller}
     queue = deque([graph.seller])
@@ -207,7 +245,7 @@ def reachable_without(graph: DiffusionGraph, removed):
     return seen
 
 
-def oracle_parents(graph: DiffusionGraph):
+def oracle_parents(graph: SlowGraph):
     """Immediate dominators by node deletion, O(V^2 * E).
 
     doms(v) = every bidder whose removal disconnects v; the immediate
@@ -253,10 +291,6 @@ def brute_force_best_partition(n, m, kmin):
     return best, best_val
 
 
-def graph_of(profile):
-    return build_graph(profile)
-
-
 def naive_apx_r(profile, reserve):
     """Quadratic reference auction: every exclusion maximum from scratch.
 
@@ -264,14 +298,14 @@ def naive_apx_r(profile, reserve):
     raw max() calls, with no incremental bookkeeping to share bugs with the
     production implementation.
     """
-    g = build_graph(profile)
+    g = slow_graph(profile)
     bids = {a.agent: a.bid for a in profile.bidders() if a.agent in g.reachable}
     if not bids:
         return None, {}, 0.0, True
     h = min(bids, key=lambda i: (-bids[i], i))
     if bids[h] < reserve:
         return None, {}, 0.0, True
-    pot = build_pot(g)
+    pot = slow_build_pot(g)
     path = dcs(pot, h)
 
     def excl_after(idx):
@@ -303,9 +337,9 @@ def slow_check_dsic(truth, d, policy, grid=None):
     ``replace_action``, its graph, dominator tree, branch profile and
     reserve are rebuilt, and ``run_apx_r`` sells the item over it. The
     first strictly best candidate in enumeration order is reported, exactly
-    as ``check_dsic`` promises.
+    as ``check_dsic`` promises. Branch sizes come from the id-keyed
+    ``slow_graph`` and ``slow_build_pot``.
     """
-    from netauction.graphs import build_pot, subtree_profile
     from netauction.incentives import (
         DeviationGrid,
         DeviationReport,
@@ -316,10 +350,10 @@ def slow_check_dsic(truth, d, policy, grid=None):
 
     grid = grid or DeviationGrid()
     values = truth.bids()
-    graph = build_graph(truth)
+    graph = slow_graph(truth)
     if not graph.reachable:
         return ()
-    base_profile = subtree_profile(build_pot(graph))
+    base_profile = slow_subtree_profile(graph)
     base_reserve = resolve_reserve(policy, base_profile, d)
     # global optima memoized by sorted branch sizes, filled in visiting order
     cache = {tuple(sorted(base_profile.sizes)): base_reserve}
@@ -351,7 +385,7 @@ def slow_check_dsic(truth, d, policy, grid=None):
             )
         for bid, subset in deviations:
             deviated = truth.replace_action(agent, bid, subset)
-            r = reserve_for(subtree_profile(build_pot(build_graph(deviated))))
+            r = reserve_for(slow_subtree_profile(slow_graph(deviated)))
             outcome = run_apx_r(deviated, r)
             paid = outcome.payments.get(agent, 0.0)
             u = values[agent] - paid if outcome.winner == agent else -paid
@@ -438,12 +472,12 @@ def slow_opt_upper_bound(n, d):
 
 # Oracles the package no longer ships, kept from its graphs, distributions,
 # reserve and revenue modules: the dominator chain and the subtree of a
-# dominator-tree node (both read only the id-keyed ``Pot.parent`` view, never
-# the index arrays), the virtual values the reserve tests solve against, the
+# dominator-tree node (both read only an id-keyed ``parent`` dict, of a
+# ``Pot`` or a ``SlowPot``, never the index arrays), the virtual values the reserve tests solve against, the
 # secure-reserve bound and the revenue of a single branch.
 
 
-def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
+def dcs(pot, agent: str) -> tuple[str, ...]:
     """Dominator chain from the seller's side down to the agent.
 
     Starts at the agent's top-level dominator and ends at the agent itself;
@@ -459,7 +493,7 @@ def dcs(pot: Pot, agent: str) -> tuple[str, ...]:
     return tuple(chain)
 
 
-def ddg(pot: Pot, agent: str) -> frozenset[str]:
+def ddg(pot, agent: str) -> frozenset[str]:
     """All bidders whose participation the agent controls, itself included."""
     parent = pot.parent
     if agent not in parent:
@@ -547,7 +581,7 @@ class SlowPot:
     order: tuple[str, ...]
 
 
-def _slow_reverse_postorder(graph: DiffusionGraph) -> list[str]:
+def _slow_reverse_postorder(graph: SlowGraph) -> list[str]:
     seen = {graph.seller}
     post: list[str] = []
     stack: list[tuple[str, int]] = [(graph.seller, 0)]
@@ -567,7 +601,7 @@ def _slow_reverse_postorder(graph: DiffusionGraph) -> list[str]:
     return post
 
 
-def slow_build_pot(graph: DiffusionGraph) -> SlowPot:
+def slow_build_pot(graph: SlowGraph) -> SlowPot:
     """Immediate dominators by iterative data-flow over reverse postorder."""
     order = _slow_reverse_postorder(graph)  # order[0] is the seller
     index = {v: i for i, v in enumerate(order)}
@@ -626,9 +660,18 @@ def slow_build_pot(graph: DiffusionGraph) -> SlowPot:
     )
 
 
+def slow_subtree_profile(graph: SlowGraph) -> SubtreeProfile:
+    """Sizes of the seller's top-level dominator subtrees, in head-id
+    order as ``subtree_profile`` gives them."""
+    pot = slow_build_pot(graph)
+    heads = [v for v in pot.order if pot.parent[v] == pot.seller]
+    return SubtreeProfile.from_sizes([pot.subtree_size[v] for v in heads])
+
+
 # The Monte Carlo estimator as it was before it reduced the uniforms, kept
-# verbatim as a reference: the quantile of every draw, then the maximum of
-# each branch's columns, then the top two branch maxima by partition.
+# as a reference with its dominator tree taken from ``slow_graph`` and
+# ``slow_build_pot``: the quantile of every draw, then the maximum of each
+# branch's columns, then the top two branch maxima by partition.
 
 
 def slow_monte_carlo(
@@ -644,10 +687,10 @@ def slow_monte_carlo(
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    graph = build_graph(template)
+    graph = slow_graph(template)
     if not graph.reachable:
         raise DomainError("the template reaches no bidders")
-    pot = build_pot(graph)
+    pot = slow_build_pot(graph)
     order = sorted(graph.reachable)
     parent = pot.parent
     heads: dict[str, list[int]] = {}

@@ -267,9 +267,9 @@ def test_criterion_10_dominator_tree_matches_deletion_oracle():
     t0 = time.time()
     rng = np.random.default_rng(1010)
     for _ in range(200):
-        graph = build_graph(helpers.random_sparse_profile(rng, n_max=12))
-        pot = build_pot(graph)
-        assert pot.parent == helpers.oracle_parents(graph)
+        profile = helpers.random_sparse_profile(rng, n_max=12)
+        pot = build_pot(build_graph(profile))
+        assert pot.parent == helpers.oracle_parents(helpers.slow_graph(profile))
     elapsed = time.time() - t0
     assert elapsed < 60.0
     _pass(10, f"200 random graphs <= 12 nodes agree, {elapsed:.1f}s")

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import ndtr
+from scipy.stats import truncnorm
 
 from helpers import subtree_critical_value, virtual_value
 from netauction.distributions import (
@@ -107,6 +108,21 @@ class TestTruncationMass:
         assert both == pytest.approx(0.997295, abs=1e-6)
         # after renormalisation the support carries all the mass
         assert NORM.cdf(100.0) == 1.0
+
+    def test_normal_far_below_0_keeps_its_precision(self):
+        # 7.5 sigma of mass below 0: within 3.2e-14 of all of it, so F must
+        # not be a difference of two numbers that close to 1
+        d = TruncatedNormal(mu=-300.0, sigma=40.0, vbar=100.0)
+        ref = truncnorm(300.0 / 40.0, 400.0 / 40.0, loc=-300.0, scale=40.0)
+        p = np.linspace(0.0, 1.0, 1001)
+        v = np.linspace(0.0, 100.0, 1001)
+        assert np.abs(d.cdf(d.quantile(p)) - p).max() < 1e-12
+        assert np.abs(d.cdf(v) - ref.cdf(v)).max() < 1e-12
+        assert np.allclose(d.pdf(v), ref.pdf(v), rtol=1e-12, atol=0.0)
+        # the density falls by 1e10 over the support: compare values where
+        # p has the digits to place them
+        assert np.abs(d.quantile(p[:991]) - ref.ppf(p[:991])).max() < 1e-9
+        assert d.cdf(0.0) == 0.0 and d.cdf(100.0) == 1.0
 
     def test_exponential_mass_outside_support(self):
         mass = 1.0 - math.exp(-0.08 * 100.0)

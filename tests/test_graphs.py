@@ -97,14 +97,15 @@ class TestActionProfile:
 
 
 class TestBuildGraph:
+    """Bidders are indexed in id order and the seller's links come last."""
+
     def test_chain_example(self):
         # s knows only A; A knows B.  Both bidders become reachable.
         p = _profile(["A"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
         g = build_graph(p)
-        assert g.reachable == frozenset({"A", "B"})
-        assert g.successors["s"] == ("A",)
-        assert g.successors["A"] == ("B",)
-        assert g.successors["B"] == ()
+        assert g.seller == "s"
+        assert g.reachable == ["A", "B"]
+        assert g.succ == [[1], [], [0]]
 
     def test_unreachable_component_dropped(self):
         p = _profile(
@@ -112,32 +113,34 @@ class TestBuildGraph:
             [("A", 30.0, []), ("C", 90.0, ["D"]), ("D", 10.0, [])],
         )
         g = build_graph(p)
-        assert g.reachable == frozenset({"A"})
-        assert "C" not in g.successors
+        assert g.reachable == ["A"]
+        assert g.succ == [[], [0]]
 
     def test_self_and_unknown_links_are_inert(self):
         p = _profile(["A", "ghost"], [("A", 30.0, ["A", "s", "nobody"])])
         g = build_graph(p)
-        assert g.reachable == frozenset({"A"})
-        assert g.successors["A"] == ()
+        assert g.reachable == ["A"]
+        assert g.succ == [[], [0]]
 
     def test_withholding_changes_reachability(self):
         p = _profile(["A"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
         q = p.replace_action("A", 30.0, frozenset())
         g = build_graph(q)
-        assert g.reachable == frozenset({"A"})
+        assert g.reachable == ["A"]
+        assert g.succ == [[], [0]]
 
     def test_bidders_cannot_sever_seller_links(self):
         # B is linked both by the seller and by A; A dropping its report
         # must not disconnect B.
         p = _profile(["A", "B"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
         q = p.replace_action("A", 30.0, frozenset())
-        assert build_graph(q).reachable == frozenset({"A", "B"})
+        assert build_graph(q).reachable == ["A", "B"]
 
     def test_successors_sorted_and_deterministic(self):
-        p = _profile(["b", "a", "c"], [("a", 1, []), ("b", 2, []), ("c", 3, [])])
+        p = _profile(["b", "a", "c"], [("a", 1, []), ("b", 2, ["c", "a"]), ("c", 3, [])])
         g = build_graph(p)
-        assert g.successors["s"] == ("a", "b", "c")
+        assert g.reachable == ["a", "b", "c"]
+        assert g.succ == [[], [0, 2], [], [0, 1, 2]]
 
 
 def _preorder(pot):
@@ -216,9 +219,9 @@ class TestPot:
     def test_matches_deletion_oracle_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(120):
-            g = build_graph(helpers.random_sparse_profile(rng))
-            pot = build_pot(g)
-            assert pot.parent == helpers.oracle_parents(g)
+            p = helpers.random_sparse_profile(rng)
+            pot = build_pot(build_graph(p))
+            assert pot.parent == helpers.oracle_parents(helpers.slow_graph(p))
 
     @pytest.mark.parametrize(
         "n, extra", [(1000, 0.3), (1500, 0.15), (2000, 0.1), (3000, 0.05)]
@@ -226,7 +229,8 @@ class TestPot:
     def test_matches_networkx_on_large_graphs(self, n, extra):
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(n)
-        g = build_graph(helpers.random_large_profile(rng, n, extra))
+        p = helpers.random_large_profile(rng, n, extra)
+        g = helpers.slow_graph(p)
         assert len(g.reachable) == n
         digraph = nx.DiGraph()
         digraph.add_nodes_from(g.successors)
@@ -238,7 +242,7 @@ class TestPot:
             for v, p in nx.immediate_dominators(digraph, g.seller).items()
             if v != g.seller
         }
-        pot = build_pot(g)
+        pot = build_pot(build_graph(p))
         assert pot.parent == want
         # deep chains, not a flat star under the seller
         assert any(len(dcs(pot, v)) > 10 for v in pot.parent)
@@ -335,26 +339,36 @@ class TestCut:
 
 
 class TestAgainstSlowReference:
-    """build_pot on integer indices against the dict-based data-flow it
-    replaced (tests/helpers.py): the dominator tree is unique, so the
-    immediate dominators, the subtree sizes and the preorder must agree,
-    read by id."""
+    """build_graph and build_pot on integer indices against the id-keyed
+    graph and dict-based data-flow they replaced (tests/helpers.py): the
+    integer links, read back by id, must be the reference's successors,
+    and since the dominator tree is unique, the immediate dominators, the
+    subtree sizes and the preorder must agree, read by id."""
 
     @staticmethod
-    def _check(graph):
-        got, want = build_pot(graph), helpers.slow_build_pot(graph)
+    def _check(profile):
+        graph, slow = build_graph(profile), helpers.slow_graph(profile)
+        ids = graph.reachable
+        assert graph.seller == slow.seller
+        assert ids == sorted(slow.reachable)
+        assert len(graph.succ) == len(ids) + 1
+        for u, out in zip([*ids, graph.seller], graph.succ):
+            assert tuple(ids[v] for v in out) == slow.successors[u], u
+        assert len(slow.successors) == len(graph.succ)
+
+        got, want = build_pot(graph), helpers.slow_build_pot(slow)
         assert got.seller == want.seller
         assert got.parent == want.parent
         assert _sizes(got) == want.subtree_size
         assert _preorder(got) == list(want.order)
+        return graph
 
     def test_random_directed_profiles(self):
         rng = np.random.default_rng(2718)
         seen = Counter()
         for _ in range(250):
             p = helpers.random_directed_profile(rng)
-            g = build_graph(p)
-            self._check(g)
+            g = self._check(p)
             reports = {a.agent: a.neighbors for a in p.bidders()}
             seen["unreachable"] += len(g.reachable) < len(reports)
             seen["self"] += any(u in out for u, out in reports.items())
@@ -371,7 +385,7 @@ class TestAgainstSlowReference:
     )
     def test_large_graphs(self, n, extra):
         rng = np.random.default_rng(n)
-        self._check(build_graph(helpers.random_large_profile(rng, n, extra)))
+        self._check(helpers.random_large_profile(rng, n, extra))
 
 
 def _network(pairs, offset=0):

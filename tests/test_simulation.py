@@ -367,12 +367,12 @@ class TestMonteCarlo:
 
     def test_replicate_columns_are_the_reachable_bidders(self):
         # cycles, self-links, links to the seller and to unknown ids, and
-        # bidders the seller does not reach: the columns are build_graph's
-        # reachable bidders in id order, every other bidder bids 0
+        # bidders the seller does not reach: the columns are the reachable
+        # bidders in id order, every other bidder bids 0
         rng = np.random.default_rng(101)
         for _ in range(40):
             template = helpers.random_directed_profile(rng)
-            order = sorted(build_graph(template).reachable)
+            order = sorted(helpers.slow_graph(template).reachable)
             if not order:
                 with pytest.raises(DomainError):
                     draw_replicate(template, UNI, 5, 3)
@@ -453,10 +453,11 @@ _DIFF_PRIORS = [
 ]
 
 
-# priors whose quantile and cdf part by more than a band of 1e-9 in
-# probability: a peak density of about 4e6, where values 1e-9 apart in
-# probability round to the same float, and a normal truncated to a tail
-# holding 3e-14 of its mass, where they part by about 1e-3
+# priors at the band's limits: a peak density of about 4e6, where values
+# 1e-9 apart in probability round to the same float, so the quantile and
+# cdf part by more than the band; and a normal truncated to a tail holding
+# 3e-14 of its mass, whose cdf and quantile agree to about 1e-14 only
+# because they read that tail
 _BAND_PRIORS = _DIFF_PRIORS + [
     ("normal_narrow", TruncatedNormal(mu=50.0, sigma=1e-7, vbar=100.0)),
     ("normal_far_below_0", TruncatedNormal(mu=-300.0, sigma=40.0, vbar=100.0)),
@@ -512,8 +513,8 @@ class TestAgainstSlowMonteCarlo:
         """A batch decides a sale with the quantile only for top uniforms
         within 1e-9 of F(reserve). Reserves on a replicate's own top bid put
         that replicate's top uniform inside the band; 0 and vbar are the
-        ends of the support. The last two priors need the fallback to
-        every row."""
+        ends of the support. The narrow normal needs the fallback to every
+        row."""
         templates = [
             ("one_chain", chains_profile((4,)), 16_384 + 5),
             ("two_bidders", chains_profile((1, 1)), 3_000),
@@ -532,6 +533,22 @@ class TestAgainstSlowMonteCarlo:
                         got = monte_carlo(template, d, policy, runs, seed, threads=threads)
                         assert got == want, (name, prior_name, r, threads)
                 cases += 1
+
+    def test_fallback_sells_below_the_band(self):
+        """Under a peak density of about 4e6 one value spans about 3e-8 in
+        probability, so a replicate whose top uniform lies below F(r) - 1e-9
+        can still bid r, its own top value: only the fallback to every row
+        sells it."""
+        d = TruncatedNormal(mu=50.0, sigma=1e-7, vbar=100.0)
+        template, runs, seed = chains_profile((3, 6)), 3_000, 7
+        # one batch: replicate i is row i of batch 0
+        top = np.random.default_rng([seed, 0]).random((runs, 9)).max(axis=1)
+        value = d.quantile(top)
+        below = np.flatnonzero(top < d.cdf(value) - 1e-9)
+        assert below.size > runs // 10
+        policy = ReservePolicy("fixed", r=float(value[below[0]]))
+        got = monte_carlo(template, d, policy, runs, seed)
+        assert got == helpers.slow_monte_carlo(template, d, policy, runs, seed)
 
     def test_quantile_only_where_revenue_can_change(self):
         """Below the band a value counts only as missing the reserve: the
@@ -678,8 +695,8 @@ class TestEdgeLists:
         net = load_edge_list(path)
         assert net.node_count() == 3
         assert net.edge_count() == 2
-        assert net.degree("b") == 2
         assert net.neighbors("a") == ("b",)
+        assert net.neighbors("b") == ("a", "c")
 
     def test_single_token_line_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"
