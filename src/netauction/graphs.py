@@ -454,7 +454,8 @@ def profile_from_dict(data: dict) -> ActionProfile:
 
 
 def load_profile(path) -> ActionProfile:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which json would reject
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return profile_from_dict(json.load(fh))
 
 

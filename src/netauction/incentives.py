@@ -44,7 +44,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import _outside_maxima, _relay_rule, _silent, clear, run_apx_r, utilities
+from .mechanism import _outside_tops, _relay_rule, _silent, clear, run_apx_r, utilities
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -175,7 +175,7 @@ def check_dsic(
     bids = [values[a] for a in pot.ids]
     truth_utils = utilities(truth, values, clear(pot, bids, base_reserve))
     candidates = _bid_candidates(grid, d.vbar, values.values(), base_reserve)
-    outside = _outside_maxima(pot, bids)
+    tops = _outside_tops(pot, bids)
     slot_of = {a: i for i, a in enumerate(pot.ids)}
     reserve_cache = {tuple(sorted(base_profile.sizes)): base_reserve}
 
@@ -202,7 +202,7 @@ def check_dsic(
                 reserves = [reserve_for(slot, subset) for subset in subsets[:-1]] + [base_reserve]
             else:
                 reserves = [base_reserve] * len(subsets)
-            utils = _subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets)
+            utils = _subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets)
             # strict improvement in enumeration order: the first best wins
             # ties, so of the subsets sharing one utility only the first
             # can be reported
@@ -227,7 +227,7 @@ def check_dsic(
     return tuple(reports)
 
 
-def _subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets):
+def _subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets):
     """Bidder ``slot``'s utility for each reported subset, at that subset's
     reserve, as a function of its bid.
 
@@ -247,7 +247,7 @@ def _subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets):
         kept = subset & inner
         if (kept, r) not in shared:
             if r not in rules:
-                rules[r] = _relay_rule(pot, bids, outside, slot, r, bids[slot])
+                rules[r] = _relay_rule(pot, bids, tops, slot, r, bids[slot])
             rule = rules[r]
             if rule is None:
                 shared[kept, r] = _silent

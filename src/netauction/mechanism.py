@@ -98,6 +98,27 @@ def _outside_maxima(pot: Pot, bids: list[float]):
     return lambda z: max(before[at[z]], after[n - at[z] - size[z]])
 
 
+def _outside_tops(pot: Pot, bids: list[float]):
+    """z -> (the best bid outside z's subtree, the smallest index holding
+    it), or (-inf, None) when z's subtree holds everyone.
+
+    Read, like ``_outside_maxima``, off a prefix and a suffix maximum over
+    the preorder, here of (bid, -index), so ties go to the smaller index.
+    """
+    n = len(bids)
+    at, size = pot.at, pot.size
+    keys = [(bids[v], -v) for v in pot.order]
+    nobody = (-math.inf, 1)
+    before = list(accumulate(keys, max, initial=nobody))
+    after = list(accumulate(reversed(keys), max, initial=nobody))
+
+    def top(z: int) -> tuple[float, int | None]:
+        bid, key = max(before[at[z]], after[n - at[z] - size[z]])
+        return bid, (None if key > 0 else -key)
+
+    return top
+
+
 def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     """Winner and payments on a prebuilt dominator tree.
 
@@ -152,7 +173,7 @@ def _first_top(bids: list[float], nodes) -> int | None:
     return min(v for v in nodes if bids[v] == top)
 
 
-def _relay_rule(pot: Pot, bids: list[float], outside, slot: int, reserve: float, value: float):
+def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, value: float):
     """Bidder ``slot``'s utility under ``clear`` as a function of its bid.
 
     ``u(b)`` is the utility (``value`` less the payment if ``slot`` wins,
@@ -168,22 +189,22 @@ def _relay_rule(pot: Pot, bids: list[float], outside, slot: int, reserve: float,
     down (everyone, when ``slot`` holds the top bid), and else it relays.
 
     ``slot``'s chain, and who lies outside each member's subtree, do not
-    depend on ``slot``'s own links. ``outside`` is ``_outside_maxima(pot,
-    bids)``; each maximum read from it leaves out ``slot``'s subtree, so
-    ``bids[slot]`` never counts. Returns None when a member above ``slot``
+    depend on ``slot``'s own links. ``tops`` is ``_outside_tops(pot, bids)``;
+    each top bid and bidder read from it leaves out ``slot``'s subtree, so
+    ``bids[slot]`` never counts, and a top bid is floored at 0 as
+    ``_outside_maxima`` floors it. Returns None when a member above ``slot``
     wins whatever it bids, and else the map from ``slot``'s subtree, as
     ``Pot.subtree`` or ``Pot.cut`` lists it, to ``u``.
     """
     _check_reserve(reserve)
     chain = _chain(pot.up, slot)
     for z, below in zip(chain, chain[1:]):
-        if bids[z] >= reserve and bids[z] == outside(below):
+        if bids[z] >= reserve and bids[z] == max(0.0, tops(below)[0]):
             return None
 
-    held = outside(slot)
+    held, h_out = tops(slot)
+    held = max(0.0, held)
     win = value - max(held, reserve)
-    start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
-    h_out = _first_top(bids, pot.order[:start] + pot.order[stop:])
 
     def rule(below: list[int], up: list[int]):
         # ties go to the smaller index

@@ -1,5 +1,6 @@
 """Diffusion graph, dominator tree, and serialization tests."""
 
+import codecs
 import json
 from collections import Counter
 
@@ -574,6 +575,15 @@ class TestSerialization:
         assert profile_from_dict(json.loads(json.dumps(d))) == p
         path = tmp_path / "profile.json"
         save_profile(p, path)
+        assert load_profile(path) == p
+
+    def test_byte_order_mark_is_not_content(self, tmp_path):
+        # editors on some platforms start UTF-8 files with a BOM, which
+        # json.load rejects
+        p = _profile(["a"], [("a", 12.5, ["b"]), ("b", 0.0, [])])
+        path = tmp_path / "profile.json"
+        save_profile(p, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert load_profile(path) == p
 
     def test_schema_shape(self):

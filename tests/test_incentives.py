@@ -389,8 +389,8 @@ class TestAgainstSlowReference:
         calls = []
         subset_utilities = incentives._subset_utilities
 
-        def spy(pot, bids, outside, slot_of, slot, reserves, subsets):
-            utils = subset_utilities(pot, bids, outside, slot_of, slot, reserves, subsets)
+        def spy(pot, bids, tops, slot_of, slot, reserves, subsets):
+            utils = subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets)
             calls.append((pot.ids[slot], reserves, subsets, utils))
             return utils
 

@@ -11,7 +11,7 @@ from netauction.errors import DomainError, ValidationError
 from netauction.graphs import ActionProfile, AgentAction, build_graph, build_pot
 from netauction.mechanism import (
     Outcome,
-    _outside_maxima,
+    _outside_tops,
     _relay_rule,
     _silent,
     clear,
@@ -286,9 +286,9 @@ class TestDeviatorUtility:
 
     @staticmethod
     def _utility(pot, bids, slot, reserve, value):
-        # the deviation search's path: the truth's outside maxima, then the
+        # the deviation search's path: the truth's outside tops, then the
         # truth's subtree
-        rule = _relay_rule(pot, bids, _outside_maxima(pot, bids), slot, reserve, value)
+        rule = _relay_rule(pot, bids, _outside_tops(pot, bids), slot, reserve, value)
         return _silent if rule is None else rule(*pot.subtree(slot))
 
     @staticmethod

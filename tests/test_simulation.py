@@ -1,13 +1,16 @@
 """Scenario construction, Monte Carlo determinism/accuracy, edge lists."""
 
+import codecs
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
+from netauction import simulation
 from netauction.distributions import TruncatedExponential, TruncatedNormal, Uniform
 from netauction.errors import (
     ConfigError,
@@ -567,6 +570,55 @@ class TestAgainstSlowMonteCarlo:
         assert sum(mapped) < runs
 
 
+class TestBlocks:
+    """A batch drawn and reduced in row blocks gives the stats of the same
+    batch drawn whole, whatever the block size and thread count."""
+
+    @staticmethod
+    def _cases():
+        net = helpers.random_network(np.random.default_rng(303), 300, 450)
+        market = Market.from_network(net, pick_seller(net, 2, seed=3))
+        normal = TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
+        n = market.profile.n
+        # one replicate into a second batch, the second a short one
+        yield "network", market, normal, ReservePolicy("general_gamma", kmin=2), _batch_rows(n) + 1
+        # the column path, one batch of a few thousand rows
+        yield "chains", Market.from_profile(chains_profile((3, 6, 6, 6))), UNI, FIX50, 3_001
+
+    def test_any_block_size_gives_the_one_block_stats(self, monkeypatch):
+        for name, market, d, policy, runs in self._cases():
+            n = market.profile.n
+            monkeypatch.setattr(simulation, "_BLOCK_CELLS", _batch_rows(n) * n)  # one block
+            want = monte_carlo(market, d, policy, runs, master_seed=11)
+            for cells in (1, n - 1, n + 1, 3 * n + 1):
+                monkeypatch.setattr(simulation, "_BLOCK_CELLS", cells)
+                for threads in (1, 2):
+                    got = monte_carlo(market, d, policy, runs, master_seed=11, threads=threads)
+                    assert got == want, (name, cells, threads)
+
+    def test_ten_thousand_node_memory(self, tmp_path):
+        """A 10k-node batch of 100 rows holds 8 MB of draws drawn whole; in
+        blocks it holds at most 2 MB. Ingest keeps one integer, not one
+        string, per endpoint."""
+        rng = np.random.default_rng(2024)
+        path = tmp_path / "net.txt"
+        path.write_text("".join(f"v{u} v{v}\n" for u, v in rng.integers(0, 10_000, (30_000, 2))))
+        tracemalloc.start()
+        try:
+            net = load_edge_list(path)
+            _, ingest_peak = tracemalloc.get_traced_memory()
+            market = Market.from_network(net, pick_seller(net, 4, seed=1))
+            tracemalloc.reset_peak()
+            held, _ = tracemalloc.get_traced_memory()
+            monte_carlo(market, UNI, ReservePolicy("uniform_gamma", kmin=2), runs=300, master_seed=9)
+            _, mc_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert market.profile.n > 9_000
+        assert ingest_peak <= 5.5 * 2**20
+        assert mc_peak - held <= 4 * 2**20
+
+
 def _histogram_digest(stats):
     return hashlib.sha256(repr(stats.histogram).encode()).hexdigest()[:16]
 
@@ -797,6 +849,76 @@ class TestEdgeLists:
             want = ordered[int(np.random.default_rng(seed).integers(len(labels)))]
             assert pick_seller(net, 1, seed=seed) == want
         assert pick_seller(net, len(labels), seed=3) == "hub"
+
+    def test_byte_order_mark_is_not_part_of_a_label(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"a b\nb c\nc a\n")
+        net = load_edge_list(path)
+        assert net.labels == ("a", "b", "c")
+        assert net.edge_count() == 3  # a triangle, not a path
+        path.write_bytes(codecs.BOM_UTF8 + b"# u v\na b\n")
+        assert load_edge_list(path).labels == ("a", "b")
+
+    @staticmethod
+    def _messy_file(rng, path):
+        """A random edge list and the pairs its data lines hold."""
+        labels = [f"n{i}" for i in range(30)] + ["é", "ß", "日本", "Ω7", "a#b", "x%"]
+        seps = [" ", "\t", "  ", " \t ", "\u3000"]
+        lines, pairs = [], []
+        for _ in range(int(rng.integers(0, 120))):
+            kind = rng.random()
+            if kind < 0.1:
+                lines.append(str(rng.choice(["# note", "% header 3 4", "  # indented", "#"])))
+            elif kind < 0.18:
+                lines.append(str(rng.choice(["", "   ", "\t"])))
+            elif kind < 0.25:
+                # a label named only in self-loops is no node
+                u = str(rng.choice(labels[:3] + ["solo"]))
+                lines.append(f"{u} {u}")
+                pairs.append((u, u))
+            else:
+                u, v = (str(x) for x in rng.choice(labels, size=2))
+                extra = str(rng.choice(["", " 1.5", "\t7 1086400", " w"]))
+                lead = str(rng.choice(["", " ", "\t"]))
+                lines.append(f"{lead}{u}{rng.choice(seps)}{v}{extra}")
+                pairs.append((u, v))
+        ends = [str(rng.choice(["\n", "\r\n"])) for _ in lines]
+        path.write_text("".join(map(str.__add__, lines, ends)), encoding="utf-8", newline="")
+        return lines, ends, pairs
+
+    def test_random_files_match_both_references(self, tmp_path):
+        def from_adjacency(adj):
+            labels = sorted(adj)
+            at = {x: i for i, x in enumerate(labels)}
+            rows = [sorted(at[w] for w in adj[x]) for x in labels]
+            indptr = np.cumsum([0] + [len(r) for r in rows])
+            return labels, indptr, [i for r in rows for i in r]
+
+        rng = np.random.default_rng(2121)
+        path = tmp_path / "messy.txt"
+        for case in range(60):
+            lines, ends, pairs = self._messy_file(rng, path)
+            net = load_edge_list(path)
+            labels, indptr, indices = from_adjacency(helpers.slow_load_adjacency(path))
+            assert net.labels == tuple(labels), case
+            assert np.array_equal(net.indptr, indptr), case
+            assert np.array_equal(net.indices, indices), case
+            same = Network.from_edges([u for u, _ in pairs], [v for _, v in pairs])
+            assert same.labels == net.labels, case
+            for a, b in ((same.indptr, net.indptr), (same.indices, net.indices)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), case
+            assert "solo" not in net.labels
+            # a one-token line anywhere is named by its line number
+            at = int(rng.integers(len(lines) + 1))
+            lines.insert(at, str(rng.choice(["lonely", " é ", "x%\t"])))
+            ends.insert(at, "\r\n")
+            path.write_text("".join(map(str.__add__, lines, ends)), encoding="utf-8", newline="")
+            with pytest.raises(EdgeListFormatError) as got:
+                load_edge_list(path)
+            with pytest.raises(EdgeListFormatError) as want:
+                helpers.slow_load_adjacency(path)
+            assert str(got.value) == str(want.value), case
+            assert f"line {at + 1}:" in str(got.value), case
 
     def test_undirected_symmetry(self, tmp_path):
         path = tmp_path / "sym.txt"
