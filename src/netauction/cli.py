@@ -49,8 +49,8 @@ from .revenue import (
 )
 from .simulation import (
     Market,
+    chains_profile,
     draw_replicate,
-    generate_scenario,
     load_edge_list,
     monte_carlo,
     parse_scenario,
@@ -90,7 +90,7 @@ def _load_template(spec: str, rho: int | None, seed: int, market: bool = False):
     ``Market``, without a profile row per node.
     """
     if spec.startswith(_SCENARIO_PREFIXES):
-        return generate_scenario(parse_scenario(spec))
+        return chains_profile(parse_scenario(spec))
     _require_file(spec)
     if spec.endswith(".json"):
         return load_profile(spec)
@@ -186,11 +186,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
-    profile = generate_scenario(parse_scenario(args.spec))
-    prof = subtree_profile(build_pot(build_graph(profile)))
-    print(f"bidders: {prof.n}")
-    print(f"branches: {prof.m}")
-    print(f"sizes: {'+'.join(str(k) for k in prof.sizes)}")
+    sizes = parse_scenario(args.spec)
+    profile = chains_profile(sizes)
+    print(f"bidders: {sum(sizes)}")
+    print(f"branches: {len(sizes)}")
+    print(f"sizes: {'+'.join(map(str, sizes))}")
     if args.out:
         save_profile(profile, args.out)
     else:

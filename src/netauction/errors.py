@@ -28,7 +28,7 @@ class SolverError(NetAuctionError, RuntimeError):
 
 
 class ScenarioError(DomainError):
-    """Scenario parameters that cannot be realised as a network."""
+    """Scenario-spec parameters that no network can realise."""
 
 
 class EdgeListFormatError(NetAuctionError, ValueError):

@@ -441,13 +441,16 @@ def profile_from_dict(data: dict) -> ActionProfile:
     agents = []
     for entry in raw_agents:
         try:
-            agents.append(
-                AgentAction(
-                    agent=entry["id"],
-                    bid=float(entry["bid"]),
-                    neighbors=frozenset(entry["neighbors"]),
-                )
-            )
+            bid, neighbors = entry["bid"], entry["neighbors"]
+            # float() would read true as 1.0, and frozenset() a string as
+            # its letters
+            if isinstance(bid, bool):
+                raise TypeError("bid must be a number, not a boolean")
+            if not isinstance(neighbors, list):
+                raise TypeError("neighbors must be an array of ids")
+            if not all(isinstance(v, str) and v for v in neighbors):
+                raise TypeError("every neighbor must be a non-empty string id")
+            agents.append(AgentAction(entry["id"], float(bid), frozenset(neighbors)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed agent entry {entry!r}: {exc}") from None
     return ActionProfile(seller=seller, agents=tuple(agents))

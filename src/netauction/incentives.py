@@ -51,7 +51,6 @@ __all__ = [
     "DeviationGrid",
     "DeviationReport",
     "CounterexampleReport",
-    "enumerate_deviations",
     "check_dsic",
     "counterexample_instance",
     "ropt_counterexample",
@@ -90,26 +89,6 @@ class DeviationReport:
     best_bid: float
     best_report: frozenset[str]
     deviations_tested: int
-
-
-def enumerate_deviations(
-    value: float,
-    neighbors,
-    grid: DeviationGrid,
-    vbar: float,
-    others_bids=(),
-    reserve: float | None = None,
-    seller: str | None = None,
-) -> tuple[tuple[float, frozenset[str]], ...]:
-    """Candidate (bid, reported-neighbors) pairs for one agent.
-
-    Bids: an even grid on [0, vbar], every opponent bid, the agent's own
-    value, and the reserve probed exactly and a hair on each side. Reports:
-    every subset of the informative neighbors.
-    """
-    subsets = _reported_subsets(neighbors, seller)
-    bids = _bid_candidates(grid, vbar, [*others_bids, value], reserve)
-    return tuple((b, s) for b in bids for s in subsets)
 
 
 def _reported_subsets(neighbors, seller: str | None) -> list[frozenset[str]]:
@@ -154,9 +133,13 @@ def check_dsic(
     The bid candidates and the best bid outside each subtree are the same
     for every agent and are listed once. Each subset rebuilds at most the
     deviator's subtree (see the module docstring), and every candidate's
-    utility is read off it by the rule ``clear`` applies. Of equally good
-    deviations, the first in ``enumerate_deviations`` order is reported,
-    and ``deviations_tested`` counts that whole enumeration.
+    utility is read off it by the rule ``clear`` applies. Deviations are
+    ordered bid-major: every candidate of ``_bid_candidates`` in turn, and
+    under it every subset of ``_reported_subsets``. Of equally good
+    deviations the first in that order is reported, and
+    ``deviations_tested`` counts the whole product.
+    ``tests/helpers.enumerate_deviations`` lists that order and is the
+    reference.
     """
     grid = grid or DeviationGrid()
     values = truth.bids()

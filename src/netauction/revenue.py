@@ -118,14 +118,6 @@ def _adaptive_simpson(f, a, b: float, count: int):
     return out
 
 
-def integrate(f, a: float, b: float) -> float:
-    """Adaptive Simpson on [a, b] for an integrand f evaluated on arrays,
-    relative tolerance with a floor of one money unit so near-zero
-    integrals terminate."""
-    value = _adaptive_simpson(lambda v, j: np.broadcast_to(f(v), v.shape), a, b, 1)
-    return float(value[0])
-
-
 def _check_branch(kx: int, n: int) -> None:
     _check_count("kx", kx)
     _check_count("n", n)
@@ -212,20 +204,10 @@ def expected_total_revenue(
 
 def opt_upper_bound(n: int, d: ValueDistribution) -> float:
     """Revenue of the optimal direct auction run over all n bidders: the
-    ceiling no diffusion mechanism can beat. Uniform closed form
-    vbar(n-1)/(n+1) + vbar/(n+1)/2^n; otherwise evaluated at the Myerson
-    reserve by quadrature.
-    """
-    _check_count("n", n)
-    if isinstance(d, Uniform):
-        return d.vbar * (n - 1) / (n + 1) + d.vbar / (n + 1) * 0.5**n
+    ceiling no diffusion mechanism can beat. It is the revenue of the star
+    network, n singleton branches, at the Myerson reserve."""
     rhat = subtree_optimal_reserve(1, d)
-
-    def integrand(v):
-        F = d.cdf(v)
-        return n * F ** (n - 1) - (n - 1) * F**n
-
-    return d.vbar - rhat * float(d.cdf(rhat)) ** n - integrate(integrand, rhat, d.vbar)
+    return n * _subtree_revenues([1], n, d, [rhat], "auto")[0][0]
 
 
 def mys_lower_bound(rho: int, d: ValueDistribution) -> float:

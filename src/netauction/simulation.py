@@ -6,12 +6,12 @@ i % B of batch i // B, so any single replicate can be re-drawn in isolation
 and the aggregate is bit-identical for any thread count: batches may be
 computed in parallel but partial sums are always merged in batch order.
 
-Scenario generators build the synthetic markets used in the experiments:
-branch chains hanging off the seller, shaped by market expansion ratio
-(the seller's degree relative to market size), market depth (the longest
-seller-to-buyer distance), or an explicit branch-size split. Chains are
-capped at six hops throughout: beyond six degrees of separation the sale
-information cannot be assumed to travel.
+A scenario spec compiles to the chain sizes of the synthetic markets used
+in the experiments: branch chains hanging off the seller, shaped by market
+expansion ratio (the seller's degree relative to market size), market
+depth (the longest seller-to-buyer distance), or an explicit branch-size
+split. Chains are capped at six hops throughout: beyond six degrees of
+separation the sale information cannot be assumed to travel.
 """
 
 from __future__ import annotations
@@ -45,11 +45,9 @@ from .graphs import (
 from .reserve import ReservePolicy, resolve_reserve
 
 __all__ = [
-    "Scenario",
     "RevenueStats",
     "Market",
     "Network",
-    "generate_scenario",
     "parse_scenario",
     "chains_profile",
     "monte_carlo",
@@ -116,72 +114,6 @@ def _bin_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
 _COLS_MAX = 24
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One synthetic market family member.
-
-    kind "mer": seller degree set by a market expansion ratio percentage.
-    kind "md": minimal seller degree realising a given market depth.
-    kind "symmetry": explicit branch sizes, one chain per branch.
-    """
-
-    kind: str
-    n: int | None = None
-    mer: int | None = None
-    md: int | None = None
-    sizes: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind == "mer":
-            self._need_n()
-            if self.mer not in _MER_STEPS:
-                raise ScenarioError(
-                    f"market expansion ratio must be one of {_MER_STEPS}, got {self.mer}"
-                )
-            if (self.mer * (self.n + 1)) % 100 != 0:
-                raise ScenarioError(
-                    f"mer {self.mer}% of the {self.n + 1} nodes (n={self.n} bidders "
-                    f"and the seller) gives a fractional seller degree"
-                )
-            if self.rho() < 1:
-                raise ScenarioError(f"mer {self.mer}% with n={self.n} leaves no neighbors")
-        elif self.kind == "md":
-            self._need_n()
-            if not isinstance(self.md, int) or not 1 <= self.md <= MAX_DEPTH:
-                raise ScenarioError(
-                    f"market depth must lie in 1..{MAX_DEPTH} (information dies out "
-                    f"beyond six hops), got {self.md}"
-                )
-            if self.md > self.n:
-                raise ScenarioError(f"depth {self.md} needs at least {self.md} bidders")
-        elif self.kind == "symmetry":
-            if not self.sizes:
-                raise ScenarioError("symmetry scenario needs branch sizes")
-            object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
-            if any(k < 1 for k in self.sizes):
-                raise ScenarioError(f"branch sizes must be >= 1, got {self.sizes}")
-            if max(self.sizes) > MAX_DEPTH:
-                raise ScenarioError(
-                    f"a branch chain of {max(self.sizes)} exceeds the six-hop cap"
-                )
-            total = sum(self.sizes)
-            if self.n is None:
-                object.__setattr__(self, "n", total)
-            elif self.n != total:
-                raise ScenarioError(f"n={self.n} does not match sizes {self.sizes}")
-        else:
-            raise ScenarioError(f"unknown scenario kind {self.kind!r}")
-
-    def _need_n(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ScenarioError(f"scenario needs integer n >= 1, got {self.n}")
-
-    def rho(self) -> int:
-        if self.kind != "mer":
-            raise ValidationError("rho is defined by mer scenarios only")
-        return self.mer * (self.n + 1) // 100 - 1
-
-
 def _balanced(total: int, parts: int) -> list[int]:
     if parts == 0:
         return []
@@ -214,29 +146,16 @@ def chains_profile(sizes, seller: str = "s") -> ActionProfile:
     return ActionProfile(seller=seller, agents=tuple(agents))
 
 
-def generate_scenario(scenario: Scenario) -> ActionProfile:
-    """Realise a scenario as the most symmetric chain tree satisfying it:
-    branch sizes are balanced, then the longest chains only as required."""
-    if scenario.kind == "symmetry":
-        return chains_profile(scenario.sizes)
-    if scenario.kind == "mer":
-        sizes = _balanced(scenario.n, scenario.rho())
-        if max(sizes) > MAX_DEPTH:
-            raise ScenarioError(
-                f"mer {scenario.mer}% with n={scenario.n} forces a chain of "
-                f"{max(sizes)} hops, beyond the six-degrees cap"
-            )
-        return chains_profile(sizes)
-    # md: one chain realises the depth, the rest stay as shallow as allowed
-    m = math.ceil(scenario.n / scenario.md)
-    sizes = [scenario.md] + _balanced(scenario.n - scenario.md, m - 1)
-    if sizes and min(sizes) < 1:
-        raise ScenarioError(f"depth {scenario.md} with n={scenario.n} is infeasible")
-    return chains_profile(sizes)
+def parse_scenario(text: str) -> tuple[int, ...]:
+    """The chain sizes of a scenario spec: `mer:n=9,pct=30 | md:n=9,depth=4 |
+    symmetry:sizes=3+3`.
 
-
-def parse_scenario(text: str) -> Scenario:
-    """Parse `mer:n=9,pct=30 | md:n=9,depth=4 | symmetry:sizes=3+3`."""
+    mer makes the seller and its neighbours pct% of the n + 1 nodes, one
+    branch per neighbour; md makes one chain of the given depth and the
+    fewest others; symmetry lists the sizes. Sizes are balanced, then
+    lengthened only as required. A malformed spec raises ConfigError, and
+    parameters that no network realises raise ScenarioError.
+    """
     kind, sep, body = text.strip().partition(":")
     if not sep or kind not in ("mer", "md", "symmetry"):
         raise ConfigError(f"unknown scenario {text!r}")
@@ -252,17 +171,44 @@ def parse_scenario(text: str) -> Scenario:
             f"scenario {text!r}: expected parameters {', '.join(wanted)}"
         )
     try:
-        if kind == "mer":
-            return Scenario("mer", n=int(fields["n"]), mer=int(fields["pct"]))
-        if kind == "md":
-            return Scenario("md", n=int(fields["n"]), md=int(fields["depth"]))
-        return Scenario(
-            "symmetry", sizes=tuple(int(k) for k in fields["sizes"].split("+"))
-        )
-    except ScenarioError:
-        raise  # infeasible parameters are a domain problem, not a syntax one
+        if kind == "symmetry":
+            sizes = tuple(int(k) for k in fields["sizes"].split("+"))
+        else:
+            n, x = int(fields["n"]), int(fields[wanted[1]])
     except ValueError as exc:
         raise ConfigError(f"scenario {text!r}: {exc}") from None
+    if kind != "symmetry" and n < 1:
+        raise ScenarioError(f"scenario needs integer n >= 1, got {n}")
+    if kind == "symmetry":
+        if any(k < 1 for k in sizes):
+            raise ScenarioError(f"branch sizes must be >= 1, got {sizes}")
+    elif kind == "mer":
+        if x not in _MER_STEPS:
+            raise ScenarioError(f"market expansion ratio must be one of {_MER_STEPS}, got {x}")
+        if (x * (n + 1)) % 100 != 0:
+            raise ScenarioError(
+                f"mer {x}% of the {n + 1} nodes (n={n} bidders "
+                f"and the seller) gives a fractional seller degree"
+            )
+        rho = x * (n + 1) // 100 - 1
+        if rho < 1:
+            raise ScenarioError(f"mer {x}% with n={n} leaves no neighbors")
+        sizes = tuple(_balanced(n, rho))
+    else:
+        if not 1 <= x <= MAX_DEPTH:
+            raise ScenarioError(
+                f"market depth must lie in 1..{MAX_DEPTH} (information dies out "
+                f"beyond six hops), got {x}"
+            )
+        if x > n:
+            raise ScenarioError(f"depth {x} needs at least {x} bidders")
+        # one chain realises the depth, the rest stay as shallow as allowed
+        sizes = (x, *_balanced(n - x, math.ceil(n / x) - 1))
+    if max(sizes) > MAX_DEPTH:
+        raise ScenarioError(
+            f"{text.strip()!r} needs a chain of {max(sizes)} hops, beyond the six-degrees cap"
+        )
+    return sizes
 
 
 @dataclass(frozen=True)

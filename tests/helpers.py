@@ -23,12 +23,7 @@ from netauction.graphs import (
     SubtreeProfile,
 )
 from netauction.mechanism import Outcome
-from netauction.reserve import (
-    _check_count,
-    _check_vbar,
-    resolve_reserve,
-    subtree_optimal_reserve,
-)
+from netauction.reserve import _check_count, _check_vbar, resolve_reserve
 from netauction.revenue import _subtree_revenues
 from netauction.simulation import RevenueStats, _batch_rows
 
@@ -330,6 +325,23 @@ def naive_apx_r(profile, reserve):
     return w, payments, revenue, False
 
 
+def enumerate_deviations(
+    value, neighbors, grid, vbar, others_bids=(), reserve=None, seller=None
+):
+    """Candidate (bid, reported-neighbors) pairs for one agent, in the order
+    ``check_dsic`` breaks ties in: bid-major, the subsets under each bid.
+
+    Bids: an even grid on [0, vbar], every opponent bid, the agent's own
+    value, and the reserve probed exactly and a hair on each side. Reports:
+    every subset of the informative neighbors.
+    """
+    from netauction.incentives import _bid_candidates, _reported_subsets
+
+    subsets = _reported_subsets(neighbors, seller)
+    bids = _bid_candidates(grid, vbar, [*others_bids, value], reserve)
+    return tuple((b, s) for b in bids for s in subsets)
+
+
 def slow_check_dsic(truth, d, policy, grid=None):
     """Reference deviation search: every candidate built and run from scratch.
 
@@ -340,11 +352,7 @@ def slow_check_dsic(truth, d, policy, grid=None):
     as ``check_dsic`` promises. Branch sizes come from the id-keyed
     ``slow_graph`` and ``slow_build_pot``.
     """
-    from netauction.incentives import (
-        DeviationGrid,
-        DeviationReport,
-        enumerate_deviations,
-    )
+    from netauction.incentives import DeviationGrid, DeviationReport
     from netauction.mechanism import run_apx_r, utilities
     from netauction.reserve import global_optimal_reserve, resolve_reserve
 
@@ -457,17 +465,6 @@ def slow_expected_total_revenue(profile, d, r):
         count * _slow_subtree_quadrature(k, profile.n, d, r)
         for k, count in sorted(Counter(profile.sizes).items())
     )
-
-
-def slow_opt_upper_bound(n, d):
-    """Quadrature route of opt_upper_bound."""
-    rhat = subtree_optimal_reserve(1, d)
-
-    def integrand(v: float) -> float:
-        F = float(d.cdf(v))
-        return n * F ** (n - 1) - (n - 1) * F**n
-
-    return d.vbar - rhat * float(d.cdf(rhat)) ** n - slow_integrate(integrand, rhat, d.vbar)
 
 
 # Oracles the package no longer ships, kept from its graphs, distributions,

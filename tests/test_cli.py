@@ -25,10 +25,8 @@ from netauction.graphs import (
 from netauction.incentives import DeviationGrid, report_to_dict
 from netauction.reserve import parse_policy
 from netauction.simulation import (
-    Scenario,
     chains_profile,
     draw_replicate,
-    generate_scenario,
     load_edge_list,
     monte_carlo,
     pick_seller,
@@ -40,7 +38,7 @@ from netauction.simulation import (
 @pytest.fixture
 def chain_profile_json(tmp_path):
     # s knows A; A relays to B; bids 30 and 70
-    profile = generate_scenario(Scenario("symmetry", sizes=(2,)))
+    profile = chains_profile((2,))
     profile = profile.replace_action("a1", 30.0, profile.action("a1").neighbors)
     profile = profile.replace_action("a2", 70.0, profile.action("a2").neighbors)
     path = tmp_path / "chain.json"

@@ -607,3 +607,31 @@ class TestSerialization:
             )
         with pytest.raises(ValidationError):
             profile_from_dict({"seller": "s", "agents": [{"bid": 1.0}]})
+
+    def test_neighbors_string_is_rejected(self):
+        # a string is not read as links to each of its letters
+        with pytest.raises(ValidationError, match="array"):
+            profile_from_dict(
+                {
+                    "seller": "s",
+                    "agents": [
+                        {"id": "s", "bid": 0.0, "neighbors": "ab"},
+                        {"id": "a", "bid": 10.0, "neighbors": []},
+                        {"id": "b", "bid": 20.0, "neighbors": []},
+                    ],
+                }
+            )
+
+    @pytest.mark.parametrize("bad", [7, "", None])
+    def test_neighbor_that_is_no_id_is_rejected(self, bad):
+        # such a link could match no bidder and would be dropped unseen
+        with pytest.raises(ValidationError, match="non-empty string"):
+            profile_from_dict(
+                {"seller": "s", "agents": [{"id": "a", "bid": 1.0, "neighbors": ["b", bad]}]}
+            )
+
+    def test_boolean_bid_is_rejected(self):
+        with pytest.raises(ValidationError, match="boolean"):
+            profile_from_dict(
+                {"seller": "s", "agents": [{"id": "a", "bid": True, "neighbors": []}]}
+            )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from helpers import enumerate_deviations
 from netauction import incentives
 from netauction.distributions import TruncatedNormal, Uniform
 from netauction.errors import DomainError, ValidationError
@@ -19,7 +20,6 @@ from netauction.incentives import (
     _bid_candidates,
     check_dsic,
     counterexample_instance,
-    enumerate_deviations,
     report_to_dict,
     ropt_counterexample,
 )

@@ -24,8 +24,8 @@ from netauction.errors import DomainError, ValidationError
 from netauction.graphs import SubtreeProfile
 from netauction.reserve import gamma_general, gamma_uniform, subtree_optimal_reserve
 from netauction.revenue import (
+    _adaptive_simpson,
     expected_total_revenue,
-    integrate,
     mys_lower_bound,
     opt_upper_bound,
     ratio_lower_bound,
@@ -44,20 +44,21 @@ def _prof(*sizes):
 
 
 class TestIntegrate:
+    # one integral, f(v, j) evaluated on arrays of points v
     def test_polynomial_exact(self):
-        got = integrate(lambda x: 3.0 * x * x, 0.0, 2.0)
+        (got,) = _adaptive_simpson(lambda v, j: 3.0 * v * v, 0.0, 2.0, 1)
         assert got == pytest.approx(8.0, rel=1e-12)
 
     def test_transcendental(self):
-        got = integrate(np.sin, 0.0, math.pi)
+        (got,) = _adaptive_simpson(lambda v, j: np.sin(v), 0.0, math.pi, 1)
         assert got == pytest.approx(2.0, rel=1e-9)
 
     def test_degenerate_interval(self):
-        assert integrate(np.sin, 1.0, 1.0) == 0.0
+        assert _adaptive_simpson(lambda v, j: np.sin(v), 1.0, 1.0, 1)[0] == 0.0
 
     def test_matches_scipy_on_revenue_style_integrands(self):
         f = lambda v: NORM.cdf(v) ** 9 - NORM.cdf(v) ** 6
-        mine = integrate(f, 12.0, 100.0)
+        (mine,) = _adaptive_simpson(lambda v, j: f(v), 12.0, 100.0, 1)
         ref, _ = quad(f, 12.0, 100.0, limit=200)
         assert mine == pytest.approx(ref, abs=1e-8)
 
@@ -252,10 +253,11 @@ class TestAgainstRecursiveSimpson:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_opt_upper_bound_matches(self):
-        # through integrate(), with one integrand
+        # the star network's revenue at the Myerson reserve
         for d in (NORM, EXPD):
+            rhat = subtree_optimal_reserve(1, d)
             for n in (1, 9, 50):
-                want = helpers.slow_opt_upper_bound(n, d)
+                want = helpers.slow_expected_total_revenue(_prof(*[1] * n), d, rhat)
                 assert opt_upper_bound(n, d) == pytest.approx(want, rel=1e-12)
 
     def test_one_cdf_call_per_tree_level(self, monkeypatch):

@@ -27,10 +27,8 @@ from netauction.simulation import (
     MAX_DEPTH,
     Market,
     Network,
-    Scenario,
     chains_profile,
     draw_replicate,
-    generate_scenario,
     load_edge_list,
     monte_carlo,
     parse_scenario,
@@ -60,62 +58,61 @@ def realized_depth(profile):
     return max(len(helpers.dcs(pot, a)) for a in pot.parent)
 
 
+def scenario_profile(spec):
+    return chains_profile(parse_scenario(spec))
+
+
 class TestScenarioValidation:
     def test_mer_requires_listed_percentage(self):
         with pytest.raises(ScenarioError):
-            Scenario("mer", n=9, mer=20)
+            parse_scenario("mer:n=9,pct=20")
         with pytest.raises(ScenarioError):
-            Scenario("mer", n=9, mer=35)
+            parse_scenario("mer:n=9,pct=35")
 
     def test_mer_requires_integral_degree(self):
         # 30% of eleven participants is not a whole neighbor count
         with pytest.raises(ScenarioError):
-            Scenario("mer", n=10, mer=30)
+            parse_scenario("mer:n=10,pct=30")
 
     def test_mer_ratio_counts_the_seller(self):
         # the ratio is of the n + 1 nodes: 40% of 51 is rejected and named,
-        # 40% of 50 gives seller degree 20, so rho 19
+        # 40% of 50 gives seller degree 20, so 19 branches
         with pytest.raises(ScenarioError) as err:
-            Scenario("mer", n=50, mer=40)
+            parse_scenario("mer:n=50,pct=40")
         assert "51 nodes" in str(err.value)
-        assert Scenario("mer", n=49, mer=40).rho() == 19
+        assert len(parse_scenario("mer:n=49,pct=40")) == 19
 
     def test_mer_needs_at_least_one_neighbor(self):
         with pytest.raises(ScenarioError):
-            Scenario("mer", n=1, mer=50)
+            parse_scenario("mer:n=1,pct=50")
 
     def test_md_depth_window(self):
         with pytest.raises(ScenarioError):
-            Scenario("md", n=9, md=0)
+            parse_scenario("md:n=9,depth=0")
         with pytest.raises(ScenarioError) as err:
-            Scenario("md", n=9, md=7)
+            parse_scenario("md:n=9,depth=7")
         assert "six" in str(err.value)
         with pytest.raises(ScenarioError):
-            Scenario("md", n=2, md=3)
+            parse_scenario("md:n=2,depth=3")
 
     def test_symmetry_chain_cap(self):
         with pytest.raises(ScenarioError):
-            Scenario("symmetry", sizes=(7,))
+            parse_scenario("symmetry:sizes=7")
         with pytest.raises(ScenarioError):
-            Scenario("symmetry", sizes=(3, 0))
-        with pytest.raises(ScenarioError):
-            Scenario("symmetry", sizes=())
-        with pytest.raises(ScenarioError):
-            Scenario("symmetry", sizes=(3, 3), n=7)
+            parse_scenario("symmetry:sizes=3+0")
 
     def test_explicit_kind_is_rejected(self):
         # a caller with a profile uses it directly; no scenario kind wraps one
-        with pytest.raises(ScenarioError):
-            Scenario("explicit")
+        with pytest.raises(ConfigError):
+            parse_scenario("explicit:profile=x")
 
     def test_unknown_kind(self):
-        with pytest.raises(ScenarioError):
-            Scenario("galaxy", n=3)
+        with pytest.raises(ConfigError):
+            parse_scenario("galaxy:n=3")
 
-    def test_rho_defined_for_mer_only(self):
-        assert Scenario("mer", n=9, mer=30).rho() == 2
-        with pytest.raises(ValidationError):
-            Scenario("md", n=9, md=3).rho()
+    def test_mer_branch_count_is_the_seller_degree(self):
+        # 30% of the ten nodes is the seller and two neighbours
+        assert len(parse_scenario("mer:n=9,pct=30")) == 2
 
 
 class TestScenarioConstruction:
@@ -131,7 +128,7 @@ class TestScenarioConstruction:
             100: (1,) * 9,
         }
         for pct, sizes in want.items():
-            prof = generate_scenario(Scenario("mer", n=9, mer=pct))
+            prof = scenario_profile(f"mer:n=9,pct={pct}")
             assert realized_sizes(prof) == sizes
 
     def test_md_family_n9(self):
@@ -144,18 +141,18 @@ class TestScenarioConstruction:
             1: (1,) * 9,
         }
         for depth, sizes in want.items():
-            prof = generate_scenario(Scenario("md", n=9, md=depth))
+            prof = scenario_profile(f"md:n=9,depth={depth}")
             assert realized_sizes(prof) == sizes
             assert realized_depth(prof) == depth
 
     def test_symmetry_family(self):
         for sizes in [(1, 5), (2, 4), (3, 3)]:
-            prof = generate_scenario(Scenario("symmetry", sizes=sizes))
+            prof = scenario_profile("symmetry:sizes=" + "+".join(map(str, sizes)))
             assert realized_sizes(prof) == tuple(sorted(sizes, reverse=True))
 
     def test_chains_are_within_six_hops(self):
         for pct in (30, 40, 50, 100):
-            prof = generate_scenario(Scenario("mer", n=9, mer=pct))
+            prof = scenario_profile(f"mer:n=9,pct={pct}")
             assert realized_depth(prof) <= MAX_DEPTH
 
     def test_chain_template_shape(self):
@@ -168,11 +165,15 @@ class TestScenarioConstruction:
 
 class TestParseScenario:
     def test_round_trips(self):
-        assert parse_scenario("mer:n=9,pct=30") == Scenario("mer", n=9, mer=30)
-        assert parse_scenario("md:n=9,depth=4") == Scenario("md", n=9, md=4)
-        assert parse_scenario("symmetry:sizes=3+3") == Scenario(
-            "symmetry", sizes=(3, 3)
-        )
+        # the sizes in chain order, as the realised tree lists its branches
+        for spec, sizes in [
+            ("mer:n=9,pct=30", (5, 4)),
+            ("md:n=9,depth=4", (4, 3, 2)),
+            ("symmetry:sizes=3+3", (3, 3)),
+            ("symmetry:sizes=1+5", (1, 5)),
+        ]:
+            assert parse_scenario(spec) == sizes
+            assert subtree_profile(build_pot(build_graph(scenario_profile(spec)))).sizes == sizes
 
     @pytest.mark.parametrize(
         "bad",
@@ -233,7 +234,7 @@ class TestMonteCarlo:
         assert not [t for t in workers if t.is_alive()], excinfo.value
 
     def test_single_replicate_matches_mechanism(self):
-        template = generate_scenario(Scenario("md", n=9, md=4))
+        template = scenario_profile("md:n=9,depth=4")
         for seed in (1, 2, 3):
             stats = monte_carlo(template, UNI, FIX50, runs=1, master_seed=seed)
             outcome = run_apx_r(draw_replicate(template, UNI, seed, 0), 50.0)
