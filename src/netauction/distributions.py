@@ -15,6 +15,15 @@ auction theory on a fixed grid of 1024 steps.
 ``scipy.special`` is imported when the first truncated normal is built, so
 that the uniform and exponential families, and every command that uses
 only them, never load it.
+
+A scalar input (a Python or numpy scalar, or a 0-d array) runs through the
+same formula as an array but as a Python float, with no 0-d arrays and no
+``np.clip`` call, and comes back as a Python float: the reserve solvers
+make two such calls per bisection step. Its result is, to the bit, the
+element a one-element array gives. So the scalar path still calls the
+ufuncs an array call uses (``np.exp``, ``np.expm1``, ``np.log1p``,
+``ndtr``, ``ndtri``): ``math.exp`` and Python's ``**`` round differently
+from ``np.exp`` and ``np.power`` on a few percent of inputs.
 """
 
 from __future__ import annotations
@@ -37,10 +46,6 @@ __all__ = [
 ]
 
 
-def _ret(x, scalar: bool):
-    return float(x) if scalar else x
-
-
 class ValueDistribution:
     """Common interface: cdf/pdf/quantile accept floats or numpy arrays."""
 
@@ -55,26 +60,41 @@ class ValueDistribution:
     def quantile(self, p):
         raise NotImplementedError
 
-    def _check_value(self, v) -> bool:
-        """Validate support, return True when the input is scalar."""
-        return _scalar_within(v, self.vbar, "value outside support")
+    def _check_value(self, v):
+        """v as a Python float or a float array, checked to lie in the support."""
+        return _within(v, self.vbar, "value outside support")
 
-    def _check_prob(self, p) -> bool:
-        return _scalar_within(p, 1, "probability outside")
+    def _check_prob(self, p):
+        return _within(p, 1, "probability outside")
 
 
-def _scalar_within(x, top, what: str) -> bool:
-    """True when x is a scalar; DomainError when an element lies below 0 or
-    above top (NaN passes). A Python scalar is compared directly, without
-    the 0-d array and reductions an array input needs."""
+def _within(x, top, what: str):
+    """x as a Python float when it is a scalar and as a float array
+    otherwise; DomainError when an element lies below 0 or above top (NaN
+    passes). A Python scalar is compared directly, without the 0-d array
+    and reductions an array input needs."""
     if isinstance(x, (float, int)):
-        scalar, bad = True, x < 0.0 or x > top
-    else:
-        arr = np.asarray(x, dtype=float)
-        scalar, bad = arr.ndim == 0, np.any(arr < 0.0) or np.any(arr > top)
-    if bad:
+        if x < 0.0 or x > top:
+            raise DomainError(f"{what} [0, {top}]")
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    if (arr < 0.0).any() or (arr > top).any():
         raise DomainError(f"{what} [0, {top}]")
-    return scalar
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _clip(x, top):
+    """x clipped to [0, top], NaN and -0.0 kept: an array through
+    ``np.clip``, a scalar as a Python float."""
+    if isinstance(x, np.ndarray):
+        return np.clip(x, 0.0, top)
+    x = float(x)
+    return 0.0 if x < 0.0 else float(top) if x > top else x
+
+
+def _float(x):
+    """A ufunc's scalar result as a Python float; arrays pass through."""
+    return x if isinstance(x, np.ndarray) else float(x)
 
 
 @dataclass(frozen=True)
@@ -88,17 +108,15 @@ class Uniform(ValueDistribution):
             raise DomainError(f"vbar must be positive and finite, got {self.vbar}")
 
     def cdf(self, v):
-        scalar = self._check_value(v)
-        return _ret(np.asarray(v, dtype=float) / self.vbar, scalar)
+        return self._check_value(v) / self.vbar
 
     def pdf(self, v):
-        scalar = self._check_value(v)
-        out = np.full_like(np.asarray(v, dtype=float), 1.0 / self.vbar)
-        return _ret(out, scalar)
+        v = self._check_value(v)
+        density = 1.0 / self.vbar
+        return density if isinstance(v, float) else np.full_like(v, density)
 
     def quantile(self, p):
-        scalar = self._check_prob(p)
-        return _ret(np.asarray(p, dtype=float) * self.vbar, scalar)
+        return self._check_prob(p) * self.vbar
 
 
 @dataclass(frozen=True)
@@ -117,8 +135,11 @@ class TruncatedNormal(ValueDistribution):
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
-        from scipy.special import ndtr
+        from scipy.special import ndtr, ndtri
 
+        # bound here, so that a call pays no import statement
+        object.__setattr__(self, "_ndtr", ndtr)
+        object.__setattr__(self, "_ndtri", ndtri)
         # F(v) = (T(v) - T(0)) / (T(vbar) - T(0)), z = (v - mu) / sigma, with
         # T = Phi(z) for mu >= 0 and T = -Phi(-z) for mu < 0: T reads the
         # tail on the side of 0 away from mu, so T(0) is never a number near
@@ -131,26 +152,18 @@ class TruncatedNormal(ValueDistribution):
         object.__setattr__(self, "_mass", top - lo)
 
     def cdf(self, v):
-        from scipy.special import ndtr
-
-        scalar = self._check_value(v)
-        z = (np.asarray(v, dtype=float) - self.mu) / self.sigma
-        out = (self._side * ndtr(self._side * z) - self._lo) / self._mass
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
+        z = (self._check_value(v) - self.mu) / self.sigma
+        return _clip((self._side * self._ndtr(self._side * z) - self._lo) / self._mass, 1.0)
 
     def pdf(self, v):
-        scalar = self._check_value(v)
-        z = (np.asarray(v, dtype=float) - self.mu) / self.sigma
-        out = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.sigma * self._mass)
-        return _ret(out, scalar)
+        z = (self._check_value(v) - self.mu) / self.sigma
+        scale = math.sqrt(2.0 * math.pi) * self.sigma * self._mass
+        return _float(np.exp(-0.5 * z * z) / scale)
 
     def quantile(self, p):
-        from scipy.special import ndtri
-
-        scalar = self._check_prob(p)
-        inner = self._lo + np.asarray(p, dtype=float) * self._mass
-        out = self.mu + self.sigma * (self._side * ndtri(self._side * inner))
-        return _ret(np.clip(out, 0.0, self.vbar), scalar)
+        inner = self._lo + self._check_prob(p) * self._mass
+        out = self.mu + self.sigma * (self._side * self._ndtri(self._side * inner))
+        return _clip(out, self.vbar)
 
 
 @dataclass(frozen=True)
@@ -170,19 +183,13 @@ class TruncatedExponential(ValueDistribution):
         object.__setattr__(self, "_mass", -float(np.expm1(-self.lam * self.vbar)))
 
     def cdf(self, v):
-        scalar = self._check_value(v)
-        out = -np.expm1(-self.lam * np.asarray(v, dtype=float)) / self._mass
-        return _ret(np.clip(out, 0.0, 1.0), scalar)
+        return _clip(-np.expm1(-self.lam * self._check_value(v)) / self._mass, 1.0)
 
     def pdf(self, v):
-        scalar = self._check_value(v)
-        out = self.lam * np.exp(-self.lam * np.asarray(v, dtype=float)) / self._mass
-        return _ret(out, scalar)
+        return _float(self.lam * np.exp(-self.lam * self._check_value(v)) / self._mass)
 
     def quantile(self, p):
-        scalar = self._check_prob(p)
-        out = -np.log1p(-np.asarray(p, dtype=float) * self._mass) / self.lam
-        return _ret(np.clip(out, 0.0, self.vbar), scalar)
+        return _clip(-np.log1p(-self._check_prob(p) * self._mass) / self.lam, self.vbar)
 
 
 @dataclass(frozen=True)

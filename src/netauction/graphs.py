@@ -442,16 +442,18 @@ def profile_from_dict(data: dict) -> ActionProfile:
     for entry in raw_agents:
         try:
             bid, neighbors = entry["bid"], entry["neighbors"]
-            # float() would read true as 1.0, and frozenset() a string as
-            # its letters
+            # float() would read true as 1.0 and "70" as 70.0, and
+            # frozenset() a string as its letters
             if isinstance(bid, bool):
                 raise TypeError("bid must be a number, not a boolean")
+            if not isinstance(bid, (int, float)):
+                raise TypeError(f"bid must be a number, not {bid!r}")
             if not isinstance(neighbors, list):
                 raise TypeError("neighbors must be an array of ids")
             if not all(isinstance(v, str) and v for v in neighbors):
                 raise TypeError("every neighbor must be a non-empty string id")
             agents.append(AgentAction(entry["id"], float(bid), frozenset(neighbors)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed agent entry {entry!r}: {exc}") from None
     return ActionProfile(seller=seller, agents=tuple(agents))
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
 
-import numpy as np
-
 from .distributions import Uniform, ValueDistribution
 from .errors import DomainError, ValidationError
 from .graphs import (
@@ -71,8 +69,8 @@ class DeviationGrid:
     points: int = 21
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValidationError(f"grid needs at least 2 points, got {self.points}")
+        if not isinstance(self.points, int) or isinstance(self.points, bool) or self.points < 2:
+            raise ValidationError(f"grid needs an integer of at least 2 points, got {self.points!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,9 @@ def _bid_candidates(grid: DeviationGrid, vbar: float, bids, reserve: float | Non
     """The grid, ``bids`` and the reserve probed exactly and a hair on each
     side, clipped to [0, vbar], sorted and without repeats."""
     eps = 1e-6 * vbar
-    raw = list(np.linspace(0.0, vbar, grid.points))
+    # np.linspace(0.0, vbar, grid.points) to the bit, without its call
+    step = vbar / (grid.points - 1)
+    raw = [i * step for i in range(grid.points - 1)] + [vbar]
     raw.extend(bids)
     if reserve is not None:
         raw.extend((reserve, reserve - eps, reserve + eps))

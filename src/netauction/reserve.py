@@ -151,6 +151,7 @@ def global_optimal_reserve(profile: SubtreeProfile, d: ValueDistribution) -> flo
         )
     weights = sorted(Counter(profile.sizes).items())
     ks = np.array([k for k, _ in weights])
+    ks_less_1 = ks - 1
     mass = np.array([count * k for k, count in weights])
 
     def beta(r: float) -> float:
@@ -158,13 +159,13 @@ def global_optimal_reserve(profile: SubtreeProfile, d: ValueDistribution) -> flo
         # k f F^(k-1) vanishes (F^(k-1) underflows near 0) phi tends to
         # -inf, which is all the bisection needs to know
         F, f = d.cdf(r), d.pdf(r)
-        with np.errstate(all="ignore"):
-            denom = ks * f * F ** (ks - 1)
-            phi = np.where(denom > 0.0, r - (1.0 - F**ks) / denom, -np.inf)
-            # summed in size order, one term at a time, as a scalar loop would
-            return sum((mass * phi).tolist())
+        denom = ks * f * F**ks_less_1
+        phi = np.where(denom > 0.0, r - (1.0 - F**ks) / denom, -np.inf)
+        # summed in size order, one term at a time, as a scalar loop would
+        return sum((mass * phi).tolist())
 
-    return _bisect(beta, d.vbar)
+    with np.errstate(all="ignore"):
+        return _bisect(beta, d.vbar)
 
 
 def resolve_reserve(

@@ -563,6 +563,64 @@ def subtree_critical_value(d, v: float, k: int) -> float:
     return float(v) - (1.0 - F ** k) / denom
 
 
+# The reserve solvers with every cdf and pdf read off a one-element array,
+# the route the array path takes, and a plain bisection on the documented
+# bracket: the scalar path must land on the same bits.
+
+
+def _through_array(method, x: float) -> float:
+    return float(method(np.array([x]))[0])
+
+
+def slow_bisect(f, vbar: float) -> float:
+    """Bisection on [1e-9 vbar, vbar - 1e-9 vbar] to 1e-10 vbar."""
+    lo, hi = 1e-9 * vbar, vbar - 1e-9 * vbar
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    assert (f_lo > 0.0) != (f_hi > 0.0), "no sign change on the bracket"
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-10 * vbar:
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid > 0.0) == (f_hi > 0.0):
+            hi = mid
+        else:
+            lo = mid
+    raise AssertionError("bisection did not converge")
+
+
+def slow_gamma_general(k: int, d) -> float:
+    """The root of v k f F^(k-1) - (1 - F^k)."""
+
+    def scaled_phi(v):
+        F = _through_array(d.cdf, v)
+        return v * k * _through_array(d.pdf, v) * F ** (k - 1) - (1.0 - F**k)
+
+    return slow_bisect(scaled_phi, d.vbar)
+
+
+def slow_global_optimal_reserve(profile: SubtreeProfile, d) -> float:
+    """The root of sum_x k_x phi(r; k_x), phi = -inf where its density term
+    vanishes, summed one size at a time in size order."""
+    weights = sorted(Counter(profile.sizes).items())
+    ks = np.array([k for k, _ in weights])
+
+    def beta(r):
+        F, f = _through_array(d.cdf, r), _through_array(d.pdf, r)
+        with np.errstate(all="ignore"):
+            denom = ks * f * F ** (ks - 1)
+            phi = np.where(denom > 0.0, r - (1.0 - F**ks) / denom, -np.inf)
+        return sum(count * k * p for (k, count), p in zip(weights, phi.tolist()))
+
+    return slow_bisect(beta, d.vbar)
+
+
 # The dominator tree on string-keyed dicts, as build_pot computed it before
 # it moved to integer indices, kept as a reference with its own result type.
 

@@ -291,6 +291,17 @@ class TestAuction:
     def test_missing_profile_is_usage_error(self, capsys):
         assert main(["auction", "--profile", "/nope/missing.json"]) == 2
 
+    def test_string_bid_is_rejected(self, chain_profile_json, capsys):
+        data = json.loads(open(chain_profile_json).read())
+        for row in data["agents"]:
+            if row["id"] == "a2":
+                row["bid"] = "70"
+        with open(chain_profile_json, "w") as fh:
+            json.dump(data, fh)
+        assert main(["auction", "--profile", chain_profile_json, "--r", "50"]) == 1
+        err = capsys.readouterr().err
+        assert "bid must be a number, not '70'" in err
+
     def test_failed_auction_reported(self, chain_profile_json, capsys):
         code = main(["auction", "--profile", chain_profile_json, "--r", "90"])
         assert code == 0

@@ -1,6 +1,7 @@
 """Value distribution tests: truncation, round-trips, derived quantities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,56 @@ class TestSupportAndRenormalisation:
         draws = d.quantile(np.random.default_rng(7).random(200_000))
         mean_ref, _ = quad(lambda v: v * d.pdf(v), 0.0, d.vbar, limit=200)
         assert abs(draws.mean() - mean_ref) < 0.3
+
+
+# the experiment priors plus a far-tail normal, a needle normal, a nearly
+# flat exponential and a vbar whose grid steps are not powers of two
+BIT_PRIORS = ALL + [
+    TruncatedNormal(mu=-300.0, sigma=40.0, vbar=100.0),
+    TruncatedNormal(mu=50.0, sigma=1e-7, vbar=100.0),
+    TruncatedExponential(lam=1e-9, vbar=100.0),
+    Uniform(vbar=7.0),
+]
+BIT_IDS = ["uniform", "normal", "exp", "normal-far", "normal-needle", "exp-flat", "uniform-7"]
+
+
+def _bits(x) -> tuple[str, float]:
+    # hex loses the sign of a NaN, copysign keeps it
+    return float(x).hex(), math.copysign(1.0, x)
+
+
+@pytest.mark.parametrize("d", BIT_PRIORS, ids=BIT_IDS)
+class TestScalarPath:
+    """A scalar goes through cdf, pdf and quantile as a Python float; its
+    result must be the element a one-element array gives, to the bit."""
+
+    @staticmethod
+    def _inputs(rng, top):
+        ends = [0.0, -0.0, top, math.nan, int(top // 2), 0]
+        kinds = [np.float64(0.3 * top), np.float32(0.7 * top), np.array(0.4 * top)]
+        return (rng.random(20_000) * top).tolist() + ends + kinds
+
+    def test_scalar_is_the_one_element_array_to_the_bit(self, d):
+        rng = np.random.default_rng(2026)
+        for method, top in ((d.cdf, d.vbar), (d.pdf, d.vbar), (d.quantile, 1.0)):
+            for x in self._inputs(rng, top):
+                got = method(x)
+                assert type(got) is float
+                assert _bits(got) == _bits(method(np.array([x]))[0]), (method.__name__, x)
+
+    def test_out_of_support_scalars_keep_their_message(self, d):
+        above = np.nextafter(d.vbar, math.inf)
+        for method, top, what in (
+            (d.cdf, d.vbar, "value outside support"),
+            (d.pdf, d.vbar, "value outside support"),
+            (d.quantile, 1, "probability outside"),
+        ):
+            bad = [-1e-300, -1, np.float32(-0.5), np.array(-2.0), 2 * top]
+            if method is not d.quantile:
+                bad.append(above)
+            for x in bad:
+                with pytest.raises(DomainError, match=re.escape(f"{what} [0, {top}]")):
+                    method(x)
 
 
 @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])

@@ -630,6 +630,17 @@ class TestSerialization:
                 {"seller": "s", "agents": [{"id": "a", "bid": 1.0, "neighbors": ["b", bad]}]}
             )
 
+    @pytest.mark.parametrize(
+        "bad", ["70", "high", None, [70], 10**400], ids=["str", "word", "null", "array", "huge-int"]
+    )
+    def test_bid_that_is_no_json_number_is_rejected(self, bad):
+        # "70" used to be read as 70.0; an integer past the float range
+        # overflowed outside the ValidationError net
+        with pytest.raises(ValidationError, match="bid|int too large"):
+            profile_from_dict(
+                {"seller": "s", "agents": [{"id": "a", "bid": bad, "neighbors": []}]}
+            )
+
     def test_boolean_bid_is_rejected(self):
         with pytest.raises(ValidationError, match="boolean"):
             profile_from_dict(

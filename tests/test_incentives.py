@@ -41,6 +41,18 @@ class TestEnumeration:
         with pytest.raises(ValidationError):
             DeviationGrid(points=1)
 
+    @pytest.mark.parametrize("points", [0, -3, 2.5, 21.0, True, "21", None])
+    def test_grid_needs_an_integer(self, points):
+        # 2.5 used to fail with a TypeError from inside the grid
+        with pytest.raises(ValidationError, match="integer of at least 2 points"):
+            DeviationGrid(points=points)
+
+    def test_grid_is_linspace_to_the_bit(self):
+        for vbar in (1.0, 7.0, 100.0, 123.456):
+            for points in range(2, 102):
+                grid = np.linspace(0.0, vbar, points).tolist()
+                assert _bid_candidates(DeviationGrid(points), vbar, [], None) == grid
+
     def test_no_neighbors_bids_only(self):
         got = enumerate_deviations(40.0, frozenset(), DeviationGrid(5), 100.0)
         assert all(sub == frozenset() for _, sub in got)

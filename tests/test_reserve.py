@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from helpers import subtree_critical_value, sup_gamma_x
+from helpers import (
+    slow_gamma_general,
+    slow_global_optimal_reserve,
+    subtree_critical_value,
+    sup_gamma_x,
+)
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
@@ -247,6 +252,43 @@ class TestGlobalOptimalReserve:
             prof = SubtreeProfile.from_sizes(sizes)
             r = global_optimal_reserve(prof, UNI)
             assert r <= gamma_uniform(max(sizes), 100.0) + 1e-6
+
+
+def _random_priors(rng, count):
+    priors = [UNI, NORM, EXPD]
+    for _ in range(count):
+        vbar = float(rng.choice([1.0, 7.0, 100.0, 123.456]))
+        priors.append(Uniform(vbar=vbar))
+        priors.append(
+            TruncatedNormal(
+                mu=float(rng.uniform(-1.0, 1.5)) * vbar,
+                sigma=float(rng.uniform(0.1, 0.6)) * vbar,
+                vbar=vbar,
+            )
+        )
+        priors.append(TruncatedExponential(lam=float(10 ** rng.uniform(-2, 1)) / vbar, vbar=vbar))
+    return priors
+
+
+class TestAgainstSlowSolvers:
+    """The solvers read every cdf and pdf as a scalar; the references read
+    them off one-element arrays and bisect on their own. Equal bits show
+    that the scalar path changes no root."""
+
+    def test_gamma_general(self):
+        for d in _random_priors(np.random.default_rng(31), 6):
+            for k in (*range(1, 9), 60, 210):
+                assert gamma_general(k, d) == slow_gamma_general(k, d), (d, k)
+
+    def test_global_optimal_reserve(self):
+        rng = np.random.default_rng(32)
+        for d in _random_priors(rng, 4):
+            for _ in range(8):
+                sizes = tuple(int(k) for k in rng.integers(1, 13, rng.integers(1, 8)))
+                if rng.random() < 0.25:
+                    sizes += (int(rng.integers(50, 250)),)
+                prof = SubtreeProfile.from_sizes(sizes)
+                assert global_optimal_reserve(prof, d) == slow_global_optimal_reserve(prof, d), (d, sizes)
 
 
 class TestBounds:
