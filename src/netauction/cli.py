@@ -7,8 +7,8 @@ ingest edge-list files. Human output is fixed at six decimal places;
 machine output (--out) is full-precision JSON or CSV.
 
 Exit codes: 0 success, 2 usage errors (bad flags, malformed configuration
-strings, missing input files), 1 runtime errors, each with a one-line
-diagnostic on stderr.
+strings, missing input files), 1 runtime errors and malformed input files,
+each with a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .graphs import (
     build_pot,
     load_profile,
     profile_to_dict,
-    save_profile,
     subtree_profile,
 )
 from .incentives import (
@@ -40,7 +39,7 @@ from .incentives import (
     ropt_counterexample,
     report_to_dict,
 )
-from .mechanism import outcome_to_dict, run_apx_r
+from .mechanism import run_apx_r
 from .reserve import parse_policy, resolve_reserve
 from .revenue import (
     expected_total_revenue,
@@ -61,8 +60,6 @@ from .simulation import (
 )
 
 DEFAULT_SEED = 20240817
-
-_SCENARIO_PREFIXES = ("mer:", "md:", "symmetry:")
 
 
 def _fmt(x: float) -> str:
@@ -89,7 +86,7 @@ def _load_template(spec: str, rho: int | None, seed: int, market: bool = False):
     With ``market`` an edge list compiles straight to the Monte Carlo's
     ``Market``, without a profile row per node.
     """
-    if spec.startswith(_SCENARIO_PREFIXES):
+    if spec.startswith(("mer:", "md:", "symmetry:")):
         return chains_profile(parse_scenario(spec))
     _require_file(spec)
     if spec.endswith(".json"):
@@ -129,7 +126,7 @@ def _cmd_auction(args) -> int:
                 print(f"payment[{agent}]: {_fmt(p)}")
     print(f"revenue: {_fmt(outcome.revenue)}")
     if args.out:
-        _write_json(args.out, outcome_to_dict(outcome))
+        _write_json(args.out, dataclasses.asdict(outcome))
     return 0
 
 
@@ -192,7 +189,7 @@ def _cmd_scenario(args) -> int:
     print(f"branches: {len(sizes)}")
     print(f"sizes: {'+'.join(map(str, sizes))}")
     if args.out:
-        save_profile(profile, args.out)
+        _write_json(args.out, profile_to_dict(profile))
     else:
         print(json.dumps(profile_to_dict(profile), sort_keys=True))
     return 0
@@ -200,23 +197,18 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_dsic(args) -> int:
     if args.counterexample:
-        report = ropt_counterexample()
-        print(f"agent: {report.agent}")
-        print(f"value: {_fmt(report.value)}")
-        print(f"reserve_full: {_fmt(report.reserve_full)}")
-        print(f"reserve_withheld: {_fmt(report.reserve_withheld)}")
-        print(f"truthful_utility: {_fmt(report.truthful_utility)}")
-        print(f"deviant_utility: {_fmt(report.deviant_utility)}")
-        print(f"gain: {_fmt(report.gain)}")
+        report = dataclasses.asdict(ropt_counterexample())
+        for key, val in report.items():
+            print(f"{key}: {val if isinstance(val, str) else _fmt(val)}")
         if args.out:
-            _write_json(args.out, dataclasses.asdict(report))
+            _write_json(args.out, report)
         return 0
     if not args.net or not args.dist or not args.reserve:
         raise ConfigError("dsic needs --net, --dist and --reserve (or --counterexample)")
     d = parse_distribution(args.dist)
     policy = parse_policy(args.reserve)
     template = _load_template(args.net, args.rho, args.seed)
-    if args.net.startswith(_SCENARIO_PREFIXES) or not args.net.endswith(".json"):
+    if not args.net.endswith(".json"):
         # templates carry no true values; draw one truthful replicate
         template = draw_replicate(template, d, args.seed, 0)
     reports = check_dsic(template, d, policy, DeviationGrid(points=args.grid))

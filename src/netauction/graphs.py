@@ -54,7 +54,6 @@ __all__ = [
     "profile_to_dict",
     "profile_from_dict",
     "load_profile",
-    "save_profile",
 ]
 
 
@@ -190,12 +189,6 @@ class Pot:
     order: list[int]
     at: list[int]
     size: list[int]
-
-    @property
-    def parent(self) -> dict[str, str]:
-        """Each reachable bidder's immediate dominator, by id."""
-        ids, seller = self.ids, self.seller
-        return {v: seller if u < 0 else ids[u] for v, u in zip(ids, self.up)}
 
     def subtree(self, v: int) -> tuple[list[int], list[int]]:
         """The bidders below v in preorder, and each one's immediate
@@ -438,6 +431,8 @@ def profile_from_dict(data: dict) -> ActionProfile:
         raw_agents = data["agents"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"profile JSON missing top-level key: {exc}") from None
+    if not isinstance(raw_agents, list):
+        raise ValidationError("profile JSON agents must be an array of agent entries")
     agents = []
     for entry in raw_agents:
         try:
@@ -460,11 +455,9 @@ def profile_from_dict(data: dict) -> ActionProfile:
 
 def load_profile(path) -> ActionProfile:
     # utf-8-sig drops a leading byte-order mark, which json would reject
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return profile_from_dict(json.load(fh))
-
-
-def save_profile(profile: ActionProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(profile), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: not a profile JSON: {exc}") from None
+    return profile_from_dict(data)

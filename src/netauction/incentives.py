@@ -242,18 +242,16 @@ def _subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets):
     return utils
 
 
-def counterexample_instance(top_value: float | None = None) -> ActionProfile:
+def counterexample_instance() -> ActionProfile:
     """Three two-bidder chains under one seller, uniform values on [0, 1].
 
-    Agent c heads the third chain; its value is the only knob. With the
-    default (None) it lands halfway between the full-market and the
-    withheld-market optimal reserves, the window where withholding pays.
+    Agent c heads the third chain. Its value lands halfway between the
+    full-market and the withheld-market optimal reserves, the window where
+    withholding pays.
     """
-    if top_value is None:
-        r_full = global_optimal_reserve(_CE_FULL, _CE_DIST)
-        r_less = global_optimal_reserve(_CE_WITHHELD, _CE_DIST)
-        top_value = 0.5 * (r_full + r_less)
-    values = {"a": 0.30, "b": 0.40, "c": top_value, "d": 0.20, "e": 0.25, "f": 0.10}
+    r_full = global_optimal_reserve(_CE_FULL, _CE_DIST)
+    r_less = global_optimal_reserve(_CE_WITHHELD, _CE_DIST)
+    values = {"a": 0.30, "b": 0.40, "c": 0.5 * (r_full + r_less), "d": 0.20, "e": 0.25, "f": 0.10}
     agents = [AgentAction("s", 0.0, frozenset("abc"))]
     for head, tail in (("a", "d"), ("b", "e"), ("c", "f")):
         agents.append(AgentAction(head, values[head], frozenset([tail])))

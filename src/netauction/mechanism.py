@@ -30,7 +30,6 @@ __all__ = [
     "run_apx_r",
     "clear",
     "utilities",
-    "outcome_to_dict",
 ]
 
 
@@ -82,28 +81,13 @@ def _chain(up: list[int], v: int) -> list[int]:
     return chain
 
 
-def _outside_maxima(pot: Pot, bids: list[float]):
-    """z -> the best bid outside z's subtree.
-
-    Every subtree is a contiguous slice of the preorder ``pot.order``, so
-    the answer is the larger of a prefix and a suffix maximum. The best bid
-    over an empty set is 0, which keeps the telescoping sum equal to the
-    seller's revenue when one branch holds the whole market.
-    """
-    n = len(bids)
-    at, size = pot.at, pot.size
-    vals = [bids[v] for v in pot.order]
-    before = list(accumulate(vals, max, initial=0.0))
-    after = list(accumulate(reversed(vals), max, initial=0.0))
-    return lambda z: max(before[at[z]], after[n - at[z] - size[z]])
-
-
 def _outside_tops(pot: Pot, bids: list[float]):
     """z -> (the best bid outside z's subtree, the smallest index holding
     it), or (-inf, None) when z's subtree holds everyone.
 
-    Read, like ``_outside_maxima``, off a prefix and a suffix maximum over
-    the preorder, here of (bid, -index), so ties go to the smaller index.
+    Every subtree is a contiguous slice of the preorder ``pot.order``, so
+    the answer is the larger of a prefix and a suffix maximum, here of
+    (bid, -index), so ties go to the smaller index.
     """
     n = len(bids)
     at, size = pot.at, pot.size
@@ -137,9 +121,11 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
 
     chain = _chain(pot.up, h)
 
-    # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone
-    outside = _outside_maxima(pot, bids)
-    excl = [outside(z) for z in chain]
+    # excl[t] = best bid outside chain[t]'s subtree; excl[len] covers everyone.
+    # The best bid over nobody counts as 0, which keeps the telescoping sum
+    # equal to the seller's revenue when one branch holds the whole market
+    tops = _outside_tops(pot, bids)
+    excl = [max(0.0, tops(z)[0]) for z in chain]
     excl.append(bids[h])  # everyone: the top bid
 
     w_idx = len(chain) - 1  # h itself always qualifies
@@ -191,10 +177,10 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
     ``slot``'s chain, and who lies outside each member's subtree, do not
     depend on ``slot``'s own links. ``tops`` is ``_outside_tops(pot, bids)``;
     each top bid and bidder read from it leaves out ``slot``'s subtree, so
-    ``bids[slot]`` never counts, and a top bid is floored at 0 as
-    ``_outside_maxima`` floors it. Returns None when a member above ``slot``
-    wins whatever it bids, and else the map from ``slot``'s subtree, as
-    ``Pot.subtree`` or ``Pot.cut`` lists it, to ``u``.
+    ``bids[slot]`` never counts, and a top bid is floored at 0 as ``clear``
+    floors it. Returns None when a member above ``slot`` wins whatever it
+    bids, and else the map from ``slot``'s subtree, as ``Pot.subtree`` or
+    ``Pot.cut`` lists it, to ``u``.
     """
     _check_reserve(reserve)
     chain = _chain(pot.up, slot)
@@ -257,13 +243,3 @@ def utilities(
     if outcome.winner is not None:
         out[outcome.winner] = true_values[outcome.winner] - outcome.payments[outcome.winner]
     return out
-
-
-def outcome_to_dict(outcome: Outcome) -> dict:
-    return {
-        "winner": outcome.winner,
-        "payments": dict(sorted(outcome.payments.items())),
-        "revenue": outcome.revenue,
-        "failed": outcome.failed,
-    }
-

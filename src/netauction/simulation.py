@@ -126,8 +126,9 @@ def _agent_ids(n: int) -> list[str]:
     return [f"a{i:0{width}d}" for i in range(1, n + 1)]
 
 
-def chains_profile(sizes, seller: str = "s") -> ActionProfile:
-    """Truthful template: one chain of bidders per branch size, all bids 0."""
+def chains_profile(sizes) -> ActionProfile:
+    """Truthful template under seller "s": one chain of bidders per branch
+    size, all bids 0."""
     sizes = tuple(int(k) for k in sizes)
     if not sizes or any(k < 1 for k in sizes):
         raise ScenarioError(f"branch sizes must be >= 1, got {sizes}")
@@ -142,8 +143,8 @@ def chains_profile(sizes, seller: str = "s") -> ActionProfile:
         for node, nxt in zip(chain, chain[1:]):
             agents.append(AgentAction(node, 0.0, frozenset([nxt])))
         agents.append(AgentAction(chain[-1], 0.0, frozenset()))
-    agents.insert(0, AgentAction(seller, 0.0, frozenset(heads)))
-    return ActionProfile(seller=seller, agents=tuple(agents))
+    agents.insert(0, AgentAction("s", 0.0, frozenset(heads)))
+    return ActionProfile(seller="s", agents=tuple(agents))
 
 
 def parse_scenario(text: str) -> tuple[int, ...]:
@@ -534,13 +535,6 @@ class Network:
     indptr: np.ndarray
     indices: np.ndarray
 
-    @classmethod
-    def from_edges(cls, us, vs) -> "Network":
-        """The graph of the pairs (us[i], vs[i]): repeated and reversed
-        pairs are one link, and self-loops are dropped before the nodes are
-        named, so a label seen only in self-loops is no node."""
-        return _network(zip(us, vs))
-
     def node_count(self) -> int:
         return len(self.labels)
 
@@ -559,8 +553,9 @@ class Network:
 
 
 def _network(pairs) -> Network:
-    """The ``Network`` of an iterable of label pairs, as ``Network.from_edges``
-    describes it.
+    """The ``Network`` of an iterable of label pairs: repeated and reversed
+    pairs are one link, and self-loops are dropped before the nodes are
+    named, so a label seen only in self-loops is no node.
 
     Each label is numbered when first seen and each endpoint kept as one
     integer, so no string outlives its pair but the labels themselves. The
@@ -604,8 +599,16 @@ def load_edge_list(path) -> Network:
                 )
             yield parts[0], parts[1]
 
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return _network(pairs(fh))
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return _network(pairs(fh))
+    except UnicodeDecodeError:
+        # the decoder reads ahead in chunks, so find the line by itself: no
+        # UTF-8 sequence holds a newline byte, and a line is UTF-8 when
+        # dropping what does not decode keeps every byte
+        with open(path, "rb") as fh:
+            ln = next(i for i, b in enumerate(fh, 1) if b != b.decode(errors="ignore").encode())
+        raise EdgeListFormatError(f"{path}: line {ln}: not UTF-8 text") from None
 
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:

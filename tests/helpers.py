@@ -10,7 +10,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
+from netauction.distributions import TruncatedExponential, TruncatedNormal, Uniform
 from netauction.errors import (
     DomainError,
     EdgeListFormatError,
@@ -25,9 +27,18 @@ from netauction.graphs import (
 from netauction.mechanism import Outcome
 from netauction.reserve import _check_count, _check_vbar, resolve_reserve
 from netauction.revenue import _subtree_revenues
-from netauction.simulation import RevenueStats, _batch_rows
+from netauction.simulation import RevenueStats, _batch_rows, _network
 
 SELLER = "s"
+
+# Regular priors whose 1 - F cancels to a few ulps near vbar when read as
+# one minus the cdf, which once made the regularity check refuse them
+TAIL_PRIORS = [
+    *(f"normal:mu=50,sigma={s},vbar=100" for s in (1.5, 2, 3, 4, 5, 6)),
+    *(f"normal:mu={mu},sigma={s},vbar=100"
+      for mu, s in ((0, 8), (10, 8), (20, 8), (30, 8), (0, 10), (10, 10), (0, 12))),
+    *(f"exp:lambda={lam},vbar=100" for lam in (0.38, 0.45, 0.6)),
+]
 
 
 def random_connected_profile(rng, n_max=7, vbar=100.0, extra_edges=None):
@@ -116,14 +127,18 @@ def random_large_profile(rng, n, extra_per_node, window=50):
     return ActionProfile(SELLER, tuple(agents))
 
 
+def network_from_edges(us, vs):
+    """The ``Network`` of the pairs (us[i], vs[i]), as an edge list of them
+    reads: repeated and reversed pairs are one link, self-loops are none."""
+    return _network(zip(us, vs))
+
+
 def random_network(rng, n, edges):
     """Undirected network on labels v0..v{n-1} from `edges` uniform random
     pairs; self-loops and repeated pairs collapse as in an edge list."""
-    from netauction.simulation import Network
-
     pairs = rng.integers(0, n, size=(edges, 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]].tolist()
-    return Network.from_edges([f"v{u}" for u, _ in pairs], [f"v{v}" for _, v in pairs])
+    return network_from_edges([f"v{u}" for u, _ in pairs], [f"v{v}" for _, v in pairs])
 
 
 def slow_load_adjacency(path):
@@ -474,13 +489,22 @@ def slow_expected_total_revenue(profile, d, r):
 # secure-reserve bound and the revenue of a single branch.
 
 
+def parents(pot) -> dict[str, str]:
+    """Each reachable bidder's immediate dominator, by id, in a ``Pot`` or
+    a ``SlowPot``."""
+    if isinstance(pot, SlowPot):
+        return pot.parent
+    ids, seller = pot.ids, pot.seller
+    return {v: seller if u < 0 else ids[u] for v, u in zip(ids, pot.up)}
+
+
 def dcs(pot, agent: str) -> tuple[str, ...]:
     """Dominator chain from the seller's side down to the agent.
 
     Starts at the agent's top-level dominator and ends at the agent itself;
     the seller is not included.
     """
-    parent = pot.parent
+    parent = parents(pot)
     if agent not in parent:
         raise KeyError(agent)
     chain = [agent]
@@ -492,7 +516,7 @@ def dcs(pot, agent: str) -> tuple[str, ...]:
 
 def ddg(pot, agent: str) -> frozenset[str]:
     """All bidders whose participation the agent controls, itself included."""
-    parent = pot.parent
+    parent = parents(pot)
     if agent not in parent:
         raise KeyError(agent)
     children: dict[str, list[str]] = {}
@@ -529,13 +553,28 @@ def expected_subtree_revenue(kx: int, n: int, d, r: float, method: str = "auto")
     return _subtree_revenues([kx], n, d, [r], method)[0][0]
 
 
+def upper_tail(d, v: float) -> float:
+    """1 - F(v), read off the family's upper tail on a one-element array
+    so that no cdf near 1 cancels; one minus the cdf for other priors."""
+    x = np.array([float(v)])
+    if isinstance(d, Uniform):
+        tail = (d.vbar - x) / d.vbar
+    elif isinstance(d, TruncatedNormal):
+        top = ndtr(-((d.vbar - d.mu) / d.sigma))
+        tail = (ndtr(-((x - d.mu) / d.sigma)) - top) / d._mass
+    elif isinstance(d, TruncatedExponential):
+        tail = -np.expm1(-d.lam * (d.vbar - x)) * np.exp(-d.lam * x) / d._mass
+    else:
+        tail = 1.0 - d.cdf(x)
+    return float(tail[0])
+
+
 def virtual_value(d, v: float) -> float:
     """Virtual value v - (1 - F(v)) / f(v)."""
-    F = d.cdf(float(v))
     f = d.pdf(float(v))
     if f <= 0.0:
         raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
-    return float(v) - (1.0 - F) / f
+    return float(v) - upper_tail(d, v) / f
 
 
 def _check_k(k: int) -> int:

@@ -20,7 +20,6 @@ from netauction.graphs import (
     AgentAction,
     load_profile,
     profile_to_dict,
-    save_profile,
 )
 from netauction.incentives import DeviationGrid, report_to_dict
 from netauction.reserve import parse_policy
@@ -42,7 +41,7 @@ def chain_profile_json(tmp_path):
     profile = profile.replace_action("a1", 30.0, profile.action("a1").neighbors)
     profile = profile.replace_action("a2", 70.0, profile.action("a2").neighbors)
     path = tmp_path / "chain.json"
-    save_profile(profile, path)
+    path.write_text(json.dumps(profile_to_dict(profile)), encoding="utf-8")
     return str(path)
 
 
@@ -133,6 +132,11 @@ class TestReserve:
         )
         assert code == 0
         assert capsys.readouterr().out.strip() == "70.498007"
+
+    @pytest.mark.parametrize("dist", helpers.TAIL_PRIORS)
+    def test_ropt_takes_priors_regular_near_vbar(self, dist, capsys):
+        assert main(["reserve", "--dist", dist, "--policy", "ropt", "--sizes", "3,6"]) == 0
+        assert 0.0 < float(capsys.readouterr().out) < 100.0
 
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["reserve", "--dist", "uniform:vbar=100", "--policy", "zzz"]) == 2
@@ -301,6 +305,19 @@ class TestAuction:
         assert main(["auction", "--profile", chain_profile_json, "--r", "50"]) == 1
         err = capsys.readouterr().err
         assert "bid must be a number, not '70'" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"seller": "s", "agents": [{"id": "a", ', b'{"seller": "s", "agents": 5}',
+         b'{"seller": "s", "agents": [{"id": "\xff", "bid": 1, "neighbors": []}]}'],
+        ids=["truncated", "agents_not_an_array", "not_utf8"],
+    )
+    def test_malformed_profile_is_one_line_error(self, content, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["auction", "--profile", str(path), "--r", "50"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_failed_auction_reported(self, chain_profile_json, capsys):
         code = main(["auction", "--profile", chain_profile_json, "--r", "90"])
@@ -538,7 +555,7 @@ class TestDsic:
             (AgentAction("s", 0.0, frozenset()), AgentAction("a", 30.0, frozenset())),
         )
         net, out = tmp_path / "silent.json", tmp_path / "dsic.json"
-        save_profile(profile, net)
+        net.write_text(json.dumps(profile_to_dict(profile)), encoding="utf-8")
         code = main(
             [
                 "dsic",
@@ -644,3 +661,11 @@ class TestRatioAndIngest:
         bad = tmp_path / "bad.txt"
         bad.write_text("loner\n")
         assert main(["ingest", "--net", str(bad)]) == 1
+
+    def test_ingest_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"a b\n\xff c\n")
+        assert main(["ingest", "--net", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "line 2: not UTF-8" in err

@@ -11,15 +11,18 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
-from helpers import subtree_critical_value, virtual_value
+from helpers import TAIL_PRIORS, subtree_critical_value, virtual_value
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
+    ValueDistribution,
     parse_distribution,
     regularity_check,
 )
 from netauction.errors import ConfigError, DomainError, SingularityError
+from netauction.graphs import SubtreeProfile
+from netauction.reserve import global_optimal_reserve
 
 UNI = Uniform(vbar=100.0)
 NORM = TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
@@ -216,6 +219,34 @@ class TestDerivedQuantities:
             subtree_critical_value(UNI, 50.0, 0)
 
 
+def _pointwise_min_slope(d):
+    """The grid and the slope arithmetic of ``regularity_check``, with one
+    ``virtual_value`` call per point."""
+    step = d.vbar / 1024
+    points = [i * step for i in range(1024)]
+    points.append(d.vbar)
+    psi = [virtual_value(d, v) for v in points]
+    return min(
+        (psi[i + 1] - psi[i]) / (points[i + 1] - points[i])
+        for i in range(len(points) - 1)
+        if points[i + 1] > points[i]
+    )
+
+
+class _TwoBumps(ValueDistribution):
+    """Density 1.6/vbar on the outer quarters of [0, 100] and 0.4/vbar
+    between them: where it drops, at 25, the virtual value falls."""
+
+    vbar = 100.0
+
+    def cdf(self, v):
+        return np.interp(v, [0.0, 25.0, 75.0, 100.0], [0.0, 0.4, 0.6, 1.0])
+
+    def pdf(self, v):
+        v = np.asarray(v, dtype=float)
+        return np.where((v < 25.0) | (v >= 75.0), 0.016, 0.004)
+
+
 class TestRegularity:
     @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
     def test_experiment_families_are_regular(self, d):
@@ -229,18 +260,20 @@ class TestRegularity:
 
     @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
     def test_matches_pointwise_virtual_values(self, d):
-        # the grid and the slope arithmetic of the array evaluation, one
-        # virtual_value call per point
-        step = d.vbar / 1024
-        points = [i * step for i in range(1024)]
-        points.append(d.vbar)
-        psi = [virtual_value(d, v) for v in points]
-        slopes = [
-            (psi[i + 1] - psi[i]) / (points[i + 1] - points[i])
-            for i in range(len(points) - 1)
-            if points[i + 1] > points[i]
-        ]
-        assert regularity_check(d).min_slope == min(slopes)
+        assert regularity_check(d).min_slope == _pointwise_min_slope(d)
+
+    @pytest.mark.parametrize("cfg", TAIL_PRIORS)
+    def test_regular_near_vbar(self, cfg):
+        d = parse_distribution(cfg)
+        report = regularity_check(d)
+        assert report.is_regular_on_grid
+        assert report.min_slope == _pointwise_min_slope(d)
+
+    def test_two_bump_prior_is_refused(self):
+        d = _TwoBumps()
+        assert not regularity_check(d).is_regular_on_grid
+        with pytest.raises(DomainError, match="regularity check"):
+            global_optimal_reserve(SubtreeProfile.from_sizes((3, 6)), d)
 
     def test_vanishing_pdf_is_a_singularity(self):
         # the density underflows to 0 at the bottom of the support

@@ -20,10 +20,9 @@ from netauction.graphs import (
     network_dominators,
     profile_from_dict,
     profile_to_dict,
-    save_profile,
     subtree_profile,
 )
-from netauction.simulation import Network, load_edge_list, pick_seller, template_from_network
+from netauction.simulation import load_edge_list, pick_seller, template_from_network
 
 
 def _profile(seller_out, rows, seller="s"):
@@ -156,7 +155,7 @@ class TestPot:
     def test_chain_pot(self):
         p = _profile(["A"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
         pot = build_pot(build_graph(p))
-        assert pot.parent == {"A": "s", "B": "A"}
+        assert helpers.parents(pot) == {"A": "s", "B": "A"}
         assert pot.ids == ["A", "B"]
         assert pot.up == [-1, 0]
         assert _sizes(pot) == {"A": 2, "B": 1}
@@ -174,7 +173,7 @@ class TestPot:
             [("a", 1.0, ["c"]), ("b", 2.0, ["c"]), ("c", 3.0, [])],
         )
         pot = build_pot(build_graph(p))
-        assert pot.parent["c"] == "s"
+        assert helpers.parents(pot)["c"] == "s"
         assert dcs(pot, "c") == ("c",)
         assert _sizes(pot) == {"a": 1, "b": 1, "c": 1}
 
@@ -190,7 +189,7 @@ class TestPot:
             ],
         )
         pot = build_pot(build_graph(p))
-        assert pot.parent == {"a": "s", "b": "a", "c": "a", "d": "a"}
+        assert helpers.parents(pot) == {"a": "s", "b": "a", "c": "a", "d": "a"}
         assert dcs(pot, "d") == ("a", "d")
         assert ddg(pot, "a") == frozenset({"a", "b", "c", "d"})
         assert _sizes(pot)["a"] == 4
@@ -208,7 +207,7 @@ class TestPot:
         for _ in range(50):
             p = helpers.random_sparse_profile(rng)
             pot = build_pot(build_graph(p))
-            parent = pot.parent
+            parent = helpers.parents(pot)
             seen = {pot.seller}
             for node in _preorder(pot):
                 assert parent[node] in seen
@@ -222,7 +221,7 @@ class TestPot:
         for _ in range(120):
             p = helpers.random_sparse_profile(rng)
             pot = build_pot(build_graph(p))
-            assert pot.parent == helpers.oracle_parents(helpers.slow_graph(p))
+            assert helpers.parents(pot) == helpers.oracle_parents(helpers.slow_graph(p))
 
     @pytest.mark.parametrize(
         "n, extra", [(1000, 0.3), (1500, 0.15), (2000, 0.1), (3000, 0.05)]
@@ -244,9 +243,9 @@ class TestPot:
             if v != g.seller
         }
         pot = build_pot(build_graph(p))
-        assert pot.parent == want
+        assert helpers.parents(pot) == want
         # deep chains, not a flat star under the seller
-        assert any(len(dcs(pot, v)) > 10 for v in pot.parent)
+        assert any(len(dcs(pot, v)) > 10 for v in helpers.parents(pot))
 
     def test_subtree_sizes_consistent_with_ddg(self):
         rng = np.random.default_rng(13)
@@ -279,9 +278,9 @@ class TestCut:
 
         deviated = truth.replace_action(agent, truth.action(agent).bid, subset)
         dev_pot = build_pot(build_graph(deviated))
-        dev = dev_pot.parent
+        dev = helpers.parents(dev_pot)
         assert set(dev) - inside == set(pot.ids) - inside
-        assert dev[agent] == pot.parent[agent]
+        assert dev[agent] == helpers.parents(pot)[agent]
         want = {v: p for v, p in dev.items() if v in inside and v != agent}
         assert dict(zip((pot.ids[v] for v in below), (pot.ids[u] for u in up))) == want
         # a preorder: every bidder's immediate dominator is on the open path
@@ -359,7 +358,7 @@ class TestAgainstSlowReference:
 
         got, want = build_pot(graph), helpers.slow_build_pot(slow)
         assert got.seller == want.seller
-        assert got.parent == want.parent
+        assert helpers.parents(got) == want.parent
         assert _sizes(got) == want.subtree_size
         assert _preorder(got) == list(want.order)
         return graph
@@ -391,7 +390,7 @@ class TestAgainstSlowReference:
 
 def _network(pairs, offset=0):
     """Network on labels n<offset>, n<offset+1>, ... from integer pairs."""
-    return Network.from_edges(
+    return helpers.network_from_edges(
         [f"n{u + offset}" for u, _ in pairs], [f"n{v + offset}" for _, v in pairs]
     )
 
@@ -457,7 +456,7 @@ def _tree_parents(network, seller):
 
 
 def _data_flow_parents(network, seller):
-    return build_pot(build_graph(template_from_network(network, seller))).parent
+    return helpers.parents(build_pot(build_graph(template_from_network(network, seller))))
 
 
 class TestNetworkDominators:
@@ -560,11 +559,11 @@ class TestSubtreeProfile:
         rng = np.random.default_rng(17)
         for _ in range(40):
             pot = build_pot(build_graph(helpers.random_sparse_profile(rng)))
-            if not pot.parent:
+            if not helpers.parents(pot):
                 continue
             sp = subtree_profile(pot)
-            assert sum(sp.sizes) == sp.n == len(pot.parent)
-            assert sp.m == sum(1 for v in pot.parent.values() if v == pot.seller)
+            assert sum(sp.sizes) == sp.n == len(helpers.parents(pot))
+            assert sp.m == sum(1 for v in helpers.parents(pot).values() if v == pot.seller)
 
 
 class TestSerialization:
@@ -574,7 +573,7 @@ class TestSerialization:
         d = profile_to_dict(p)
         assert profile_from_dict(json.loads(json.dumps(d))) == p
         path = tmp_path / "profile.json"
-        save_profile(p, path)
+        path.write_text(json.dumps(profile_to_dict(p)), encoding="utf-8")
         assert load_profile(path) == p
 
     def test_byte_order_mark_is_not_content(self, tmp_path):
@@ -582,7 +581,7 @@ class TestSerialization:
         # json.load rejects
         p = _profile(["a"], [("a", 12.5, ["b"]), ("b", 0.0, [])])
         path = tmp_path / "profile.json"
-        save_profile(p, path)
+        path.write_text(json.dumps(profile_to_dict(p)), encoding="utf-8")
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
         assert load_profile(path) == p
 

@@ -186,7 +186,7 @@ class TestInvariants:
         rng = np.random.default_rng(n)
         profile = helpers.random_large_profile(rng, n, extra)
         pot = build_pot(build_graph(profile))
-        parent = pot.parent
+        parent = helpers.parents(pot)
 
         def depth(v):
             k = 0

@@ -1,5 +1,7 @@
 """Reserve policy tests: closed forms, root solving, global optimization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -262,11 +264,12 @@ def _random_priors(rng, count):
         priors.append(
             TruncatedNormal(
                 mu=float(rng.uniform(-1.0, 1.5)) * vbar,
-                sigma=float(rng.uniform(0.1, 0.6)) * vbar,
+                sigma=float(rng.uniform(0.05, 0.6)) * vbar,
                 vbar=vbar,
             )
         )
-        priors.append(TruncatedExponential(lam=float(10 ** rng.uniform(-2, 1)) / vbar, vbar=vbar))
+        lam_vbar = 10 ** rng.uniform(-2, math.log10(60))
+        priors.append(TruncatedExponential(lam=float(lam_vbar) / vbar, vbar=vbar))
     return priors
 
 

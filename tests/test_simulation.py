@@ -26,7 +26,6 @@ from netauction.revenue import expected_total_revenue
 from netauction.simulation import (
     MAX_DEPTH,
     Market,
-    Network,
     chains_profile,
     draw_replicate,
     load_edge_list,
@@ -55,7 +54,7 @@ def realized_sizes(profile):
 
 def realized_depth(profile):
     pot = build_pot(build_graph(profile))
-    return max(len(helpers.dcs(pot, a)) for a in pot.parent)
+    return max(len(helpers.dcs(pot, a)) for a in helpers.parents(pot))
 
 
 def scenario_profile(spec):
@@ -725,7 +724,7 @@ class TestMarket:
         assert cases >= 12
 
     def test_unknown_seller(self):
-        net = Network.from_edges(["a", "b", "d"], ["b", "c", "d"])
+        net = helpers.network_from_edges(["a", "b", "d"], ["b", "c", "d"])
         assert net.labels == ("a", "b", "c")  # d is named in a self-loop only
         assert Market.from_network(net, "a").profile.sizes == (2,)
         for seller in ("zz", "d"):
@@ -904,7 +903,7 @@ class TestEdgeLists:
             assert net.labels == tuple(labels), case
             assert np.array_equal(net.indptr, indptr), case
             assert np.array_equal(net.indices, indices), case
-            same = Network.from_edges([u for u, _ in pairs], [v for _, v in pairs])
+            same = helpers.network_from_edges([u for u, _ in pairs], [v for _, v in pairs])
             assert same.labels == net.labels, case
             for a, b in ((same.indptr, net.indptr), (same.indices, net.indices)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), case
@@ -927,4 +926,4 @@ class TestEdgeLists:
         net = load_edge_list(path)
         assert net.neighbors("x") == ("y",)
         assert net.neighbors("y") == ("x",)
-        assert Network.from_edges(["x", "y"], ["y", "x"]).edge_count() == 1
+        assert helpers.network_from_edges(["x", "y"], ["y", "x"]).edge_count() == 1
