@@ -157,7 +157,14 @@ class TruncatedNormal(ValueDistribution):
         lo = side * float(ndtr(side * ((0.0 - self.mu) / self.sigma)))
         object.__setattr__(self, "_lo", lo)
         top = side * float(ndtr(side * ((self.vbar - self.mu) / self.sigma)))
-        object.__setattr__(self, "_mass", top - lo)
+        mass = top - lo
+        if not (mass > 0 and math.isfinite(mass)):
+            # every cdf, pdf and quantile would divide by it
+            raise DomainError(
+                f"normal(mu={self.mu}, sigma={self.sigma}) has no mass on [0, {self.vbar}] "
+                f"in floating point"
+            )
+        object.__setattr__(self, "_mass", mass)
 
     def cdf(self, v):
         z = (self._check_value(v) - self.mu) / self.sigma

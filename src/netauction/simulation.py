@@ -12,12 +12,17 @@ expansion ratio (the seller's degree relative to market size), market
 depth (the longest seller-to-buyer distance), or an explicit branch-size
 split. Chains are capped at six hops throughout: beyond six degrees of
 separation the sale information cannot be assumed to travel.
+
+An edge list becomes a ``Network`` of sorted labels and CSR arrays through
+a numpy tokenizer over the file's raw bytes (see ``load_edge_list``): ids
+are packed into big-endian uint64 words that sort as the labels do, one
+``np.unique`` numbers them, and only the distinct labels are decoded.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
-from array import array
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -552,63 +557,199 @@ class Network:
         return tuple(self.labels[j] for j in self.indices[self.indptr[i] : self.indptr[i + 1]])
 
 
-def _network(pairs) -> Network:
-    """The ``Network`` of an iterable of label pairs: repeated and reversed
-    pairs are one link, and self-loops are dropped before the nodes are
-    named, so a label seen only in self-loops is no node.
+# Edge lists are read as raw bytes, a block at a time: at most this many
+# bytes, or one line where a line is longer, cut after a line end.
+_BLOCK = 1 << 18
 
-    Each label is numbered when first seen and each endpoint kept as one
-    integer, so no string outlives its pair but the labels themselves. The
-    labels are sorted once at the end, and a rank array maps the first-seen
-    numbers to label order.
+# The whitespace of ``str.split`` beyond ASCII (``test_whitespace_table``
+# pins the set against ``str.isspace``), as UTF-8 and as the run of ASCII
+# spaces of the same length that stands in for it.
+_WIDE_SPACES = tuple(
+    (ch.encode(), b" " * len(ch.encode()))
+    for ch in "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007"
+    "\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _byte_codes() -> bytes:
+    """The ``bytes.translate`` table that codes each byte of an edge list:
+    0 for the ASCII whitespace of ``str.split`` (tab, VT, FF, CR, 0x1c-0x1f
+    and space), 1 for LF, and for a label byte the byte itself, except that
+    NUL..0x08 move up two, to 0x02..0x0a (no label byte is tab or LF). So
+    every label byte codes to 2 or more, and codes keep byte order."""
+    code = bytearray(range(256))
+    code[:9] = range(2, 11)
+    for b in (9, 11, 12, 13, 28, 29, 30, 31, 32):
+        code[b] = 0
+    code[10] = 1
+    return bytes(code)
+
+
+_CODE = _byte_codes()
+# decodes the codes of labels joined by code 1, the LF code, back to bytes
+_UNCODE = bytes.maketrans(bytes(range(1, 11)), b"\n" + bytes(range(9)))
+# _TOP[r] keeps the first r bytes of a big-endian word
+_TOP = np.array([(1 << 64) - (1 << (64 - 8 * r)) for r in range(9)], dtype=np.uint64)
+
+
+def _blocks(fh):
+    """A binary file's bytes in blocks of at most ``_BLOCK`` bytes, each cut
+    after its last line end. A CR that ends a read waits for the next one,
+    so no CRLF pair is split. A line longer than a block doubles the read
+    until it ends, so its block is less than twice its length."""
+    rest = b""
+    while data := fh.read(_BLOCK - len(rest) if len(rest) < _BLOCK else len(rest)):
+        data = rest + data
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+        data, rest = data[:cut], data[cut:]
+        if data:
+            yield data
+    if rest:
+        yield rest
+
+
+def _block_pairs(text: bytes, line: int, path) -> tuple[np.ndarray, np.ndarray, int]:
+    """The label keys of the first two ids of each data line of one block,
+    self-loops left out, and the block's line count.
+
+    ``text`` is UTF-8 with LF line ends, and ``line`` the number of lines
+    before it. A label's key is its byte codes (see ``_byte_codes``),
+    zero-padded to whole big-endian uint64 words, one row per label. No
+    label byte codes to 0, so the padding ends every label, and keys
+    compare word by word as ``sorted`` compares labels: by their UTF-8
+    bytes.
     """
-    index: dict[str, int] = {}
-    ends = array("q")  # u0, v0, u1, v1, ... as first-seen numbers
-    number, push = index.setdefault, ends.append
-    for u, v in pairs:
-        if u != v:
-            push(number(u, len(index)))
-            push(number(v, len(index)))
-    labels = sorted(index)
-    size = len(labels)
-    rank = np.empty(size, dtype=np.intp)
-    rank[np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=size)] = np.arange(size)
-    ends = rank[np.frombuffer(ends, dtype=np.int64)]
-    iu, iv = ends[0::2], ends[1::2]
+    spaced = text
+    if not text.isascii():
+        for wide, spaces in _WIDE_SPACES:
+            spaced = spaced.replace(wide, spaces)
+    # a space before the block and eight after it, so that every run of one
+    # kind starts and ends in the buffer, and a word read at the start of
+    # any run stays in it; buffer offsets are block offsets plus one
+    code = np.frombuffer(b"".join((b"\0", spaced.translate(_CODE), bytes(8))), dtype=np.uint8)
+    kind = np.add(code > 0, code > 1, dtype=np.uint8)  # 0 space, 1 line end, 2 label byte
+    at = np.flatnonzero(kind[1:] != kind[:-1])
+    at += 1  # where each run starts
+    kind = kind[at]
+    runs = np.flatnonzero(kind)  # the line-end and label runs
+    # label[j + 1]: run j is a label; a label run after a line end (or
+    # none) opens a line, whose second id is the next run if a label
+    label = np.concatenate(([False], kind[runs] == 2, [False]))
+    opens = np.flatnonzero(label[1:-1] & ~label[:-2])
+    lead = code[at[runs[opens]]]
+    data = (lead != ord("#")) & (lead != ord("%"))
+    lone = np.flatnonzero(data & ~label[opens + 2])
+    if lone.size:
+        pos = int(at[runs[opens[lone[0]]]]) - 1
+        line += text.count(b"\n", 0, pos) + 1
+        bad = text[text.rfind(b"\n", 0, pos) + 1 :].partition(b"\n")[0]
+        raise EdgeListFormatError(
+            f"{path}: line {line}: expected two node ids, got {bad.decode().rstrip()!r}"
+        )
+    opens = opens[data]
+    ids = np.concatenate((runs[opens], runs[opens + 1]))
+    # the run arrays go before the keys are packed, which bounds the peak
+    del kind, runs, label
+    pos = at[ids]
+    ids += 1
+    length = at[ids]
+    length -= pos
+    del at, ids
+    words = max(1, -(-int(length.max(initial=0)) // 8))
+    # the eight bytes at each offset of the buffer
+    word_at = np.ndarray((code.size - 7,), dtype="V8", buffer=code, strides=(1,))
+    keys = np.empty((pos.size, words), dtype=np.uint64)
+    for k in range(words):
+        word = word_at[np.minimum(pos, code.size - 8)].view(">u8")
+        keys[:, k] = word & _TOP[np.clip(length, 0, 8)]
+        pos += 8
+        length -= 8
+    u, v = keys[: opens.size], keys[opens.size :]
+    loop = (u == v).all(axis=1)
+    return u[~loop], v[~loop], np.count_nonzero(code == 1)
+
+
+def load_edge_list(path) -> Network:
+    """The ``Network`` of an edge list file.
+
+    Each line holds ids separated by whitespace, where whitespace is what
+    ``str.split`` splits at: the ASCII tab, LF, VT, FF, CR, 0x1c-0x1f and
+    space, and the 19 Unicode spaces (U+0085, U+00A0, U+1680, U+2000 to
+    U+200A, U+2028, U+2029, U+202F, U+205F and U+3000). Lines end at LF,
+    CRLF or CR. A line whose first id starts with `#` or `%` is a comment,
+    blank lines are skipped, ids after the second (weights, timestamps) are
+    ignored, and a line with one id is an error that names its line.
+    Repeated and reversed pairs are one link, and self-loops are dropped
+    before the nodes are named, so a label seen only in self-loops is no
+    node. Labels may be of any length and hold any characters but
+    whitespace; a UTF-8 byte-order mark at the start of the file is no part
+    of one. The file must be UTF-8, and the error for a file that is not
+    names the first line, counted at LF, that does not decode. Where a file
+    has both a line that is not UTF-8 and a line with one id, the error
+    names whichever comes first.
+
+    The file is read in blocks (see ``_blocks``). A block's CRLF and CR
+    become LF, and in a block with non-ASCII bytes, once it decodes, each
+    Unicode space becomes as many ASCII spaces as it has bytes. One
+    translate table codes each byte (``_byte_codes``), and diffs of the
+    codes' kinds (space, line end, label) give the token spans and the
+    first two tokens of each line. Those ids are packed into keys that sort
+    as the labels do (see ``_block_pairs``), ``np.unique`` of all keys
+    numbers the labels in ``sorted`` order, and only the unique labels are
+    decoded.
+    """
+    us, vs, line = [], [], 0
+    with open(path, "rb") as fh:
+        for i, block in enumerate(_blocks(fh)):
+            if i == 0 and block.startswith(codecs.BOM_UTF8):
+                block = block[len(codecs.BOM_UTF8) :]
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            bad = None
+            if not block.isascii():
+                try:
+                    block.decode()
+                except UnicodeDecodeError as exc:
+                    # read the lines before the bad one first: a one-id
+                    # line among them is the first error in the file
+                    bad = block.rfind(b"\n", 0, exc.start) + 1
+                    block = block[:bad]
+            u, v, lines = _block_pairs(block, line, path)
+            if bad is not None:
+                # no UTF-8 sequence holds a newline byte, so a line is
+                # UTF-8 when dropping what does not decode keeps every byte
+                fh.seek(0)
+                ln = next(i for i, b in enumerate(fh, 1) if b != b.decode(errors="ignore").encode())
+                raise EdgeListFormatError(f"{path}: line {ln}: not UTF-8 text")
+            us.append(u)
+            vs.append(v)
+            line += lines
+    # keys of the blocks with shorter labels take zero words on the right
+    words = max((u.shape[1] for u in us), default=1)
+    keys = [np.pad(k, ((0, 0), (0, words - k.shape[1]))) if k.shape[1] < words else k for k in us + vs]
+    del us, vs
+    keys = np.concatenate(keys or [np.empty((0, 1), dtype=np.uint64)])
+    pairs = len(keys) // 2
+    if words == 1:
+        unique, ends = np.unique(keys[:, 0], return_inverse=True)
+        unique = unique[:, None]
+    else:
+        unique, ends = np.unique(keys, axis=0, return_inverse=True)
+        ends = ends.reshape(-1)
+    del keys
+    # each unique key's nonzero codes, ended by the LF code, spell its label
+    size = len(unique)
+    rows = np.ones((size, 8 * words + 1), dtype=np.uint8)
+    rows[:, :-1] = unique.astype(">u8").view(np.uint8).reshape(size, 8 * words)
+    labels = tuple(rows[rows != 0].tobytes().translate(_UNCODE).decode().split("\n")[:-1])
+    del unique, rows
+    iu, iv = ends[:pairs], ends[pairs:]
     key = np.concatenate((iu * size + iv, iv * size + iu))
     key.sort()  # a plain np.unique hashes, many times slower here
     src, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], size)
     indptr = np.zeros(size + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
-    return Network(labels=tuple(labels), indptr=indptr, indices=indices)
-
-
-def load_edge_list(path) -> Network:
-    """Whitespace-separated `u v` pairs; `#`/`%` comments and blank lines
-    are skipped, extra columns (weights, timestamps) and self-loops are
-    ignored. A UTF-8 byte-order mark at the start is not part of a label."""
-
-    def pairs(fh):
-        for ln, raw in enumerate(fh, 1):
-            parts = raw.split(None, 2)
-            if not parts or parts[0][0] in "#%":
-                continue
-            if len(parts) < 2:
-                raise EdgeListFormatError(
-                    f"{path}: line {ln}: expected two node ids, got {raw.rstrip()!r}"
-                )
-            yield parts[0], parts[1]
-
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return _network(pairs(fh))
-    except UnicodeDecodeError:
-        # the decoder reads ahead in chunks, so find the line by itself: no
-        # UTF-8 sequence holds a newline byte, and a line is UTF-8 when
-        # dropping what does not decode keeps every byte
-        with open(path, "rb") as fh:
-            ln = next(i for i, b in enumerate(fh, 1) if b != b.decode(errors="ignore").encode())
-        raise EdgeListFormatError(f"{path}: line {ln}: not UTF-8 text") from None
+    return Network(labels=labels, indptr=indptr, indices=indices)
 
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:

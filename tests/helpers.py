@@ -5,6 +5,7 @@ independent cross-check of the package's optimized implementations.
 """
 
 import math
+from array import array
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -27,7 +28,7 @@ from netauction.graphs import (
 from netauction.mechanism import Outcome
 from netauction.reserve import _check_count, _check_vbar, resolve_reserve
 from netauction.revenue import _subtree_revenues
-from netauction.simulation import RevenueStats, _batch_rows, _network
+from netauction.simulation import Network, RevenueStats, _batch_rows
 
 SELLER = "s"
 
@@ -125,6 +126,60 @@ def random_large_profile(rng, n, extra_per_node, window=50):
     agents = [AgentAction(SELLER, 0.0, frozenset(reports[SELLER]))]
     agents += [AgentAction(i, 1.0, frozenset(reports[i])) for i in ids]
     return ActionProfile(SELLER, tuple(agents))
+
+
+def _network(pairs) -> Network:
+    """The ``Network`` of an iterable of label pairs: repeated and reversed
+    pairs are one link, and self-loops are dropped before the nodes are
+    named, so a label seen only in self-loops is no node.
+
+    Each label is numbered when first seen and each endpoint kept as one
+    integer. The labels are sorted once at the end, and a rank array maps
+    the first-seen numbers to label order.
+    """
+    index: dict[str, int] = {}
+    ends = array("q")  # u0, v0, u1, v1, ... as first-seen numbers
+    number, push = index.setdefault, ends.append
+    for u, v in pairs:
+        if u != v:
+            push(number(u, len(index)))
+            push(number(v, len(index)))
+    labels = sorted(index)
+    size = len(labels)
+    rank = np.empty(size, dtype=np.intp)
+    rank[np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=size)] = np.arange(size)
+    ends = rank[np.frombuffer(ends, dtype=np.int64)]
+    iu, iv = ends[0::2], ends[1::2]
+    key = np.concatenate((iu * size + iv, iv * size + iu))
+    key.sort()
+    src, indices = np.divmod(key[np.diff(key, prepend=-1) != 0], size)
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+    return Network(labels=tuple(labels), indptr=indptr, indices=indices)
+
+
+def slow_load_edge_list(path) -> Network:
+    """The per-line edge-list reader that ``load_edge_list`` replaced: one
+    ``split`` per text line, labels numbered when first seen."""
+
+    def pairs(fh):
+        for ln, raw in enumerate(fh, 1):
+            parts = raw.split(None, 2)
+            if not parts or parts[0][0] in "#%":
+                continue
+            if len(parts) < 2:
+                raise EdgeListFormatError(
+                    f"{path}: line {ln}: expected two node ids, got {raw.rstrip()!r}"
+                )
+            yield parts[0], parts[1]
+
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return _network(pairs(fh))
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            ln = next(i for i, b in enumerate(fh, 1) if b != b.decode(errors="ignore").encode())
+        raise EdgeListFormatError(f"{path}: line {ln}: not UTF-8 text") from None
 
 
 def network_from_edges(us, vs):

@@ -203,6 +203,23 @@ class TestRevenue:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["revenue", "--sizes", "3,6", "--r", "10"],
+            ["simulate", "--net", "mer:n=9,pct=40", "--reserve", "fixed:10", "--runs", "100"],
+            ["reserve", "--sizes", "3,6", "--policy", "ggamma:k=2"],
+        ],
+        ids=["revenue", "simulate", "reserve"],
+    )
+    def test_normal_without_mass_is_one_line_error(self, argv, capsys):
+        # the prior's mass on [0, 100] underflows to 0
+        code = main(argv + ["--dist", "normal:mu=-150,sigma=1,vbar=100"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert "no mass on [0, 100.0]" in captured.err
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(

@@ -178,6 +178,27 @@ class TestTruncationMass:
         assert np.abs(d.quantile(p[:991]) - ref.ppf(p[:991])).max() < 1e-9
         assert d.cdf(0.0) == 0.0 and d.cdf(100.0) == 1.0
 
+    def test_normal_without_mass_on_the_support_is_refused(self):
+        # Phi(-150) underflows to 0, so F would be 0 / 0 everywhere
+        with pytest.raises(DomainError, match="no mass on"):
+            TruncatedNormal(mu=-150.0, sigma=1.0, vbar=100.0)
+        with pytest.raises(ConfigError, match="no mass on"):
+            parse_distribution("normal:mu=-150,sigma=1,vbar=100")
+
+    def test_accepted_normals_have_a_finite_cdf(self):
+        refused = 0
+        for vbar in (1.0, 100.0):
+            for mu in np.linspace(-2.0, 3.0, 21) * vbar:
+                for sigma in np.geomspace(1e-3, 10.0, 13) * vbar:
+                    try:
+                        d = TruncatedNormal(mu=float(mu), sigma=float(sigma), vbar=vbar)
+                    except DomainError:
+                        refused += 1
+                        continue
+                    got = [d.cdf(v) for v in (0.0, vbar / 2, vbar)]
+                    assert all(map(math.isfinite, got)), (mu, sigma, vbar, got)
+        assert refused  # the grid reaches priors with no mass on [0, vbar]
+
     def test_exponential_mass_outside_support(self):
         mass = 1.0 - math.exp(-0.08 * 100.0)
         assert mass == pytest.approx(0.999665, abs=1e-6)

@@ -863,7 +863,11 @@ class TestEdgeLists:
     def _messy_file(rng, path):
         """A random edge list and the pairs its data lines hold."""
         labels = [f"n{i}" for i in range(30)] + ["é", "ß", "日本", "Ω7", "a#b", "x%"]
-        seps = [" ", "\t", "  ", " \t ", "\u3000"]
+        # labels of 8, 9, 16, 17 and 25 bytes that share their first 8, and
+        # labels that differ only in trailing NULs or hold control bytes
+        labels += ["abcdefgh", "abcdefghi", "abcdefgh" * 2, "abcdefgh" * 2 + "i"]
+        labels += ["abcdefgh" * 3 + "x", "z", "z\x00", "z\x00\x00", "a\x01b", "\x01", "\x08"]
+        seps = [" ", "\t", "  ", " \t ", "\u3000", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
         lines, pairs = [], []
         for _ in range(int(rng.integers(0, 120))):
             kind = rng.random()
@@ -919,6 +923,129 @@ class TestEdgeLists:
                 helpers.slow_load_adjacency(path)
             assert str(got.value) == str(want.value), case
             assert f"line {at + 1}:" in str(got.value), case
+
+    @staticmethod
+    def _assert_matches_references(path, case=None, adjacency=True):
+        """``load_edge_list`` gives the per-line reader's ``Network``, dtypes
+        too, and the dict reader's graph, or the error text of both."""
+        try:
+            want = helpers.slow_load_edge_list(path)
+        except EdgeListFormatError as exc:
+            with pytest.raises(EdgeListFormatError) as got:
+                load_edge_list(path)
+            assert str(got.value) == str(exc), case
+            if adjacency:
+                with pytest.raises(EdgeListFormatError) as slow:
+                    helpers.slow_load_adjacency(path)
+                assert str(got.value) == str(slow.value), case
+            return
+        net = load_edge_list(path)
+        assert net.labels == want.labels, case
+        for a, b in ((want.indptr, net.indptr), (want.indices, net.indices)):
+            assert a.dtype == b.dtype and np.array_equal(a, b), case
+        if adjacency:
+            adj = helpers.slow_load_adjacency(path)
+            assert net.labels == tuple(sorted(adj)), case
+            assert {u: frozenset(net.neighbors(u)) for u in net.labels} == adj, case
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_block_cuts_match_both_references(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        rng = np.random.default_rng(2500 + block)
+        path = tmp_path / "messy.txt"
+        for case in range(15):
+            lines, ends, _ = self._messy_file(rng, path)
+            self._assert_matches_references(path, case)
+            # the same lines with CR line ends only
+            path.write_text("".join(line + "\r" for line in lines), encoding="utf-8", newline="")
+            self._assert_matches_references(path, case)
+            at = int(rng.integers(len(lines) + 1))
+            lines.insert(at, str(rng.choice(["lonely", " é ", "x%\t", "a\x1f"])))
+            ends.insert(at, str(rng.choice(["\n", "\r\n"])))
+            path.write_text("".join(map(str.__add__, lines, ends)), encoding="utf-8", newline="")
+            with pytest.raises(EdgeListFormatError, match=f"line {at + 1}:"):
+                load_edge_list(path)
+            self._assert_matches_references(path, case)
+
+    def test_cuts_inside_line_ends_characters_and_the_bom(self, tmp_path, monkeypatch):
+        path = tmp_path / "cuts.txt"
+        texts = [
+            "a b\r\nc d\r\n\r\ne f\r\n",
+            "é\u3000日本\r\nΩ7\u3000\u3000é x\n\u3000z z\x00\n\u3000\n",
+            "a b\rb c\r\rc a\r",
+            "a b\r\n\rb\u3000\r\nc d\r",
+            "a b\rlonely\r",
+        ]
+        for block in range(1, 12):
+            monkeypatch.setattr(simulation, "_BLOCK", block)
+            for text in texts:
+                path.write_bytes(text.encode())
+                self._assert_matches_references(path, (block, text))
+                # a byte-order mark longer than the smallest blocks
+                path.write_bytes(codecs.BOM_UTF8 + text.encode())
+                self._assert_matches_references(path, (block, text), adjacency=False)
+
+    @pytest.mark.parametrize("block", [16, simulation._BLOCK])
+    def test_labels_of_any_length_sort_as_python_does(self, block, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulation, "_BLOCK", block)
+        prefix = "abcdefgh"
+        labels = [
+            prefix, prefix + "i", prefix * 2, prefix * 2 + "i", prefix * 2 + "\x00",
+            prefix * 3 + "xyz", prefix + "\x00", "z", "z\x00", "z\x00\x00", "a\x01b",
+            "\x01", "\x08", "\x00", "a\x7f", "é", "\U0001f600", "x" * 100,
+        ]
+        seps = [" ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+        # short labels first, so that later blocks pack wider keys
+        lines = "".join(f"h{i} h{i + 1}\n" for i in range(6))
+        lines += "".join(f"hub{seps[i % len(seps)]}{x}\n" for i, x in enumerate(labels))
+        path = tmp_path / "labels.txt"
+        path.write_text(lines, encoding="utf-8")
+        net = load_edge_list(path)
+        assert net.labels == tuple(sorted(labels + ["hub"] + [f"h{i}" for i in range(7)]))
+        assert net.neighbors("hub") == tuple(sorted(labels))
+        self._assert_matches_references(path)
+
+    def test_whitespace_table(self):
+        wide = {c for c in map(chr, range(0x80, 0x110000)) if c.isspace()}
+        assert {w.decode() for w, _ in simulation._WIDE_SPACES} == wide
+        assert all(s == b" " * len(w) for w, s in simulation._WIDE_SPACES)
+        # ASCII whitespace codes to 0 but LF to 1, every other byte to 2 or
+        # more, rising with the byte
+        code = simulation._CODE
+        assert {chr(b) for b in range(256) if code[b] < 2} == {
+            c for c in map(chr, range(0x80)) if c.isspace()
+        }
+        assert code[10] == 1
+        rest = [code[b] for b in range(256) if code[b] >= 2]
+        assert rest == sorted(set(rest)) and len(rest) == 256 - 10
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_not_utf8_names_its_line_counted_at_lf(self, end, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulation, "_BLOCK", 64)
+        path = tmp_path / "bad.txt"
+        for before in (2, 40):  # the bad byte in the first block, then a later one
+            head = "".join(f"n{i} n{i + 1}{end}" for i in range(before)).encode()
+            path.write_bytes(head + b"x \xff y" + end.encode() + b"c d\n")
+            with pytest.raises(EdgeListFormatError) as got:
+                load_edge_list(path)
+            line = head.count(b"\n") + 1
+            assert str(got.value) == f"{path}: line {line}: not UTF-8 text"
+            with pytest.raises(EdgeListFormatError) as want:
+                helpers.slow_load_edge_list(path)
+            assert str(got.value) == str(want.value)
+
+    def test_first_of_two_errors_is_named(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"a b\nlonely\nc \xff\n")
+        with pytest.raises(EdgeListFormatError, match="line 2: expected two node ids"):
+            load_edge_list(path)
+        path.write_bytes(b"a b\nc \xff\nlonely\n")
+        with pytest.raises(EdgeListFormatError, match="line 2: not UTF-8 text"):
+            load_edge_list(path)
+        # the first two bytes of a byte-order mark, and no more
+        path.write_bytes(codecs.BOM_UTF8[:2])
+        with pytest.raises(EdgeListFormatError, match="line 1: not UTF-8 text"):
+            load_edge_list(path)
 
     def test_undirected_symmetry(self, tmp_path):
         path = tmp_path / "sym.txt"
