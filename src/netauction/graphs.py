@@ -25,9 +25,10 @@ for the deviation search.
 
 An undirected network (an ingested edge list, every node forwarding to all
 of its neighbours) needs no data-flow: links into the seller never change
-dominance, so the tree is the block-cut tree rooted at the seller, and
-``network_dominators`` reads it off one low-link depth-first search over
-integer CSR arrays (Tarjan 1972; Hopcroft and Tarjan 1973).
+dominance, so the tree is the block-cut tree rooted at the seller.
+``network_dominators`` finds the blocks over integer CSR arrays by the
+method of Tarjan and Vishkin (1985), which works from any spanning tree:
+a fixed number of numpy passes, none of which follows the tree's depth.
 """
 
 from __future__ import annotations
@@ -325,6 +326,36 @@ def _dominators(succ: list[list[int]]) -> tuple[list[int], list[int], list[int],
     return up, order, at, count
 
 
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's component label, its least node, and the ids of links
+    that span every component as a tree, for nodes 0..n-1 and links
+    a[i] < b[i].
+
+    Each round, every root hooks onto the least root it links to, by the
+    least such link; pointers are jumped to the new roots and links inside
+    a component dropped. A root that hooks onto none is hooked onto or
+    hooks in the next round, so there are O(log n) rounds.
+    """
+    label, links = np.arange(n), np.arange(a.size)
+    lo, hi, width = a, b, max(a.size, 1)
+    none = n * width  # above every key lo * width + link
+    forest = [links[:0]]
+    while links.size:
+        best = np.full(n, none)
+        np.minimum.at(best, hi, lo * width + links)
+        roots = np.flatnonzero(best < none)
+        label[roots], win = np.divmod(best[roots], width)
+        forest.append(win)
+        del best, lo, hi
+        while not np.array_equal(up := label[label], label):
+            label = up
+        lo, hi = label[a], label[b]
+        cross = np.flatnonzero(lo != hi)
+        lo, hi = np.minimum(lo[cross], hi[cross]), np.maximum(lo[cross], hi[cross])
+        links, a, b = links[cross], a[cross], b[cross]
+    return label, np.concatenate(forest)
+
+
 def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:
     """Immediate dominators from ``root`` in an undirected graph.
 
@@ -334,51 +365,112 @@ def network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np
     node, with ``root`` for the root itself and -1 for nodes outside its
     component.
 
-    Dominators of v lie on its depth-first tree path, and an ancestor a
-    separates v from the root exactly when a's child c toward v has
-    low(c) >= pre(a), low(c) being the least preorder number linked to from
-    c's subtree. So idom(v) is its tree parent p when p is the root or
-    low(v) >= pre(p), and otherwise idom(p), resolved in preorder. The tree
-    link from v to p counts toward low(v) too: it cannot take low(v) below
-    pre(p), so the test is unchanged and the scan needs no parent check.
+    idom(v) is the top vertex of the block (biconnected component) that
+    holds the tree link into v, for any spanning tree rooted at ``root``.
+    The blocks come from Tarjan and Vishkin, "An efficient parallel
+    biconnectivity algorithm" (SIAM J. Comput. 14(4), 1985), in numpy
+    passes of O(log n) rounds however deep the tree: a spanning tree from
+    ``_components``; parents, preorder numbers pre and subtree sizes nd
+    from an Euler tour ranked by pointer jumping; low(v) and high(v), the
+    least and greatest pre linked to from v's subtree, as range minima and
+    maxima; then the components of the auxiliary graph on tree links,
+    which are the blocks. Its rule 1 joins the tree links into the ends of
+    a non-tree link when neither end is an ancestor of the other; rule 2
+    joins v's tree link with its parent p's when p != root and
+    low(v) < pre(p) or high(v) >= pre(p) + nd(p). The tree link from v up
+    to p counts toward low(v) and high(v), as it moves neither test.
     """
-    start = indptr.tolist()
-    nbr = indices.tolist()
-    size = len(start) - 1
-    pre = [-1] * size
-    low = [0] * size
-    parent = [-1] * size
-    cursor = start[:-1]  # next unscanned neighbour slot of every node
-    pre[root] = 0
-    order = [root]
-    stack = [root]
-    while stack:
-        v = stack[-1]
-        i, end = cursor[v], start[v + 1]
-        while i < end and pre[nbr[i]] >= 0:
-            w = nbr[i]
-            if pre[w] < low[v]:
-                low[v] = pre[w]
-            i += 1
-        if i < end:
-            w = nbr[i]
-            cursor[v] = i + 1
-            pre[w] = low[w] = len(order)
-            parent[w] = v
-            order.append(w)
-            stack.append(w)
-        else:
-            stack.pop()
-            p = parent[v]
-            if p >= 0 and low[v] < low[p]:
-                low[p] = low[v]
-
-    idom = [-1] * size
+    size = indptr.size - 1
+    tail = np.repeat(np.arange(size), np.diff(indptr))
+    down = np.flatnonzero(tail < indices)
+    a, b = tail[down], indices[down]  # every link once, a < b
+    del tail, down
+    label, forest = _components(size, a, b)
+    tree = forest[np.flatnonzero(label[a[forest]] == label[root])]
+    del label, forest
+    idom = np.full(size, -1)
     idom[root] = root
-    for v in order[1:]:
-        p = parent[v]
-        idom[v] = p if p == root or low[v] >= pre[p] else idom[p]
-    return np.array(idom, dtype=np.intp)
+    m = tree.size  # the root's component has k = m + 1 nodes
+    if not m:
+        return idom
+    k = m + 1
+
+    # Euler tour: arc i runs from ends[i] to ends[i +- m], and the arc after
+    # it is the one after its twin in the cyclic arc list of the node it
+    # enters. It starts at the root's first arc and ends at the twin of its
+    # last, and is ranked by pointer jumping with the arcs left to the end
+    # in the high 32 bits of hop and the arc jumped to in the low ones.
+    ends = np.concatenate((a[tree], b[tree]))
+    order = np.argsort(ends)
+    grouped = ends[order]
+    turn = np.arange(1, 2 * m + 1)
+    first = np.flatnonzero(np.diff(grouped, prepend=-1))
+    turn[np.append(first[1:], 2 * m) - 1] = first
+    succ = np.empty_like(order)
+    succ[(order + m) % (2 * m)] = order[turn]
+    last = (order[np.searchsorted(grouped, root, side="right") - 1] + m) % (2 * m)
+    del tree, order, grouped, turn, first
+    hop = succ + (1 << 32)
+    hop[last] = last
+    for _ in range((2 * m - 1).bit_length()):
+        np.bitwise_and(hop, 0xFFFFFFFF, out=succ)
+        jump = hop[succ]
+        hop &= ~0xFFFFFFFF
+        hop += jump
+    pos = (2 * m - 1) - (hop >> 32)
+    del succ, jump, hop
+    enter, leave = np.minimum(pos[:m], pos[m:]), np.maximum(pos[:m], pos[m:])
+    out = pos[:m] < pos[m:]  # a[i] is the parent
+    child, parent = np.where(out, ends[m:], ends[:m]), np.where(out, ends[:m], ends[m:])
+    number = np.cumsum(np.bincount(enter, minlength=2 * m))[enter]
+    del pos, out, ends
+
+    # pre by node, k outside the component; node, parent's pre and nd by pre
+    pre = np.full(size, k)
+    pre[root] = 0
+    pre[child] = number
+    node = np.full(k, root)
+    node[number] = child
+    up = np.zeros(k, dtype=np.intp)
+    up[number] = pre[parent]
+    nd = np.full(k + 1, k)
+    nd[number] = (leave - enter + 1) // 2
+    del child, parent, number, enter, leave
+
+    # rule 1, on every link: a tree link's parent end is the other's ancestor
+    u, w = pre[a], pre[b]
+    u, w = np.minimum(u, w), np.maximum(u, w)
+    cross = np.flatnonzero(w >= u + nd[u])
+    join_u, join_w = u[cross], w[cross]
+    del a, b, u, w, cross
+
+    # low and high of each node's own links; reduceat reads an empty row as
+    # the next row's first entry, so only rows with links are reduced
+    rows = np.flatnonzero(np.diff(indptr))
+    near = pre[indices]
+    low, high = np.empty(k + 1, dtype=np.intp), np.empty(k + 1, dtype=np.intp)
+    low[pre[rows]] = np.minimum.reduceat(near, indptr[rows])
+    high[pre[rows]] = np.maximum.reduceat(near, indptr[rows])
+    del rows, near, pre
+    # then over v's interval [v, v + nd(v)) of pre, from a sparse table that
+    # answers each interval at the level of its length, one level at a time
+    level = np.frexp(nd[1:k])[1] - 1
+    span_lo, span_hi = np.empty(k, dtype=np.intp), np.empty(k, dtype=np.intp)
+    for j in range(int(level.max()) + 1):
+        v = np.flatnonzero(level == j) + 1
+        r = v + nd[v] - (1 << j)
+        span_lo[v], span_hi[v] = np.minimum(low[v], low[r]), np.maximum(high[v], high[r])
+        low = np.minimum(low[: -(1 << j)], low[1 << j :])
+        high = np.maximum(high[: -(1 << j)], high[1 << j :])
+    del level, low, high
+
+    # rule 2, which never holds for p = root, as low >= 0 and high < k; then
+    # the blocks, each labelled by its least link, the topmost
+    p = up[1:]
+    v = np.flatnonzero((span_lo[1:] < p) | (span_hi[1:] >= p + nd[p])) + 1
+    block, _ = _components(k, np.concatenate((up[v], join_u)), np.concatenate((v, join_w)))
+    idom[node[1:]] = node[up[block[1:]]]
+    return idom
 
 
 @dataclass(frozen=True)

@@ -809,6 +809,63 @@ def slow_build_pot(graph: SlowGraph) -> SlowPot:
     )
 
 
+def slow_network_dominators(indptr: np.ndarray, indices: np.ndarray, root: int) -> np.ndarray:
+    """Immediate dominators from ``root`` in an undirected graph, by the
+    scalar low-link search that ``graphs.network_dominators`` replaced.
+
+    The graph is in CSR form: the neighbours of node v are
+    ``indices[indptr[v]:indptr[v + 1]]``, every link listed from both ends,
+    no repeats and no self-loops. Returns the immediate dominator of every
+    node, with ``root`` for the root itself and -1 for nodes outside its
+    component.
+
+    Dominators of v lie on its depth-first tree path, and an ancestor a
+    separates v from the root exactly when a's child c toward v has
+    low(c) >= pre(a), low(c) being the least preorder number linked to from
+    c's subtree. So idom(v) is its tree parent p when p is the root or
+    low(v) >= pre(p), and otherwise idom(p), resolved in preorder. The tree
+    link from v to p counts toward low(v) too: it cannot take low(v) below
+    pre(p), so the test is unchanged and the scan needs no parent check.
+    """
+    start = indptr.tolist()
+    nbr = indices.tolist()
+    size = len(start) - 1
+    pre = [-1] * size
+    low = [0] * size
+    parent = [-1] * size
+    cursor = start[:-1]  # next unscanned neighbour slot of every node
+    pre[root] = 0
+    order = [root]
+    stack = [root]
+    while stack:
+        v = stack[-1]
+        i, end = cursor[v], start[v + 1]
+        while i < end and pre[nbr[i]] >= 0:
+            w = nbr[i]
+            if pre[w] < low[v]:
+                low[v] = pre[w]
+            i += 1
+        if i < end:
+            w = nbr[i]
+            cursor[v] = i + 1
+            pre[w] = low[w] = len(order)
+            parent[w] = v
+            order.append(w)
+            stack.append(w)
+        else:
+            stack.pop()
+            p = parent[v]
+            if p >= 0 and low[v] < low[p]:
+                low[p] = low[v]
+
+    idom = [-1] * size
+    idom[root] = root
+    for v in order[1:]:
+        p = parent[v]
+        idom[v] = p if p == root or low[v] >= pre[p] else idom[p]
+    return np.array(idom, dtype=np.intp)
+
+
 def slow_subtree_profile(graph: SlowGraph) -> SubtreeProfile:
     """Sizes of the seller's top-level dominator subtrees, in head-id
     order as ``subtree_profile`` gives them."""

@@ -13,7 +13,7 @@ import pytest
 import helpers
 import netauction.cli
 import netauction.simulation
-from netauction.cli import main
+from netauction.cli import build_parser, main
 from netauction.distributions import parse_distribution
 from netauction.graphs import (
     ActionProfile,
@@ -65,6 +65,39 @@ class TestBasics:
         first = capsys.readouterr().out
         main(["--version"])
         assert capsys.readouterr().out == first
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_in_one_process_match_each_alone(self, tmp_path, capsys):
+        # the shared parser must carry nothing from one call to the next
+        net = tmp_path / "net.txt"
+        pairs = np.random.default_rng(5).integers(0, 60, (90, 2))
+        net.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        commands = [
+            ["simulate", "--net", "mer:n=9,pct=40", "--dist", "uniform:vbar=100",
+             "--reserve", "ugamma:k=2", "--runs", "2000", "--seed", "4", "--out", "{out}"],
+            ["dsic", "--net", "mer:n=9,pct=40", "--dist", "uniform:vbar=100",
+             "--reserve", "ropt", "--grid", "5", "--out", "{out}"],
+            ["ingest", "--net", str(net), "--rho", "2", "--out", "{out}"],
+            ["--version"],
+        ]
+        together = []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"together{i}.json"
+            assert main([arg.format(out=out) for arg in argv]) == 0
+            together.append((capsys.readouterr().out, out.read_bytes() if out.exists() else None))
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"alone{i}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "netauction.cli", *(arg.format(out=out) for arg in argv)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            alone = (proc.stdout, out.read_bytes() if out.exists() else None)
+            assert together[i] == alone, argv
 
     def test_no_subcommand_is_usage_error(self, capsys):
         assert main([]) == 2

@@ -28,8 +28,9 @@ README_PROFILE = {
     ],
 }
 
-# name -> (argv, output files); {net} is the seeded 300-node edge list,
-# {profile} the README's profile and {out}/{hist} the files written
+# name -> (argv, output files); {net} and {net10k} are the seeded 300- and
+# 10k-node edge lists, {profile} the README's profile and {out}/{hist} the
+# files written
 COMMANDS = {
     "scenario": (["scenario", "--spec", "mer:n=9,pct=40", "--out", "{out}"], ["out"]),
     "auction": (
@@ -73,6 +74,13 @@ COMMANDS = {
         ["out"],
     ),
     "ingest": (["ingest", "--net", "{net}", "--rho", "2", "--out", "{out}"], ["out"]),
+    # one large dominator tree, and the Monte Carlo bits on its branches
+    "simulate_10k": (
+        ["simulate", "--net", "{net10k}", "--rho", "4", "--seed", "3", "--dist", NORMAL,
+         "--reserve", "ggamma:k=2", "--runs", "300", "--out", "{out}"],
+        ["out"],
+    ),
+    "ingest_10k": (["ingest", "--net", "{net10k}", "--rho", "4", "--out", "{out}"], ["out"]),
 }
 
 # name -> sha256 of stdout, then of each output file in COMMANDS' order
@@ -101,6 +109,10 @@ DIGESTS = {
         "9c400cbbb4533dafd60597fe6750ac1521c142c6a26215cce4643d43ecc44d31",
         "25cda6089ebb1674030075d1b7416c57f8e2cbe0762be56b819723c7cce09b37",
     ],
+    "ingest_10k": [
+        "70fdaf0179df728a4b4fe7df8b9469330c8b94402f405f5442426eb4f22eb55f",
+        "d174f8f448617c592f62e57a8777882bc12f982e0e21b9f36c91dee863676fd4",
+    ],
     "reserve": [
         "060ef7ff2c78bd914d2accf7ad5aefc2991abdc471ef8b27bfc9ddd0d438a88c",
         "c6575687a0b2d892a500e01eb1382b437570ba38d6b6dd532fb3faca572381e4",
@@ -112,6 +124,10 @@ DIGESTS = {
     "scenario": [
         "ae25211555350b78b1ac47ccc6f5624198e03598c5b8f8a7b851429f4b96e253",
         "a0cb102715d3ed5b14aa41e50f22631a109916bff8524914fed99067d4a3daed",
+    ],
+    "simulate_10k": [
+        "2de024e925b10c5b568b076014fcdb93371d55e38532f9df42038112d3dedea3",
+        "a2da081b5c2a346dfae944fc88e88c20455677bd4231c26cf31476eb734401c3",
     ],
     "simulate_list": [
         "87fea66e611619b3311da55099a80fb7093a4528070eed26fb28ced55b39e2af",
@@ -135,9 +151,12 @@ def inputs(tmp_path_factory):
     net = root / "net300.txt"
     pairs = np.random.default_rng(2026).integers(0, 300, (450, 2))
     net.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()), encoding="utf-8")
+    net10k = root / "net10k.txt"
+    pairs = np.random.default_rng(2026).integers(0, 10_000, (30_000, 2))
+    net10k.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()), encoding="utf-8")
     profile = root / "profile.json"
     profile.write_text(json.dumps(README_PROFILE), encoding="utf-8")
-    return {"net": str(net), "profile": str(profile)}
+    return {"net": str(net), "net10k": str(net10k), "profile": str(profile)}
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

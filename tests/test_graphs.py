@@ -17,6 +17,7 @@ from netauction.graphs import (
     build_graph,
     build_pot,
     load_profile,
+    _components,
     network_dominators,
     profile_from_dict,
     profile_to_dict,
@@ -446,7 +447,11 @@ def _families(rng):
 
 
 def _tree_parents(network, seller):
-    idom = network_dominators(network.indptr, network.indices, network.index(seller))
+    root = network.index(seller)
+    idom = network_dominators(network.indptr, network.indices, root)
+    # the low-link search it replaced gives the same array
+    want = helpers.slow_network_dominators(network.indptr, network.indices, root)
+    np.testing.assert_array_equal(idom, want)
     labels = network.labels
     return {
         labels[v]: labels[p]
@@ -460,8 +465,8 @@ def _data_flow_parents(network, seller):
 
 
 class TestNetworkDominators:
-    """The low-link tree of an undirected network against the data-flow
-    tree of its full-propagation template, and against networkx."""
+    """The tree of an undirected network against the data-flow tree of its
+    full-propagation template, and against networkx."""
 
     def test_families_every_seller(self):
         rng = np.random.default_rng(61)
@@ -535,6 +540,158 @@ class TestNetworkDominators:
                     if v != seller
                 }
                 assert _tree_parents(net, seller) == want, (name, seller)
+
+
+def _csr(size, pairs):
+    """CSR arrays of the undirected graph on nodes 0..size-1 with the given
+    links, as ``Network`` holds them: both ends of every link, rows
+    ascending, no repeats."""
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    key = np.concatenate((pairs[:, 0] * size + pairs[:, 1], pairs[:, 1] * size + pairs[:, 0]))
+    src, indices = np.divmod(np.unique(key), size)
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+    return indptr, indices
+
+
+def _random_links(rng, size, count):
+    """`count` random links a < b on nodes 0..size-1, repeats allowed."""
+    pairs = rng.integers(0, size, (count, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return pairs.min(axis=1), pairs.max(axis=1)
+
+
+class TestComponents:
+    """``_components`` against networkx's connected components."""
+
+    @staticmethod
+    def _check(size, a, b):
+        nx = pytest.importorskip("networkx")
+        label, forest = _components(size, a, b)
+        graph = nx.Graph()
+        graph.add_nodes_from(range(size))
+        graph.add_edges_from(zip(a.tolist(), b.tolist()))
+        components = list(nx.connected_components(graph))
+        want = np.empty(size, dtype=np.intp)
+        for component in components:
+            want[list(component)] = min(component)
+        np.testing.assert_array_equal(label, want)
+        # a spanning forest: one link fewer than nodes per component, no
+        # cycle, and the same components
+        assert forest.size == size - len(components)
+        assert np.unique(forest).size == forest.size
+        spanning = nx.Graph()
+        spanning.add_nodes_from(range(size))
+        spanning.add_edges_from(zip(a[forest].tolist(), b[forest].tolist()))
+        assert nx.is_forest(spanning)
+        assert sorted(map(sorted, nx.connected_components(spanning))) == sorted(
+            map(sorted, components)
+        )
+
+    def test_no_links(self):
+        empty = np.empty(0, dtype=np.intp)
+        for size in (1, 2, 7):
+            self._check(size, empty, empty)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            # from no links through isolated nodes to one component
+            a, b = _random_links(rng, size, int(rng.integers(0, 2 * size)))
+            self._check(size, a, b)
+
+    def test_large_graphs(self):
+        rng = np.random.default_rng(72)
+        for size, count in ((5_000, 2_000), (5_000, 5_000), (10_000, 30_000)):
+            self._check(size, *_random_links(rng, size, count))
+
+    def test_deep_chains(self):
+        # a path numbered backwards, and one numbered at random
+        size = 5_000
+        self._check(size, np.arange(size - 1), np.arange(1, size))
+        order = np.random.default_rng(73).permutation(size)
+        a, b = order[:-1], order[1:]
+        self._check(size, np.minimum(a, b), np.maximum(a, b))
+
+
+def _shapes():
+    """(name, size, links) of shapes whose depth, width or block structure
+    is extreme."""
+    yield "path", 20_000, _path(20_000)
+    yield "cycle", 20_000, _path(20_000) + [(19_999, 0)]
+    k = 10_000
+    rungs = [(i, i + k) for i in range(k)]
+    yield "ladder", 2 * k, _path(k) + [(u + k, v + k) for u, v in _path(k)] + rungs
+    yield "star", 80_001, _star(80_001)
+    yield "bouquet", 10_001, _bouquet((3,) * 5_000)
+    yield "triangle_chain", 10_001, [
+        e for t in range(0, 10_000, 2) for e in ((t, t + 1), (t + 1, t + 2), (t + 2, t))
+    ]
+    yield "binary_tree", 2**16 - 1, [((i - 1) // 2, i) for i in range(1, 2**16 - 1)]
+    yield "complete", 300, [(i, j) for i in range(300) for j in range(i + 1, 300)]
+    yield "caterpillar", 20_000, _path(10_000) + [(i, i + 10_000) for i in range(10_000)]
+    yield "tiny", 2, [(0, 1)]
+
+
+class TestAgainstSlowNetworkDominators:
+    """``network_dominators`` returns the array of the low-link search it
+    replaced (``helpers.slow_network_dominators``) on graphs of extreme
+    shape; ``_tree_parents`` checks the same on every graph above."""
+
+    @staticmethod
+    def _check(indptr, indices, root):
+        np.testing.assert_array_equal(
+            network_dominators(indptr, indices, root),
+            helpers.slow_network_dominators(indptr, indices, root),
+        )
+
+    @pytest.mark.parametrize("name", [name for name, _, _ in _shapes()])
+    def test_shapes_sorted_and_permuted(self, name):
+        size, pairs = next((size, pairs) for n, size, pairs in _shapes() if n == name)
+        pairs = np.asarray(pairs)
+        rng = np.random.default_rng(size)
+        for relabel in (np.arange(size), rng.permutation(size)):
+            indptr, indices = _csr(size, relabel[pairs])
+            for root in {0, size // 2, size - 1}:
+                self._check(indptr, indices, int(relabel[root]))
+
+    def test_isolated_and_tiny_components(self):
+        # node 0 has no link, 1-2 are a component of their own, and the
+        # rest is one random list
+        rng = np.random.default_rng(63)
+        a, b = _random_links(rng, 3_000, 6_000)
+        pairs = np.column_stack((a, b))
+        pairs = np.vstack(([(1, 2)], pairs[a >= 3]))
+        indptr, indices = _csr(3_000, pairs)
+        assert indptr[1] == 0
+        for root in (0, 1, 2, int(indices[-1])):
+            self._check(indptr, indices, root)
+
+    def test_rows_without_links(self):
+        # linkless nodes between the rows of the root's component and after
+        # them, where np.minimum.reduceat would read an empty row as the
+        # next row's first entry
+        pairs = [(0, 2), (2, 4), (4, 0), (4, 5), (5, 8), (8, 9), (9, 5), (2, 6)]
+        indptr, indices = _csr(12, pairs)
+        for root in range(12):
+            self._check(indptr, indices, root)
+
+    def test_matches_networkx_at_scale(self):
+        nx = pytest.importorskip("networkx")
+        pairs = np.random.default_rng(64).integers(0, 12_000, (36_000, 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        indptr, indices = _csr(12_000, pairs)
+        root = int(np.flatnonzero(np.diff(indptr) == 4)[0])
+        graph = nx.Graph()
+        graph.add_edges_from(pairs.tolist())
+        want = {
+            v: p for v, p in nx.immediate_dominators(graph.to_directed(), root).items() if v != root
+        }
+        got = network_dominators(indptr, indices, root)
+        assert {v: int(got[v]) for v in want} == want
+        assert got[root] == root
+        assert (got >= 0).sum() == len(want) + 1 > 10_000
 
 
 class TestSubtreeProfile:
