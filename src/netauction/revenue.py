@@ -73,41 +73,48 @@ def _adaptive_simpson(f, a, b: float, count: int):
     the depth cap. Accepted values are summed back up the tree pairwise, in
     the recursion's order.
 
+    For one reserve a level works on at most a few hundred points, where
+    numpy's fixed cost per call, not the arithmetic, sets its price. So a
+    level lays out both halves of every open interval, left halves first,
+    with one concatenation per array, runs f and the Simpson sums once on
+    all of them, and takes the split intervals' halves as the next level
+    with one gather per array: about 35 numpy calls besides f's.
+
     The integrals share no arithmetic, so each comes out bit for bit as a
     call on its own would give it, NaN included. An integral with a[i] == b
     is +0.0 and f never sees it.
     """
-    a = np.broadcast_to(np.asarray(a, dtype=float), (count,))
+    a = np.full(count, float(a)) if np.ndim(a) == 0 else np.asarray(a, dtype=float)
     out = np.zeros(count)
-    live = j = np.flatnonzero(a != b)
+    live = j = (a != b).nonzero()[0]
     if live.size == 0:
         return out
     a = a[live]
     b = np.full(live.size, float(b))
     m = 0.5 * (a + b)
-    fa, fm, fb = f(np.concatenate([a, m, b]), np.tile(j, 3)).reshape(3, -1)
+    fa, fm, fb = f(np.concatenate([a, m, b]), np.concatenate([j, j, j])).reshape(3, -1)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     tol = _REL_TOL * np.maximum(np.abs(whole), 1.0)
     levels = []  # (value where accepted, indices split) per tree level
     for depth in range(_MAX_DEPTH, -1, -1):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(np.concatenate([lm, rm]), np.concatenate([j, j])).reshape(2, -1)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        split = np.flatnonzero(np.abs(delta) > 15.0 * tol) if depth > 0 else np.empty(0, int)
-        levels.append((left + right + delta / 15.0, split))
+        # both halves of every open interval, left halves [a, m] first, then
+        # right halves [m, b]; the split halves are the next level's intervals
+        lo, hi, j = np.concatenate([a, m]), np.concatenate([m, b]), np.concatenate([j, j])
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid, j)
+        flo, fhi = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+        halves = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+        pair = halves[: a.size] + halves[a.size :]  # left + right
+        delta = pair - whole
+        split = (np.abs(delta) > 15.0 * tol).nonzero()[0] if depth > 0 else np.empty(0, int)
+        levels.append((pair + delta / 15.0, split))
         if split.size == 0:
             break
-
-        def children(x, y):
-            # the next level: left halves of the split intervals, then right
-            return np.concatenate([x[split], y[split]])
-
-        j = children(j, j)
-        a, m, b = children(a, m), children(lm, rm), children(m, b)
-        fa, fm, fb = children(fa, fm), children(flm, frm), children(fm, fb)
-        whole, tol = children(left, right), children(0.5 * tol, 0.5 * tol)
+        kids = np.concatenate([split, split + a.size])
+        a, m, b, j, whole = lo[kids], mid[kids], hi[kids], j[kids], halves[kids]
+        fa, fm, fb = flo[kids], fmid[kids], fhi[kids]
+        halved = 0.5 * tol[split]
+        tol = np.concatenate([halved, halved])
     value = None
     for leaf, split in reversed(levels):
         if split.size:
@@ -156,8 +163,9 @@ def _subtree_revenues(
         return [[_subtree_closed_uniform(kx, n, d.vbar, r) for kx in sizes] for r in reserves]
     c = [kx / n for kx in sizes]
     # integral i is pair (reserve i // len(sizes), size i % len(sizes))
-    coef = np.tile(np.array(c) - 1.0, len(reserves))
-    gap = np.tile(n - np.array(sizes), len(reserves))
+    coef = np.concatenate([np.array(c) - 1.0] * len(reserves))
+    # float exponents: an integer array is cast to them on every call
+    gap = np.concatenate([n - np.array(sizes, dtype=float)] * len(reserves))
 
     def integrand(v, j):
         # (k_x/n - 1) F^n + F^(n - k_x): the integrand sees v only through F

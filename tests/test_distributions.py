@@ -17,6 +17,7 @@ from netauction.distributions import (
     TruncatedNormal,
     Uniform,
     ValueDistribution,
+    _clip,
     parse_distribution,
     regularity_check,
 )
@@ -134,6 +135,77 @@ class TestScalarPath:
             for x in bad:
                 with pytest.raises(DomainError, match=re.escape(f"{what} [0, {top}]")):
                     method(x)
+
+
+@pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
+class TestArrayRangeCheck:
+    """An array input is checked through NaN-skipping min and max
+    reductions: NaN and the empty array pass, an element outside [0, top]
+    raises whatever NaN stands beside it."""
+
+    @staticmethod
+    def _methods(d):
+        return ((d.cdf, d.vbar), (d.pdf, d.vbar), (d.quantile, 1.0))
+
+    def test_accepted(self, d):
+        for method, top in self._methods(d):
+            for x in ([math.nan], [], [-0.0, 0.0, top], [0, 0.5 * top, math.nan]):
+                arr = np.array(x)
+                got = method(arr)
+                assert isinstance(got, np.ndarray) and got.shape == arr.shape
+            assert method(np.array([[0.25 * top, math.nan], [top, -0.0]])).shape == (2, 2)
+
+    def test_refused(self, d):
+        for method, top in self._methods(d):
+            for x in (
+                [math.nan, -1.0],
+                [-1.0, math.nan],
+                [math.nan, top + 1],
+                [top + 1, math.nan],
+                [np.nextafter(-0.0, -1.0)],
+                [math.inf],
+                [-math.inf],
+                [[0.0, math.nan], [math.nan, top + 1]],
+            ):
+                with pytest.raises(DomainError):
+                    method(np.array(x))
+
+    def test_zero_d_array_is_a_float(self, d):
+        for method, top in self._methods(d):
+            got = method(np.array(0.5 * top))
+            assert type(got) is float
+            assert _bits(got) == _bits(method(0.5 * top))
+            with pytest.raises(DomainError):
+                method(np.array(-1.0))
+
+
+class TestArrayClip:
+    """_clip on an array is np.clip to the bit: NaN, -0.0, infinities and
+    subnormals included."""
+
+    def test_bits_equal_np_clip(self):
+        tiny = np.nextafter(0.0, 1.0)
+        for top in (1.0, 100.0, 7.0):
+            x = np.array(
+                [
+                    math.nan,
+                    -math.nan,
+                    -0.0,
+                    0.0,
+                    math.inf,
+                    -math.inf,
+                    tiny,
+                    -tiny,
+                    2.2250738585072014e-308,
+                    np.nextafter(top, math.inf),
+                    top,
+                    np.nextafter(top, 0.0),
+                    0.5 * top,
+                    -1.0,
+                ]
+            )
+            for arr in (x, x.reshape(2, 7), x[:0]):
+                assert _clip(arr, top).tobytes() == np.clip(arr, 0.0, top).tobytes(), top
 
 
 @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])

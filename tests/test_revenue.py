@@ -6,6 +6,7 @@ cells are exact rationals.
 """
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -271,7 +272,41 @@ class TestAgainstRecursiveSimpson:
         monkeypatch.setattr(TruncatedNormal, "cdf", counted)
         prof = SubtreeProfile.from_sizes(tuple(range(1, 71)))
         expected_total_revenue(prof, NORM, 30.0)
-        assert len(calls) <= 64
+        # one call on the first three points of every integral, one per tree
+        # level (11 here) and one for F(r): a second call on any level shows
+        assert len(calls) == 13
+
+
+class TestQuadratureDigest:
+    """The quadrature's outputs pinned to the bit: a sha256 over the
+    float.hex of _total_revenues, batched over a reserve grid and one
+    reserve at a time, and over the bytes of one write_revenue_csv file. A
+    change of the arithmetic, the acceptance rule or the summation order
+    moves the digest."""
+
+    DIGEST = "609113881eadafa25fb09188b131423658aa7ecc9eefe20822bf33ffa6235a27"
+
+    def test_digest(self, tmp_path):
+        large = SubtreeProfile.from_sizes(
+            tuple(int(k) for k in np.random.default_rng(10_000).integers(1, 200, 100))
+        )
+        profiles = [_prof(3, 6), _prof(1, 5), _prof(2, 4), _prof(3, 3), large]
+        inner = np.random.default_rng(27).uniform(0.0, 100.0, 11).tolist()
+        reserves = [0.0, *sorted(inner), 100.0]
+        h = hashlib.sha256()
+        for d in (NORM, EXPD, UNI):
+            for prof in profiles:
+                together = revenue._total_revenues(prof, d, reserves, method="quadrature")
+                alone = [
+                    revenue._total_revenues(prof, d, [r], method="quadrature")[0]
+                    for r in reserves
+                ]
+                for revs in (together, alone):
+                    h.update(" ".join(x.hex() for x in revs).encode() + b"\n")
+        path = tmp_path / "sweep.csv"
+        write_revenue_csv(path, _prof(3, 6), NORM, reserves)
+        h.update(path.read_bytes())
+        assert h.hexdigest() == self.DIGEST
 
 
 class TestSimpsonIsolation:
