@@ -9,9 +9,13 @@ parameters used in the experiments, but renormalising keeps every identity
 Sampling is inverse-cdf throughout: one uniform draw maps to one value draw,
 which keeps Monte Carlo streams aligned across distributions.
 
-``regularity_check`` probes the virtual value v - (1-F)/f of standard
-auction theory on a fixed grid of 1024 steps, with 1 - F read off each
-family's upper tail: one minus a cdf near 1 cancels to a few ulps.
+Each family also gives its inverse hazard h(v) = (1 - F(v)) / f(v) in a
+closed form that takes no 1 - F near 1 and divides by no density that
+underflows; the reserve solvers read the virtual value v - h(v) through
+it. All three densities are log-concave, so h decreases and the virtual
+value increases on [0, vbar]: every prior of these families is regular
+(Bagnoli and Bergstrom, "Log-concave probability and its applications",
+Economic Theory 26, 2005), and ``regularity_check`` answers by family.
 
 ``scipy.special`` is imported when the first truncated normal is built, so
 that the uniform and exponential families, and every command that uses
@@ -23,7 +27,7 @@ array clip, and comes back as a Python float: the reserve solvers make two
 such calls per bisection step. Its result is, to the bit, the
 element a one-element array gives. So the scalar path still calls the
 ufuncs an array call uses (``np.exp``, ``np.expm1``, ``np.log1p``,
-``ndtr``, ``ndtri``): ``math.exp`` and Python's ``**`` round differently
+``ndtr``, ``ndtri``, ``erfcx``): ``math.exp`` and Python's ``**`` round differently
 from ``np.exp`` and ``np.power`` on a few percent of inputs.
 
 An array input is range-checked by two NaN-skipping reductions
@@ -40,14 +44,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SingularityError
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "Uniform",
     "TruncatedNormal",
     "TruncatedExponential",
     "ValueDistribution",
-    "RegularityReport",
     "regularity_check",
     "parse_distribution",
 ]
@@ -67,9 +70,9 @@ class ValueDistribution:
     def quantile(self, p):
         raise NotImplementedError
 
-    def _tail(self, v: np.ndarray) -> np.ndarray:
-        """1 - cdf(v) on an array of values in the support."""
-        return 1.0 - self.cdf(v)
+    def _hazard(self, v):
+        """The inverse hazard (1 - cdf(v)) / pdf(v)."""
+        raise NotImplementedError
 
     def _check_value(self, v):
         """v as a Python float or a float array, checked to lie in the support."""
@@ -99,14 +102,14 @@ def _within(x, top, what: str):
     return float(arr) if arr.ndim == 0 else arr
 
 
-def _clip(x, top):
-    """x clipped to [0, top], NaN and -0.0 kept: an array through its
+def _clip(x, top, bottom=0.0):
+    """x clipped to [bottom, top], NaN and -0.0 kept: an array through its
     ``clip`` method, the ufunc ``np.clip`` calls without that function's
     wrapper, and a scalar as a Python float."""
     if isinstance(x, np.ndarray):
-        return x.clip(0.0, top)
+        return x.clip(bottom, top)
     x = float(x)
-    return 0.0 if x < 0.0 else float(top) if x > top else x
+    return float(bottom) if x < bottom else float(top) if x > top else x
 
 
 def _float(x):
@@ -128,15 +131,14 @@ class Uniform(ValueDistribution):
         return self._check_value(v) / self.vbar
 
     def pdf(self, v):
-        v = self._check_value(v)
-        density = 1.0 / self.vbar
-        return density if isinstance(v, float) else np.full_like(v, density)
+        # v * 0.0 is 0.0 on the support and keeps a NaN
+        return self._check_value(v) * 0.0 + 1.0 / self.vbar
 
     def quantile(self, p):
         return self._check_prob(p) * self.vbar
 
-    def _tail(self, v):
-        return (self.vbar - v) / self.vbar
+    def _hazard(self, v):
+        return self.vbar - self._check_value(v)
 
 
 @dataclass(frozen=True)
@@ -155,11 +157,12 @@ class TruncatedNormal(ValueDistribution):
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
-        from scipy.special import ndtr, ndtri
+        from scipy.special import erfcx, ndtr, ndtri
 
         # bound here, so that a call pays no import statement
         object.__setattr__(self, "_ndtr", ndtr)
         object.__setattr__(self, "_ndtri", ndtri)
+        object.__setattr__(self, "_erfcx", erfcx)
         # F(v) = (T(v) - T(0)) / (T(vbar) - T(0)), z = (v - mu) / sigma, with
         # T = Phi(z) for mu >= 0 and T = -Phi(-z) for mu < 0: T reads the
         # tail on the side of 0 away from mu, so T(0) is never a number near
@@ -177,6 +180,13 @@ class TruncatedNormal(ValueDistribution):
                 f"in floating point"
             )
         object.__setattr__(self, "_mass", mass)
+        # the inverse hazard's constants, on the side of mu that vbar lies on
+        hazard_side = 1.0 if self.mu <= self.vbar else -1.0
+        z_top = (self.vbar - self.mu) / self.sigma
+        object.__setattr__(self, "_z_top", z_top)
+        object.__setattr__(self, "_erfcx_arg", hazard_side * math.sqrt(0.5))
+        object.__setattr__(self, "_erfcx_top", float(erfcx(self._erfcx_arg * z_top)))
+        object.__setattr__(self, "_hazard_scale", hazard_side * self.sigma * math.sqrt(0.5 * math.pi))
 
     def cdf(self, v):
         z = (self._check_value(v) - self.mu) / self.sigma
@@ -192,11 +202,18 @@ class TruncatedNormal(ValueDistribution):
         out = self.mu + self.sigma * (self._side * self._ndtri(self._side * inner))
         return _clip(out, self.vbar)
 
-    def _tail(self, v):
-        # (T(vbar) - T(v)) / mass with T as in __post_init__, which on either
-        # side of 0 is the difference of the tails above v and above vbar
-        z, z_top = (v - self.mu) / self.sigma, (self.vbar - self.mu) / self.sigma
-        return (self._ndtr(-z) - self._ndtr(-z_top)) / self._mass
+    def _hazard(self, v):
+        # h = s sigma [M(s z) - e^((z^2 - z_top^2)/2) M(s z_top)], with M(x) =
+        # sqrt(pi/2) erfcx(x/sqrt(2)) the Mills ratio and s = 1 for mu <= vbar
+        # and -1 above: read on the side of mu that vbar lies on, neither
+        # term is a tail near 1. The exponent is capped short of overflow,
+        # which it passes only where h exceeds 1e300 sigma; below the cap the
+        # product stays finite, since M(s z_top) <= M(0), so no inf - inf.
+        z = (self._check_value(v) - self.mu) / self.sigma
+        z_top = self._z_top
+        grow = np.exp(_clip((z - z_top) * (z + z_top) * 0.5, 709.0, -math.inf))
+        gap = _float(self._erfcx(self._erfcx_arg * z) - grow * self._erfcx_top)
+        return self._hazard_scale * gap
 
 
 @dataclass(frozen=True)
@@ -224,36 +241,15 @@ class TruncatedExponential(ValueDistribution):
     def quantile(self, p):
         return _clip(-np.log1p(-self._check_prob(p) * self._mass) / self.lam, self.vbar)
 
-    def _tail(self, v):
-        return -np.expm1(-self.lam * (self.vbar - v)) * np.exp(-self.lam * v) / self._mass
+    def _hazard(self, v):
+        return _float(-np.expm1(-self.lam * (self.vbar - self._check_value(v))) / self.lam)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    """Finite-difference check that the virtual value increases on a grid."""
-
-    min_slope: float
-    is_regular_on_grid: bool
-
-
-def regularity_check(d: ValueDistribution) -> RegularityReport:
-    """Probe monotonicity of the virtual value on the grid of 1024 equal
-    steps over [0, vbar].
-
-    The virtual value is evaluated on the whole grid with one pdf call and
-    one of the upper tail 1 - F; a grid point where the pdf vanishes
-    raises SingularityError, since the virtual value is undefined there.
-    The report carries the smallest finite-difference slope found.
-    """
-    points = np.append(np.arange(1024) * (d.vbar / 1024), d.vbar)
-    f = d.pdf(points)
-    flat = np.flatnonzero(f <= 0.0)
-    if flat.size:
-        v = float(points[flat[0]])
-        raise SingularityError(f"pdf vanishes at v={v}; virtual value undefined")
-    psi = points - d._tail(points) / f
-    min_slope = float(np.min(np.diff(psi) / np.diff(points)))
-    return RegularityReport(min_slope=min_slope, is_regular_on_grid=min_slope > 0.0)
+def regularity_check(d: ValueDistribution) -> bool:
+    """True when d is a uniform, truncated normal or truncated exponential
+    prior: their log-concave densities make the virtual value increase on
+    all of [0, vbar]. Any other prior is not known to be regular."""
+    return isinstance(d, (Uniform, TruncatedNormal, TruncatedExponential))
 
 
 # config strings look like "normal:mu=50,sigma=16.67,vbar=100"

@@ -19,10 +19,6 @@ class DomainError(NetAuctionError, ValueError):
     """Request outside the mathematical domain of an operation."""
 
 
-class SingularityError(DomainError):
-    """Evaluation at a point where the quantity diverges."""
-
-
 class SolverError(NetAuctionError, RuntimeError):
     """A root search failed; the message reports the bracket it was given."""
 

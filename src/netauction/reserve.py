@@ -10,12 +10,19 @@ it is exposed for study and for the counterexample tooling.
 All roots are found by bisection on the fixed bracket [1e-9 vbar,
 vbar - 1e-9 vbar], a hair inside (0, vbar), which bisection, unlike Newton
 steps, cannot escape; it stops once the bracket is 1e-10 vbar wide or after
-200 halvings. The subtree critical value phi(v; k) = v - (1 - F^k) /
-(k f F^(k-1)) diverges to -inf as the cdf approaches 0, and for k in the
-hundreds F^(k-1) underflows to 0 over much of the bracket. gamma therefore
-bisects phi times its density term, which is finite with the same sign,
-and the global optimum counts a vanishing density term as phi = -inf; only
-the sign of either function steers the bisection.
+200 halvings. The subtree critical value
+
+    phi(v; k) = v - (1 - F^k) / (k f F^(k-1)) = v - h (1 - F^k) / ((1 - F) k F^(k-1))
+
+is read through the family's inverse hazard h = (1 - F) / f, which stays
+finite where the density underflows; where F is 1 in floating point phi is
+v - h, and where F^(k-1) underflows near 0, as it does for k in the
+hundreds, phi is -inf. Only its sign steers the bisection. The three
+families have log-concave densities f, so the density k f F^(k-1) of the
+highest of k values is log-concave too, phi increases in v, and each root
+is unique (Bagnoli and Bergstrom, "Log-concave probability and its
+applications", Economic Theory 26, 2005); the global optimum refuses any
+other prior.
 """
 
 from __future__ import annotations
@@ -117,18 +124,19 @@ def gamma_uniform(kmin: int, vbar: float) -> float:
 
 def gamma_general(kmin: int, d: ValueDistribution) -> float:
     """Near-optimal reserve for a general regular distribution: the root of
-    the subtree critical value phi(v; kmin).
-
-    Bisection runs on phi times its denominator, v k f F^(k-1) - (1 - F^k),
-    which has phi's sign wherever phi is finite and stays finite where
-    F^(k-1) underflows near 0, as it does for k in the hundreds."""
+    the subtree critical value phi(v; kmin)."""
     _check_count("kmin", kmin)
 
-    def scaled_phi(v: float) -> float:
+    def phi(v: float) -> float:
         F = d.cdf(v)
-        return v * kmin * d.pdf(v) * F ** (kmin - 1) - (1.0 - F**kmin)
+        if F == 1.0:
+            return v - d._hazard(v)
+        denom = (1.0 - F) * kmin * F ** (kmin - 1)
+        if denom == 0.0:
+            return -math.inf
+        return v - d._hazard(v) * (1.0 - F**kmin) / denom
 
-    return _bisect(scaled_phi, d.vbar)
+    return _bisect(phi, d.vbar)
 
 
 def subtree_optimal_reserve(k: int, d: ValueDistribution) -> float:
@@ -142,12 +150,10 @@ def subtree_optimal_reserve(k: int, d: ValueDistribution) -> float:
 def global_optimal_reserve(profile: SubtreeProfile, d: ValueDistribution) -> float:
     """Profile-dependent optimal reserve: the unique root of
     beta(r) = sum_x k_x * phi(r; k_x). Not DSIC-safe; analysis only."""
-    report = regularity_check(d)
-    if not report.is_regular_on_grid:
+    if not regularity_check(d):
         raise DomainError(
-            "distribution failed the regularity check "
-            f"(min virtual-value slope {report.min_slope:.3g} on a grid of "
-            f"step {d.vbar / 1024:.3g}); the optimum root may not be unique"
+            f"the global optimum needs a regular prior, and {type(d).__name__} is not "
+            "one of the uniform, normal and exponential families; its root may not be unique"
         )
     weights = sorted(Counter(profile.sizes).items())
     ks = np.array([k for k, _ in weights])
@@ -155,14 +161,12 @@ def global_optimal_reserve(profile: SubtreeProfile, d: ValueDistribution) -> flo
     mass = np.array([count * k for k, count in weights])
 
     def beta(r: float) -> float:
-        # phi(r; k) for every distinct size at once; where the density term
-        # k f F^(k-1) vanishes (F^(k-1) underflows near 0) phi tends to
-        # -inf, which is all the bisection needs to know
-        F, f = d.cdf(r), d.pdf(r)
-        denom = ks * f * F**ks_less_1
-        phi = np.where(denom > 0.0, r - (1.0 - F**ks) / denom, -np.inf)
+        # phi(r; k) for every distinct size at once, as in gamma_general: a
+        # density term that underflows divides by 0 into phi = -inf
+        F, h = d.cdf(r), d._hazard(r)
+        ratio = 1.0 if F == 1.0 else (1.0 - F**ks) / ((1.0 - F) * ks * F**ks_less_1)
         # summed in size order, one term at a time, as a scalar loop would
-        return sum((mass * phi).tolist())
+        return sum((mass * (r - h * ratio)).tolist())
 
     with np.errstate(all="ignore"):
         return _bisect(beta, d.vbar)

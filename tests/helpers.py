@@ -11,13 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from netauction.distributions import TruncatedExponential, TruncatedNormal, Uniform
 from netauction.errors import (
     DomainError,
     EdgeListFormatError,
-    SingularityError,
     ValidationError,
 )
 from netauction.graphs import (
@@ -33,13 +33,26 @@ from netauction.simulation import Network, RevenueStats, _batch_rows
 SELLER = "s"
 
 # Regular priors whose 1 - F cancels to a few ulps near vbar when read as
-# one minus the cdf, which once made the regularity check refuse them
+# one minus the cdf
 TAIL_PRIORS = [
     *(f"normal:mu=50,sigma={s},vbar=100" for s in (1.5, 2, 3, 4, 5, 6)),
     *(f"normal:mu={mu},sigma={s},vbar=100"
       for mu, s in ((0, 8), (10, 8), (20, 8), (30, 8), (0, 10), (10, 10), (0, 12))),
     *(f"exp:lambda={lam},vbar=100" for lam in (0.38, 0.45, 0.6)),
 ]
+
+
+# Regular priors whose density underflows to 0 on part of [0, vbar], where
+# the quotient forms of the virtual value are 0/0 or 1/0
+NARROW_PRIORS = [
+    "normal:mu=50,sigma=1,vbar=100",
+    "exp:lambda=8,vbar=100",
+    "normal:mu=60,sigma=1.5848931924611134,vbar=100",
+]
+
+
+class SingularityError(DomainError):
+    """An oracle below evaluated where its quotient diverges."""
 
 
 def random_connected_profile(rng, n_max=7, vbar=100.0, extra_edges=None):
@@ -655,6 +668,29 @@ def subtree_critical_value(d, v: float, k: int) -> float:
     if denom <= 0.0:
         raise SingularityError(f"density term vanishes at v={v}")
     return float(v) - (1.0 - F ** k) / denom
+
+
+def direct_phi(d, v, k: int):
+    """v - (1 - F^k) / (k f F^(k-1)) read straight off the cdf and pdf, on a
+    float or an array: NaN or an infinity where the density term underflows."""
+    F, f = np.float64(d.cdf(v)), d.pdf(v)
+    with np.errstate(all="ignore"):
+        return v - (1.0 - F**k) / (k * f * F ** (k - 1))
+
+
+def first_sign_change(d, k: int, points: int = 4001):
+    """The first step of a grid of points on [0, vbar] over which
+    direct_phi goes from negative to 0 or above."""
+    grid = np.linspace(0.0, d.vbar, points)
+    phi = direct_phi(d, grid, k)
+    i = int(np.flatnonzero((phi[:-1] < 0.0) & (phi[1:] >= 0.0))[0])
+    return float(grid[i]), float(grid[i + 1])
+
+
+def direct_root(d, k: int) -> float:
+    """brentq's root of direct_phi in its first sign change on the grid."""
+    lo, hi = first_sign_change(d, k)
+    return brentq(lambda v: direct_phi(d, v, k), lo, hi, xtol=1e-12 * d.vbar)
 
 
 # The reserve solvers with every cdf and pdf read off a one-element array,

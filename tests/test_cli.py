@@ -18,11 +18,13 @@ from netauction.distributions import parse_distribution
 from netauction.graphs import (
     ActionProfile,
     AgentAction,
+    SubtreeProfile,
     load_profile,
     profile_to_dict,
 )
 from netauction.incentives import DeviationGrid, report_to_dict
 from netauction.reserve import parse_policy
+from netauction.revenue import _total_revenues, expected_total_revenue
 from netauction.simulation import (
     chains_profile,
     draw_replicate,
@@ -148,6 +150,14 @@ class TestReserve:
         assert code == 0
         assert 0.0 < float(capsys.readouterr().out) < 100.0
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dist", helpers.NARROW_PRIORS[:2])
+    def test_general_gamma_where_the_density_underflows(self, dist, k, capsys):
+        # the pdf is 0 at the top of the bracket, where the root is not
+        assert main(["reserve", "--dist", dist, "--policy", f"ggamma:k={k}", "--sizes", "3,6"]) == 0
+        d = parse_distribution(dist)
+        assert float(capsys.readouterr().out) == pytest.approx(helpers.direct_root(d, k), abs=1e-6)
+
     def test_ropt_needs_sizes(self, capsys):
         code = main(["reserve", "--dist", "uniform:vbar=100", "--policy", "ropt"])
         assert code == 1
@@ -166,10 +176,17 @@ class TestReserve:
         assert code == 0
         assert capsys.readouterr().out.strip() == "70.498007"
 
-    @pytest.mark.parametrize("dist", helpers.TAIL_PRIORS)
-    def test_ropt_takes_priors_regular_near_vbar(self, dist, capsys):
-        assert main(["reserve", "--dist", dist, "--policy", "ropt", "--sizes", "3,6"]) == 0
-        assert 0.0 < float(capsys.readouterr().out) < 100.0
+    @pytest.mark.parametrize("dist", helpers.TAIL_PRIORS + helpers.NARROW_PRIORS)
+    def test_ropt_takes_priors_regular_near_vbar(self, dist, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["reserve", "--dist", dist, "--policy", "ropt", "--sizes", "3,6", "--out", str(out)]
+        assert main(argv) == 0
+        r = json.loads(out.read_text())["reserve"]
+        assert 0.0 < r < 100.0
+        # no reserve on a fine grid earns more
+        d, prof = parse_distribution(dist), SubtreeProfile.from_sizes((3, 6))
+        best = max(_total_revenues(prof, d, np.linspace(0.0, d.vbar, 4001).tolist()))
+        assert expected_total_revenue(prof, d, r) >= best - 1e-6 * best
 
     def test_bad_policy_is_usage_error(self, capsys):
         assert main(["reserve", "--dist", "uniform:vbar=100", "--policy", "zzz"]) == 2
@@ -422,6 +439,16 @@ class TestSimulate:
         lines = hist.read_text().strip().splitlines()
         assert len(lines) == 102
         assert sum(int(l.rsplit(",", 1)[1]) for l in lines[1:]) == 300
+
+    @pytest.mark.parametrize("dist", helpers.NARROW_PRIORS[:2])
+    def test_general_gamma_sells_where_the_density_underflows(self, dist, tmp_path, capsys):
+        # a reserve of vbar would fail every run
+        out = tmp_path / "s.json"
+        argv = ["simulate", "--net", "mer:n=9,pct=40", "--dist", dist, "--reserve", "ggamma:k=1",
+                "--runs", "2000", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert json.loads(out.read_text())["failure_rate"] < 1.0
 
     def test_edge_list_needs_rho(self, edge_list, capsys):
         code = main(

@@ -11,7 +11,13 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import truncnorm
 
-from helpers import TAIL_PRIORS, subtree_critical_value, virtual_value
+from helpers import (
+    NARROW_PRIORS,
+    TAIL_PRIORS,
+    SingularityError,
+    subtree_critical_value,
+    virtual_value,
+)
 from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
@@ -21,7 +27,7 @@ from netauction.distributions import (
     parse_distribution,
     regularity_check,
 )
-from netauction.errors import ConfigError, DomainError, SingularityError
+from netauction.errors import ConfigError, DomainError
 from netauction.graphs import SubtreeProfile
 from netauction.reserve import global_optimal_reserve
 
@@ -105,8 +111,9 @@ def _bits(x) -> tuple[str, float]:
 
 @pytest.mark.parametrize("d", BIT_PRIORS, ids=BIT_IDS)
 class TestScalarPath:
-    """A scalar goes through cdf, pdf and quantile as a Python float; its
-    result must be the element a one-element array gives, to the bit."""
+    """A scalar goes through cdf, pdf, quantile and the inverse hazard as a
+    Python float; its result must be the element a one-element array gives,
+    to the bit, and NaN in is NaN out."""
 
     @staticmethod
     def _inputs(rng, top):
@@ -116,11 +123,12 @@ class TestScalarPath:
 
     def test_scalar_is_the_one_element_array_to_the_bit(self, d):
         rng = np.random.default_rng(2026)
-        for method, top in ((d.cdf, d.vbar), (d.pdf, d.vbar), (d.quantile, 1.0)):
+        for method, top in ((d.cdf, d.vbar), (d.pdf, d.vbar), (d.quantile, 1.0), (d._hazard, d.vbar)):
             for x in self._inputs(rng, top):
                 got = method(x)
                 assert type(got) is float
                 assert _bits(got) == _bits(method(np.array([x]))[0]), (method.__name__, x)
+                assert math.isnan(got) == math.isnan(x), (method.__name__, x)
 
     def test_out_of_support_scalars_keep_their_message(self, d):
         above = np.nextafter(d.vbar, math.inf)
@@ -128,6 +136,7 @@ class TestScalarPath:
             (d.cdf, d.vbar, "value outside support"),
             (d.pdf, d.vbar, "value outside support"),
             (d.quantile, 1, "probability outside"),
+            (d._hazard, d.vbar, "value outside support"),
         ):
             bad = [-1e-300, -1, np.float32(-0.5), np.array(-2.0), 2 * top]
             if method is not d.quantile:
@@ -312,20 +321,6 @@ class TestDerivedQuantities:
             subtree_critical_value(UNI, 50.0, 0)
 
 
-def _pointwise_min_slope(d):
-    """The grid and the slope arithmetic of ``regularity_check``, with one
-    ``virtual_value`` call per point."""
-    step = d.vbar / 1024
-    points = [i * step for i in range(1024)]
-    points.append(d.vbar)
-    psi = [virtual_value(d, v) for v in points]
-    return min(
-        (psi[i + 1] - psi[i]) / (points[i + 1] - points[i])
-        for i in range(len(points) - 1)
-        if points[i + 1] > points[i]
-    )
-
-
 class _TwoBumps(ValueDistribution):
     """Density 1.6/vbar on the outer quarters of [0, 100] and 0.4/vbar
     between them: where it drops, at 25, the virtual value falls."""
@@ -340,38 +335,115 @@ class _TwoBumps(ValueDistribution):
         return np.where((v < 25.0) | (v >= 75.0), 0.016, 0.004)
 
 
+def _virtual_values(d):
+    """The grid of 1024 equal steps over [0, vbar] and v - h(v) on it."""
+    points = np.append(np.arange(1024) * (d.vbar / 1024), d.vbar)
+    return points, points - d._hazard(points)
+
+
 class TestRegularity:
+    """``regularity_check`` reads regularity off the family, whose density
+    is log-concave; the virtual value v - h(v) read through the inverse
+    hazard does increase on a fine grid."""
+
     @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
     def test_experiment_families_are_regular(self, d):
-        report = regularity_check(d)
-        assert report.is_regular_on_grid
-        assert report.min_slope > 0.0
+        assert regularity_check(d)
+        _, psi = _virtual_values(d)
+        assert np.all(np.diff(psi) > 0.0)
 
     def test_uniform_slope_is_two(self):
-        report = regularity_check(UNI)
-        assert report.min_slope == pytest.approx(2.0, rel=1e-9)
+        points, psi = _virtual_values(UNI)
+        assert np.diff(psi) / np.diff(points) == pytest.approx(2.0, rel=1e-9)
 
     @pytest.mark.parametrize("d", ALL, ids=["uniform", "normal", "exp"])
     def test_matches_pointwise_virtual_values(self, d):
-        assert regularity_check(d).min_slope == _pointwise_min_slope(d)
+        points, psi = _virtual_values(d)
+        want = [virtual_value(d, v) for v in points]
+        assert psi == pytest.approx(want, rel=1e-9, abs=1e-9 * d.vbar)
 
     @pytest.mark.parametrize("cfg", TAIL_PRIORS)
     def test_regular_near_vbar(self, cfg):
         d = parse_distribution(cfg)
-        report = regularity_check(d)
-        assert report.is_regular_on_grid
-        assert report.min_slope == _pointwise_min_slope(d)
+        assert regularity_check(d)
+        points, psi = _virtual_values(d)
+        assert np.all(np.diff(psi) > 0.0)
+        want = [virtual_value(d, v) for v in points]
+        assert psi == pytest.approx(want, rel=1e-9, abs=1e-9 * d.vbar)
 
     def test_two_bump_prior_is_refused(self):
         d = _TwoBumps()
-        assert not regularity_check(d).is_regular_on_grid
-        with pytest.raises(DomainError, match="regularity check"):
+        assert not regularity_check(d)
+        with pytest.raises(DomainError, match="regular prior"):
             global_optimal_reserve(SubtreeProfile.from_sizes((3, 6)), d)
 
     def test_vanishing_pdf_is_a_singularity(self):
-        # the density underflows to 0 at the bottom of the support
+        # the density underflows to 0 at the bottom of the support: the
+        # quotient (1 - F) / f diverges there, the inverse hazard does not,
+        # and the global optimum solves the prior
+        d = TruncatedNormal(mu=200.0, sigma=5.0, vbar=100.0)
         with pytest.raises(SingularityError):
-            regularity_check(TruncatedNormal(mu=200.0, sigma=5.0, vbar=100.0))
+            virtual_value(d, 0.0)
+        assert 1e250 < d._hazard(0.0) < math.inf
+        assert regularity_check(d)
+        assert 0.0 < global_optimal_reserve(SubtreeProfile.from_sizes((3, 6)), d) < d.vbar
+
+
+def _hazard_by_quad(d, v: float) -> float:
+    """The integral of f(t) / f(v) over [v, vbar], with the ratio formed in
+    logs, over t's offset from v (in z-scores for the normal) so that no
+    difference of close values feeds the integrand, and the interval cut
+    where the integrand changes on its own scale: near v, at the mode and a
+    few widths past each."""
+    if isinstance(d, Uniform):
+        return d.vbar - v
+    if isinstance(d, TruncatedExponential):
+        scale, lo, hi, cuts = 1.0, 0.0, d.vbar - v, [j / d.lam for j in (1, 8, 64)]
+
+        def log_ratio(s):
+            return -d.lam * s
+
+    else:
+        # s is the z-score's offset from v's, zv, and the mode lies at -zv
+        zv = (v - d.mu) / d.sigma
+        scale, lo, hi = d.sigma, 0.0, (d.vbar - d.mu) / d.sigma - zv
+        cuts = [j / max(1.0, abs(zv)) for j in (1, 8, 64)] + [j - zv for j in (-8, -1, 0, 1, 8)]
+
+        def log_ratio(s):
+            return -0.5 * s * (s + 2.0 * zv)
+
+    edges = sorted({lo, hi, *(c for c in cuts if lo < c < hi)})
+    return scale * sum(
+        quad(lambda t: np.exp(log_ratio(t)), a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+HAZARD_PRIORS = BIT_PRIORS + [
+    parse_distribution(cfg) for cfg in (*TAIL_PRIORS, *NARROW_PRIORS, "normal:mu=200,sigma=5,vbar=100")
+]
+
+
+@pytest.mark.parametrize("d", HAZARD_PRIORS, ids=repr)
+class TestHazard:
+    """The inverse hazard h = (1 - F) / f against quadrature of the density
+    ratio, on priors whose density underflows and whose 1 - F cancels."""
+
+    def test_against_quadrature(self, d):
+        for v in np.linspace(0.0, d.vbar, 101).tolist():
+            with np.errstate(over="ignore"):
+                want = _hazard_by_quad(d, v)
+            if want < 1e300:
+                assert d._hazard(v) == pytest.approx(want, rel=1e-9, abs=1e-300), v
+
+    def test_never_nan_nor_negative(self, d):
+        top = d.vbar - np.spacing(d.vbar) * np.arange(64)
+        v = np.concatenate([np.linspace(0.0, d.vbar, 10_001), top, d.vbar * (1.0 - np.geomspace(1e-15, 1e-3, 64))])
+        # far below a narrow mode h overflows to inf, which numpy reports
+        with np.errstate(over="ignore"):
+            h = d._hazard(v)
+        assert not np.isnan(h).any()
+        assert np.all(h >= 0.0)
 
 
 class TestParsing:

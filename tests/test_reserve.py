@@ -1,11 +1,13 @@
 """Reserve policy tests: closed forms, root solving, global optimization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (
+    first_sign_change,
     slow_gamma_general,
     slow_global_optimal_reserve,
     subtree_critical_value,
@@ -161,6 +163,43 @@ class TestLargeGroups:
 
             assert 0.0 < r < d.vbar
             assert beta(r - step) <= 0.0 <= beta(r + step)
+
+
+def _scan_priors():
+    """The accepted priors of a scan over normal mu / vbar in [-1.5, 2.5],
+    sigma / vbar in [0.002, 10] and exponential lambda vbar in [1e-4, 3000],
+    for vbar 1 and 100."""
+    priors = []
+    for vbar in (1.0, 100.0):
+        for mu in np.linspace(-1.5, 2.5, 41) * vbar:
+            for sigma in np.geomspace(0.002, 10.0, 40) * vbar:
+                try:
+                    priors.append(TruncatedNormal(mu=float(mu), sigma=float(sigma), vbar=vbar))
+                except DomainError:
+                    pass  # no mass on [0, vbar]
+        for lam_vbar in np.geomspace(1e-4, 3000.0, 60):
+            priors.append(TruncatedExponential(lam=float(lam_vbar) / vbar, vbar=vbar))
+    return priors
+
+
+class TestPriorScan:
+    """gamma on every prior of the scan, narrow ones whose density
+    underflows on part of the support included, lies in the first step of
+    a 4,001-point grid across which v - (1 - F^k) / (k f F^(k-1)), read
+    straight off the cdf and pdf, goes from negative to 0 or above; and
+    the solver raises no RuntimeWarning."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 60])
+    def test_gamma_general_in_the_first_sign_change(self, k):
+        priors = _scan_priors()
+        assert len(priors) == 2780
+        for d in priors:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                g = gamma_general(k, d)
+            lo, hi = first_sign_change(d, k)
+            slack = 1e-9 * d.vbar
+            assert lo - slack <= g <= hi + slack, (d, k, g)
 
 
 class TestSubtreeOptimalReserve:

@@ -20,6 +20,7 @@ from netauction.distributions import (
     TruncatedExponential,
     TruncatedNormal,
     Uniform,
+    parse_distribution,
 )
 from netauction.errors import DomainError, ValidationError
 from netauction.graphs import SubtreeProfile
@@ -371,6 +372,15 @@ class TestBenchmarks:
         assert opt_upper_bound(9, EXPD) == pytest.approx(22.859110327437705, abs=1e-5)
         assert opt_upper_bound(2, NORM) == pytest.approx(42.810494878983285, abs=1e-5)
         assert opt_upper_bound(1, EXPD) == pytest.approx(4.595843376219079, abs=1e-5)
+
+    @pytest.mark.parametrize("cfg", helpers.NARROW_PRIORS)
+    def test_bounds_reach_the_best_star_revenue_on_narrow_priors(self, cfg):
+        # the pdf underflows to 0 short of vbar, where the Myerson reserve is not
+        d = parse_distribution(cfg)
+        grid = np.linspace(0.0, d.vbar, 4001).tolist()
+        for n, bound in ((9, opt_upper_bound(9, d)), (2, mys_lower_bound(2, d))):
+            best = max(revenue._total_revenues(_prof(*(1,) * n), d, grid))
+            assert bound == pytest.approx(best, rel=1e-6), n
 
     def test_mys_is_opt_at_rho(self):
         for d in (UNI, NORM, EXPD):
