@@ -3,21 +3,25 @@
 Utilities are piecewise constant in a bidder's own bid, with breakpoints
 only at the other bids and at the reserve, so a finite candidate set (a
 coarse grid plus every breakpoint, probed a hair on each side) finds the
-exact best bid deviation. Propagation deviations are enumerated outright:
-every subset of the bidder's informative neighbors. Links back to the
-seller carry no information, so they are excluded from the subset universe.
+exact best bid deviation. Each utility changes only at a few of those
+(the reserve, the others' top bid and the best bid beside it), so it is
+evaluated only at the first candidate past each. Propagation deviations
+are every subset of the bidder's links; links to the seller, to itself and
+to ids that never report carry no information and are only counted.
 
 A reported subset alone fixes the deviated graph, its dominator tree, the
 branch profile and hence every policy's reserve, since a bidder's own links
 never change whether the bidder itself is reachable. Nor do they change
 anything outside the bidder's dominator subtree that its utility reads: its
-chain, and who lies outside each chain member's subtree. So the search
-rebuilds only that subtree, on the truth's integer indices and only for
-subsets that drop a link into it, and reads every bid candidate's utility
-off the two dominator chains that can hold the winner, by
-``mechanism.clear``'s own rule. Only the reserve can differ between
-subsets: the global optimum reads the branch sizes, which a dropped link
-can change outside the subtree, so it reruns the data-flow for them alone.
+chain, and who lies outside each chain member's subtree. So under a reserve
+that does not read the profile the search enumerates only the subsets of
+the bidder's links into its own subtree (each is the first of the reported
+subsets that keep it), rebuilds only that subtree, on the truth's integer
+indices, and reads every bid's utility off the two dominator chains that
+can hold the winner, by ``mechanism.clear``'s own rule. The global optimum
+reads the branch sizes, which a dropped link can change outside the
+subtree, so under it every subset of the live links is enumerated and
+reruns the data-flow for the branch sizes alone.
 
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
@@ -28,6 +32,7 @@ buy at the lower price.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from operator import attrgetter
@@ -42,7 +47,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import _outside_tops, _relay_rule, _silent, clear, run_apx_r, utilities
+from .mechanism import _outside_tops, _relay_rule, clear, run_apx_r, utilities
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -89,19 +94,12 @@ class DeviationReport:
     deviations_tested: int
 
 
-def _reported_subsets(neighbors, seller: str | None) -> list[frozenset[str]]:
-    """Every subset of the informative neighbors, by size, then in
-    ``combinations`` order; the last one holds them all."""
-    informative = sorted(frozenset(neighbors) - {seller})
-    if len(informative) > _SUBSET_CAP:
-        raise DomainError(
-            f"{len(informative)} neighbors exceed the 2^{_SUBSET_CAP} subset cap"
-        )
-    return [
-        frozenset(chosen)
-        for size in range(len(informative) + 1)
-        for chosen in combinations(informative, size)
-    ]
+def _subsets(agent: str, links: list[int], what: str) -> list[tuple[int, ...]]:
+    """Every subset of ``links``, by size, then in ``combinations`` order;
+    the last one holds them all."""
+    if len(links) > _SUBSET_CAP:
+        raise DomainError(f"agent {agent!r}: {len(links)} {what} exceed the 2^{_SUBSET_CAP} subset cap")
+    return [chosen for size in range(len(links) + 1) for chosen in combinations(links, size)]
 
 
 def _bid_candidates(grid: DeviationGrid, vbar: float, bids, reserve: float | None) -> list[float]:
@@ -130,16 +128,14 @@ def check_dsic(
     against each deviated profile, since that feedback is precisely what a
     deviator exploits; every other policy resolves once and stays fixed.
 
-    The bid candidates and the best bid outside each subtree are the same
-    for every agent and are listed once. Each subset rebuilds at most the
-    deviator's subtree (see the module docstring), and every candidate's
-    utility is read off it by the rule ``clear`` applies. Deviations are
-    ordered bid-major: every candidate of ``_bid_candidates`` in turn, and
-    under it every subset of ``_reported_subsets``. Of equally good
+    Deviations are ordered bid-major: every candidate of ``_bid_candidates``
+    in turn, and under it every subset of the bidder's links other than to
+    the seller, by size, then in ``combinations`` order. Of equally good
     deviations the first in that order is reported, and
     ``deviations_tested`` counts the whole product.
     ``tests/helpers.enumerate_deviations`` lists that order and is the
-    reference.
+    reference. The search itself tries only the subsets and candidates that
+    can come first in it (see the module docstring).
     """
     grid = grid or DeviationGrid()
     values = truth.bids()
@@ -162,9 +158,9 @@ def check_dsic(
     slot_of = {a: i for i, a in enumerate(pot.ids)}
     reserve_cache = {tuple(sorted(base_profile.sizes)): base_reserve}
 
-    def reserve_for(slot: int, subset: frozenset[str]) -> float:
+    def reserve_for(slot: int, subset: tuple[int, ...]) -> float:
         # the global optimum of the deviated market's branch sizes
-        sizes = pot.branch_sizes(slot, [slot_of[v] for v in subset if v in slot_of])
+        sizes = pot.branch_sizes(slot, subset)
         key = tuple(sorted(sizes))
         if key not in reserve_cache:
             reserve_cache[key] = global_optimal_reserve(SubtreeProfile.from_sizes(sizes), d)
@@ -178,25 +174,23 @@ def check_dsic(
         tested = 0
         if agent in slot_of:
             slot = slot_of[agent]
-            subsets = _reported_subsets(action.neighbors, truth.seller)
-            tested = len(candidates) * len(subsets)
+            tested = len(candidates) << len(action.neighbors - {truth.seller})
+            # slot order is id order, so subsets of slots come in id order
+            links = sorted(slot_of[v] for v in action.neighbors if v in slot_of and v != agent)
+            start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
+            inner = [w for w in links if start < pot.at[w] < stop]
             if policy.kind == "global_opt":
-                # the last subset is the truth: links to the seller are inert
+                subsets = _subsets(agent, links, "live links")
+                # the last subset is the truth
                 reserves = [reserve_for(slot, subset) for subset in subsets[:-1]] + [base_reserve]
             else:
+                subsets = _subsets(agent, inner, "links into its own subtree")
                 reserves = [base_reserve] * len(subsets)
-            utils = _subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets)
-            # strict improvement in enumeration order: the first best wins
-            # ties, so of the subsets sharing one utility only the first
-            # can be reported
-            first: dict = {}
-            for subset, u in zip(subsets, utils):
-                first.setdefault(u, subset)
-            for b in candidates:
-                for u, subset in first.items():
-                    gain = u(b) - u_truth
-                    if gain > best_gain:
-                        best_gain, best_bid, best_report = gain, b, subset
+            firsts = _first_utilities(pot, bids, tops, slot, inner, subsets, reserves)
+            best = _best_deviation(candidates, list(firsts.values()), u_truth)
+            if best is not None:
+                best_gain, best_bid, subset = best
+                best_report = frozenset(pot.ids[w] for w in subset)
         reports.append(
             DeviationReport(
                 agent=agent,
@@ -210,36 +204,42 @@ def check_dsic(
     return tuple(reports)
 
 
-def _subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets):
-    """Bidder ``slot``'s utility for each reported subset, at that subset's
-    reserve, as a function of its bid.
-
-    Only the bidder's informative links into its own subtree shape what
-    the utility reads, so subsets that keep the same ones at the same
-    reserve share one function, and those that keep them all read the
-    truth's subtree.
-    """
-    start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
-    inner = frozenset(
-        v for v in subsets[-1] if v in slot_of and start < pot.at[slot_of[v]] < stop
-    )
-    rules: dict[float, object] = {}
-    shared: dict[tuple[frozenset[str], float], object] = {}
-    utils = []
+def _first_utilities(pot, bids, tops, slot, inner, subsets, reserves) -> dict:
+    """Bidder ``slot``'s distinct utilities over ``subsets``, each at its
+    reserve, in order of first appearance: (the kept ``inner`` links, the
+    reserve) -> (u, breaks, the first subset). Only the links into the
+    bidder's own subtree shape what u reads. A reserve at which a member
+    above the bidder wins whatever it bids gets no entry: u is -0.0 there,
+    and the truthful utility is never negative."""
+    rules = {}
+    firsts = {}
     for subset, r in zip(subsets, reserves):
-        kept = subset & inner
-        if (kept, r) not in shared:
-            if r not in rules:
-                rules[r] = _relay_rule(pot, bids, tops, slot, r, bids[slot])
-            rule = rules[r]
-            if rule is None:
-                shared[kept, r] = _silent
-            elif kept == inner:
-                shared[kept, r] = rule(*pot.subtree(slot))
-            else:
-                shared[kept, r] = rule(*pot.cut(slot, [slot_of[v] for v in sorted(kept)]))
-        utils.append(shared[kept, r])
-    return utils
+        kept = tuple(w for w in subset if w in inner)
+        if (kept, r) in firsts:
+            continue
+        if r not in rules:
+            rules[r] = _relay_rule(pot, bids, tops, slot, r, bids[slot])
+        if rules[r] is not None:
+            below = pot.subtree(slot) if len(kept) == len(inner) else pot.cut(slot, kept)
+            firsts[kept, r] = (*rules[r](*below), subset)
+    return firsts
+
+
+def _best_deviation(candidates: list[float], firsts: list, u_truth: float):
+    """The first strict improvement on ``u_truth`` of the bid-major scan of
+    ``candidates``, each against every (u, breaks, subset) of ``firsts``, as
+    (gain, bid, subset), or None. u holds between its breaks, so only
+    candidate 0 and the first candidates at and past each break are tried,
+    and the least (-gain, candidate index, utility index) is the scan's."""
+    tried = (
+        (u_truth - u(candidates[i]), i, j)
+        for j, (u, breaks, _) in enumerate(firsts)
+        for i in {0, *(f(candidates, x) for x in breaks for f in (bisect_left, bisect_right))}
+        if i < len(candidates)
+    )
+    loss, i, j = min(tried, default=(0.0, 0, 0))
+    # b - a is -(a - b) to the bit, so -loss is the scan's gain
+    return (-loss, candidates[i], firsts[j][2]) if loss < 0.0 else None
 
 
 def counterexample_instance() -> ActionProfile:

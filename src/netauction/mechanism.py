@@ -147,10 +147,6 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     )
 
 
-def _silent(b: float) -> float:
-    return -0.0
-
-
 def _first_top(bids: list[float], nodes) -> int | None:
     """The smallest index among ``nodes`` holding their top bid."""
     if not nodes:
@@ -180,7 +176,8 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
     ``bids[slot]`` never counts, and a top bid is floored at 0 as ``clear``
     floors it. Returns None when a member above ``slot`` wins whatever it
     bids, and else the map from ``slot``'s subtree, as ``Pot.subtree`` or
-    ``Pot.cut`` lists it, to ``u``.
+    ``Pot.cut`` lists it, to ``(u, breaks)``: u changes only at the bids in
+    ``breaks``, the reserve, the others' top bid and ``beside`` if it is set.
     """
     _check_reserve(reserve)
     chain = _chain(pot.up, slot)
@@ -197,7 +194,7 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
         h_in = _first_top(bids, below)
         h0 = _first_top(bids, [h for h in (h_out, h_in) if h is not None])
         if h0 is None:
-            return lambda b: win if b >= reserve else -0.0
+            return (lambda b: win if b >= reserve else -0.0), (reserve,)
         top = bids[h0]
         beside = None  # the others' best bid outside the next member's subtree
         if h0 == h_in:
@@ -219,7 +216,7 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
                 return win
             return -(max(held, reserve) - max(beside, b, reserve))
 
-        return u
+        return u, ((reserve, top) if beside is None else (reserve, top, beside))
 
     return rule
 

@@ -9,6 +9,7 @@ from array import array
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
@@ -415,14 +416,37 @@ def enumerate_deviations(
     ``check_dsic`` breaks ties in: bid-major, the subsets under each bid.
 
     Bids: an even grid on [0, vbar], every opponent bid, the agent's own
-    value, and the reserve probed exactly and a hair on each side. Reports:
-    every subset of the informative neighbors.
+    value, and the reserve probed exactly and a hair on each side, clipped
+    to [0, vbar], sorted and without repeats. Reports: every subset of the
+    neighbors other than the seller, by size, then in ``combinations``
+    order.
     """
-    from netauction.incentives import _bid_candidates, _reported_subsets
-
-    subsets = _reported_subsets(neighbors, seller)
-    bids = _bid_candidates(grid, vbar, [*others_bids, value], reserve)
+    eps = 1e-6 * vbar
+    raw = [*np.linspace(0.0, vbar, grid.points).tolist(), *others_bids, value]
+    if reserve is not None:
+        raw += [reserve, reserve - eps, reserve + eps]
+    bids = sorted({min(max(float(b), 0.0), vbar) for b in raw})
+    informative = sorted(frozenset(neighbors) - {seller})
+    subsets = [
+        frozenset(chosen)
+        for size in range(len(informative) + 1)
+        for chosen in combinations(informative, size)
+    ]
     return tuple((b, s) for b in bids for s in subsets)
+
+
+def scan_deviations(candidates, firsts, u_truth):
+    """The deviation search's pick before it probed breakpoints: every bid
+    candidate in turn, under it every (u, breaks, subset) of ``firsts`` in
+    order, keeping the first strict improvement on ``u_truth`` as
+    (gain, bid, subset); None when nothing improves."""
+    best_gain, best = 0.0, None
+    for b in candidates:
+        for u, _, subset in firsts:
+            gain = u(b) - u_truth
+            if gain > best_gain:
+                best_gain, best = gain, (gain, b, subset)
+    return best
 
 
 def slow_check_dsic(truth, d, policy, grid=None):

@@ -676,6 +676,26 @@ class TestDsic:
     def test_missing_arguments_is_usage_error(self, capsys):
         assert main(["dsic", "--net", "symmetry:sizes=2+2"]) == 2
 
+    @pytest.mark.parametrize(
+        "policy, what",
+        [("ugamma:k=2", "links into its own subtree"), ("ropt", "live links")],
+        ids=["ugamma", "ropt"],
+    )
+    def test_subset_cap_names_the_agent(self, tmp_path, capsys, policy, what):
+        # v17 alone informs 13 bidders; under a fixed reserve only links
+        # into its own subtree count, so there the seller does not reach them
+        leaves = [f"w{i:02d}" for i in range(13)]
+        reports = {"s": ["v17"] if policy == "ugamma:k=2" else ["v17", *leaves], "v17": leaves}
+        values = {"v17": 60.0, **dict.fromkeys(leaves, 20.0)}
+        net = tmp_path / "fan.json"
+        profile = profile_to_dict(helpers.truthful_from_values(values, reports))
+        net.write_text(json.dumps(profile), encoding="utf-8")
+        args = ["dsic", "--net", str(net), "--dist", "uniform:vbar=100", "--reserve", policy]
+        assert main([*args, "--grid", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: agent 'v17': 13 {what} exceed the 2^12 subset cap\n"
+
 
 class TestRatioAndIngest:
     def test_ratio(self, capsys):

@@ -1,5 +1,7 @@
 """Deviation search tests: truthfulness holds where proven, fails where not."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,8 @@ from netauction.incentives import (
     report_to_dict,
     ropt_counterexample,
 )
-from netauction.mechanism import run_apx_r
-from netauction.reserve import ReservePolicy, global_optimal_reserve
+from netauction.mechanism import _outside_tops, clear, run_apx_r, utilities
+from netauction.reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 UNI = Uniform(vbar=100.0)
 
@@ -101,9 +103,26 @@ class TestEnumeration:
         assert all(0.0 <= b <= 100.0 for b, _ in got)
 
     def test_subset_cap(self):
-        many = frozenset(f"n{i}" for i in range(13))
-        with pytest.raises(DomainError):
-            enumerate_deviations(40.0, many, DeviationGrid(3), 100.0)
+        # the cap counts the subsets the search enumerates: of every live
+        # link under the global optimum, of the links into the bidder's own
+        # subtree under any other policy
+        many = [f"n{i:02d}" for i in range(13)]
+        values = {"a": 40.0, **dict.fromkeys(many, 10.0)}
+        outer = helpers.truthful_from_values(values, {"s": ["a", *many], "a": many})
+        inner = helpers.truthful_from_values(values, {"s": ["a"], "a": many})
+        ropt, ugamma = ReservePolicy(kind="global_opt"), ReservePolicy(kind="uniform_gamma", kmin=2)
+        cap = r"exceed the 2\^12 subset cap$"
+        with pytest.raises(DomainError, match=r"^agent 'a': 13 live links " + cap):
+            check_dsic(outer, UNI, ropt, DeviationGrid(3))
+        with pytest.raises(DomainError, match=r"^agent 'a': 13 links into its own subtree " + cap):
+            check_dsic(inner, UNI, ugamma, DeviationGrid(3))
+        reports = check_dsic(outer, UNI, ugamma, DeviationGrid(3))
+        assert [r.agent for r in reports] == ["a", *many]
+        reserve = resolve_reserve(ugamma, subtree_profile(build_pot(build_graph(outer))), UNI)
+        listed = enumerate_deviations(
+            40.0, frozenset(many), DeviationGrid(3), 100.0, [10.0] * 13, reserve, "s"
+        )
+        assert reports[0].deviations_tested == len(listed)
 
 
 class TestDsicPolicies:
@@ -245,6 +264,96 @@ class TestDsicPolicies:
                 seen.add("bystander")
                 assert out.payments.get("C", 0.0) == 0.0
         assert seen == {"wins", "relays", "bystander"}
+
+
+class TestSearchShortcuts:
+    """What the search leaves out: links that cannot move a utility, and
+    bid candidates that cannot come first."""
+
+    @staticmethod
+    def _tens(rng, truth):
+        # every bid redrawn as a multiple of 10: many ties
+        return TestAgainstSlowReference._rebid(truth, lambda: 10.0 * float(rng.integers(0, 11)))
+
+    @pytest.mark.parametrize("policy", DSIC_POLICIES[:3], ids=lambda p: p.kind)
+    def test_outer_links_never_change_a_fixed_reserve_report(self, policy):
+        # 13 links out of the deviator's subtree, to bidders the seller
+        # informs itself: past the subset cap, yet the report is the one
+        # without them, but for the deviations counted and, with no gain,
+        # the truthful report named
+        rng = np.random.default_rng(113)
+        extra = frozenset(f"y{i:02d}" for i in range(13))
+        for k in range(12):
+            truth = helpers.random_connected_profile(rng, n_max=5)
+            if k % 2:
+                truth = self._tens(rng, truth)
+            rows = [AgentAction(truth.seller, 0.0, truth.seller_report() | extra), *truth.bidders()]
+            rows += [AgentAction(y, 10.0 * float(rng.integers(0, 11)), ()) for y in sorted(extra)]
+            without = ActionProfile(truth.seller, tuple(rows))
+            agent = sorted(truth.ids())[int(rng.integers(0, len(truth.ids())))]
+            action = without.action(agent)
+            with_links = without.replace_action(agent, action.bid, action.neighbors | extra)
+            want = check_dsic(without, UNI, policy, DeviationGrid(5))
+            got = check_dsic(with_links, UNI, policy, DeviationGrid(5))
+            assert [r.agent for r in got] == [r.agent for r in want]
+            for g, w in zip(got, want):
+                if g.agent == agent:
+                    assert g.deviations_tested == w.deviations_tested << 13
+                    assert g.best_report - extra == w.best_report
+                    g = dataclasses.replace(
+                        g, deviations_tested=w.deviations_tested, best_report=w.best_report
+                    )
+                assert g == w, (policy.kind, truth, agent)
+
+    def test_step_probes_pick_what_the_scan_picks(self):
+        # against the bid-major scan of every candidate and utility, on
+        # random profiles, tie-heavy bids, reserves at 0, at vbar and at a
+        # bid, a mix of reserves across the subsets, and truthful utilities
+        # lowered so that many deviations gain and tie
+        rng = np.random.default_rng(127)
+        grid = DeviationGrid(points=5)
+        makers = (
+            helpers.random_sparse_profile,
+            helpers.random_directed_profile,
+            helpers.random_connected_profile,
+        )
+        picked = tied = 0
+        for k in range(150):
+            truth = makers[k % 3](rng, n_max=7)
+            if k % 4 < 2:
+                truth = self._tens(rng, truth)
+            graph = build_graph(truth)
+            if not graph.reachable:
+                continue
+            pot = build_pot(graph)
+            values = truth.bids()
+            bids = [values[a] for a in pot.ids]
+            tops = _outside_tops(pot, bids)
+            slot_of = {a: i for i, a in enumerate(pot.ids)}
+            reserves = (0.0, UNI.vbar, float(rng.choice(bids)), float(rng.uniform(0.0, 100.0)))
+            for slot, agent in enumerate(pot.ids):
+                neighbors = truth.action(agent).neighbors
+                links = sorted(slot_of[v] for v in neighbors if v in slot_of and v != agent)
+                start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
+                inner = [w for w in links if start < pot.at[w] < stop]
+                subsets = incentives._subsets(agent, links, "live links")
+                for r in reserves:
+                    candidates = _bid_candidates(grid, UNI.vbar, values.values(), r)
+                    u_truth = utilities(truth, values, clear(pot, bids, r))[agent]
+                    mixed = [r if rng.random() < 0.5 else float(rng.choice(reserves)) for _ in subsets]
+                    for at in ([r] * len(subsets), mixed):
+                        firsts = incentives._first_utilities(pot, bids, tops, slot, inner, subsets, at)
+                        firsts = list(firsts.values())
+                        for floor in (u_truth, u_truth - float(rng.uniform(0.0, 30.0)), -100.0):
+                            got = incentives._best_deviation(candidates, firsts, floor)
+                            want = helpers.scan_deviations(candidates, firsts, floor)
+                            assert got == want, (truth, agent, r, floor)
+                            if got is not None:
+                                picked += 1
+                                # several utilities reach the best gain
+                                best = [any(u(b) - floor == got[0] for b in candidates) for u, _, _ in firsts]
+                                tied += sum(best) > 1
+        assert picked > 3000 and tied > 1000, (picked, tied)
 
 
 class TestAgainstSlowReference:
@@ -395,25 +504,25 @@ class TestAgainstSlowReference:
     def test_subset_utilities_match_the_rebuilt_market(self, monkeypatch):
         # a withheld link that never pays leaves the reports unchanged, so
         # reports alone cannot tell a wrong subtree rebuild or a wrong
-        # reserve from the truth's; compare each subset's utility, as
+        # reserve from the truth's; compare each first subset's utility, as
         # check_dsic computes it, with the whole deviated market's auction
         # at that market's reserve instead
         calls = []
-        subset_utilities = incentives._subset_utilities
+        first_utilities = incentives._first_utilities
 
-        def spy(pot, bids, tops, slot_of, slot, reserves, subsets):
-            utils = subset_utilities(pot, bids, tops, slot_of, slot, reserves, subsets)
-            calls.append((pot.ids[slot], reserves, subsets, utils))
-            return utils
+        def spy(pot, bids, tops, slot, inner, subsets, reserves):
+            firsts = first_utilities(pot, bids, tops, slot, inner, subsets, reserves)
+            calls.append((pot.ids[slot], reserves[-1], pot.ids, firsts))
+            return firsts
 
-        monkeypatch.setattr(incentives, "_subset_utilities", spy)
+        monkeypatch.setattr(incentives, "_first_utilities", spy)
         rng = np.random.default_rng(97)
         grid = DeviationGrid(points=4)
         global_opt = {}
         moved = 0
         for kind in ("fixed", "global_opt"):
             cut_off = 0
-            for k in range(60):
+            for k in range(90):
                 make = helpers.random_directed_profile if k % 2 else helpers.random_sparse_profile
                 truth = make(rng, n_max=7)
                 if k % 3 == 0:
@@ -429,8 +538,9 @@ class TestAgainstSlowReference:
                 calls.clear()
                 check_dsic(truth, UNI, policy, grid)
                 assert len(calls) == len(reachable)
-                for agent, reserves, subsets, utils in calls:
-                    for subset, r, u in zip(subsets, reserves, utils):
+                for agent, base, ids, firsts in calls:
+                    for (_, r), (u, breaks, subset) in firsts.items():
+                        subset = frozenset(ids[w] for w in subset)
                         deviated = truth.replace_action(agent, values[agent], subset)
                         sizes = subtree_profile(build_pot(build_graph(deviated)))
                         if kind == "fixed":
@@ -440,12 +550,17 @@ class TestAgainstSlowReference:
                             if key not in global_opt:
                                 global_opt[key] = global_optimal_reserve(sizes, UNI)
                             assert r == global_opt[key], (truth, agent, subset)
-                            moved += r != reserves[-1]
-                        for b in _bid_candidates(grid, UNI.vbar, values.values(), r):
+                            moved += r != base
+                        candidates = _bid_candidates(grid, UNI.vbar, values.values(), r)
+                        for b in candidates:
                             out = run_apx_r(truth.replace_action(agent, b, subset), r)
                             paid = out.payments.get(agent, 0.0)
                             want = values[agent] - paid if out.winner == agent else -paid
                             assert u(b) == want, (truth, agent, subset, b, r)
+                        # u moves only at its breaks
+                        for lo, hi in zip(candidates, candidates[1:]):
+                            if not any(lo <= x <= hi for x in breaks):
+                                assert u(lo) == u(hi), (truth, agent, subset, lo, hi, r)
                         cut_off += sizes.n < len(reachable)
             assert cut_off > 50, kind
         # under the global optimum, subsets that shrink the market move the

@@ -13,7 +13,6 @@ from netauction.mechanism import (
     Outcome,
     _outside_tops,
     _relay_rule,
-    _silent,
     clear,
     run_apx_r,
     utilities,
@@ -289,7 +288,7 @@ class TestDeviatorUtility:
         # the deviation search's path: the truth's outside tops, then the
         # truth's subtree
         rule = _relay_rule(pot, bids, _outside_tops(pot, bids), slot, reserve, value)
-        return _silent if rule is None else rule(*pot.subtree(slot))
+        return (lambda b: -0.0) if rule is None else rule(*pot.subtree(slot))[0]
 
     @staticmethod
     def _from_clear(pot, bids, slot, reserve, value, b):
