@@ -40,7 +40,7 @@ from .incentives import (
     ropt_counterexample,
     report_to_dict,
 )
-from .mechanism import run_apx_r
+from .mechanism import clear
 from .reserve import parse_policy, resolve_reserve
 from .revenue import (
     expected_total_revenue,
@@ -109,14 +109,15 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_auction(args) -> int:
     profile = load_profile(_require_file(args.profile))
+    pot = build_pot(build_graph(profile))
     if args.r is not None:
         reserve = args.r
     else:
         d = parse_distribution(args.dist)
         policy = parse_policy(args.reserve)
-        prof = subtree_profile(build_pot(build_graph(profile)))
-        reserve = resolve_reserve(policy, prof, d)
-    outcome = run_apx_r(profile, reserve)
+        reserve = resolve_reserve(policy, subtree_profile(pot), d)
+    bids = profile.bids()
+    outcome = clear(pot, [bids[a] for a in pot.ids], reserve)
     print(f"reserve: {_fmt(reserve)}")
     if outcome.failed:
         print("failed: no reachable bid met the reserve")
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
     except NetAuctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, LookupError, KeyError) as exc:
+    except (OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

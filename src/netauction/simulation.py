@@ -25,7 +25,7 @@ import codecs
 import math
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -380,9 +380,6 @@ def monte_carlo(
                     np.maximum(x, ut[c], out=x)
                 np.maximum(m2, np.minimum(m1, x), out=m2)
                 np.maximum(m1, x, out=m1)
-        elif m == 1:
-            u.max(axis=1, out=m1)
-            m2.fill(0.0)
         else:
             k = u.argmax(axis=1)
             m1[:] = u[np.arange(u.shape[0]), k]
@@ -504,17 +501,9 @@ def draw_replicate(
 
 
 def stats_to_dict(stats: RevenueStats) -> dict:
-    return {
-        "runs": stats.runs,
-        "mean": stats.mean,
-        "std_error": stats.std_error,
-        "failure_rate": stats.failure_rate,
-        "reserve": stats.reserve,
-        "master_seed": stats.master_seed,
-        "vbar": stats.vbar,
-        "histogram_zero": stats.histogram[0],
-        "histogram_bins": list(stats.histogram[1:]),
-    }
+    blob = asdict(stats)
+    zero, *bins = blob.pop("histogram")
+    return {**blob, "histogram_zero": zero, "histogram_bins": bins}
 
 
 def write_histogram_csv(stats: RevenueStats, path) -> None:

@@ -210,6 +210,16 @@ def random_network(rng, n, edges):
     return network_from_edges([f"v{u}" for u, _ in pairs], [f"v{v}" for _, v in pairs])
 
 
+def write_seeded_list(path, nodes: int, pairs: int, seed: int) -> None:
+    """Write the edge list of ``default_rng(seed).integers(0, nodes, (pairs,
+    2))`` as ``u v`` lines. The tests and CI draw their seeded lists here:
+    python -c "from helpers import write_seeded_list; ..." with PYTHONPATH
+    holding this directory."""
+    links = np.random.default_rng(seed).integers(0, nodes, (pairs, 2))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{u} {v}\n" for u, v in links.tolist())
+
+
 def slow_load_adjacency(path):
     """The dict-of-frozensets edge-list reader that ``load_edge_list``
     replaced, verbatim but for returning the adjacency dict."""

@@ -74,8 +74,7 @@ class TestBasics:
     def test_commands_in_one_process_match_each_alone(self, tmp_path, capsys):
         # the shared parser must carry nothing from one call to the next
         net = tmp_path / "net.txt"
-        pairs = np.random.default_rng(5).integers(0, 60, (90, 2))
-        net.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        helpers.write_seeded_list(net, 60, 90, 5)
         commands = [
             ["simulate", "--net", "mer:n=9,pct=40", "--dist", "uniform:vbar=100",
              "--reserve", "ugamma:k=2", "--runs", "2000", "--seed", "4", "--out", "{out}"],
@@ -658,9 +657,8 @@ class TestDsic:
     def test_edge_list_matches_the_slow_search(self, tmp_path, capsys, policy, verdict):
         # a seeded 36-node, 36-pair list: 26 bidders hear of the sale, and
         # under the global optimum one of them gains by deviating
-        pairs = np.random.default_rng(14).integers(0, 36, (36, 2))
         net, out = tmp_path / "net.txt", tmp_path / "dsic.json"
-        net.write_text("".join(f"{a} {b}\n" for a, b in pairs.tolist()))
+        helpers.write_seeded_list(net, 36, 36, 14)
         args = ["dsic", "--net", str(net), "--rho", "2", "--seed", "3", "--grid", "5"]
         args += ["--dist", "uniform:vbar=100", "--reserve", policy, "--out", str(out)]
         assert main(args) == 0

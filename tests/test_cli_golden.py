@@ -10,9 +10,9 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+import helpers
 from netauction.cli import main
 
 UNIFORM = "uniform:vbar=100"
@@ -149,11 +149,9 @@ def _sha(data: bytes) -> str:
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     net = root / "net300.txt"
-    pairs = np.random.default_rng(2026).integers(0, 300, (450, 2))
-    net.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()), encoding="utf-8")
+    helpers.write_seeded_list(net, 300, 450, 2026)
     net10k = root / "net10k.txt"
-    pairs = np.random.default_rng(2026).integers(0, 10_000, (30_000, 2))
-    net10k.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()), encoding="utf-8")
+    helpers.write_seeded_list(net10k, 10_000, 30_000, 2026)
     profile = root / "profile.json"
     profile.write_text(json.dumps(README_PROFILE), encoding="utf-8")
     return {"net": str(net), "net10k": str(net10k), "profile": str(profile)}

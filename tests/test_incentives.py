@@ -305,6 +305,63 @@ class TestSearchShortcuts:
                     )
                 assert g == w, (policy.kind, truth, agent)
 
+    def test_links_into_the_own_branch_outside_the_subtree_move_no_ropt_report(self):
+        # h dominates the 13 bidders that v, x and y each inform, so v's
+        # links stay in h's branch outside v's subtree and no subset of them
+        # moves a branch size: past the subset cap, the global optimum
+        # answers as if v reported none, but for the deviations counted
+        many = [f"b{i:02d}" for i in range(13)]
+        values = {"h": 30.0, "v": 55.0, "x": 20.0, "y": 45.0}
+        values |= {b: 2.0 + 7.0 * i for i, b in enumerate(many)}
+        reports = {"s": ["h"], "h": ["v", "x", "y"], "v": many, "x": many, "y": many}
+        truth = helpers.truthful_from_values(values, reports)
+        silent = helpers.truthful_from_values(values, {**reports, "v": []})
+        ropt = ReservePolicy(kind="global_opt")
+        got = {r.agent: r for r in check_dsic(truth, UNI, ropt, DeviationGrid(5))}
+        want = {r.agent: r for r in check_dsic(silent, UNI, ropt, DeviationGrid(5))}
+        g, w = got.pop("v"), want.pop("v")
+        assert (g.truthful_utility, g.best_gain, g.best_bid) == (
+            w.truthful_utility, w.best_gain, w.best_bid
+        )
+        assert g.deviations_tested == w.deviations_tested << 13
+        assert got == want
+
+    def test_global_opt_enumerates_live_links_as_the_slow_search(self, monkeypatch):
+        # random directed reports under the global optimum, against the
+        # reference that enumerates every link. The links enumerated are
+        # those into the bidder's subtree or into another branch, which
+        # enter at its head; those into its own branch outside its subtree
+        # are left out
+        enumerated = {}
+        subsets = incentives._subsets
+
+        def spy(agent, links, what):
+            enumerated[agent] = list(links)
+            return subsets(agent, links, what)
+
+        monkeypatch.setattr(incentives, "_subsets", spy)
+        rng = np.random.default_rng(2718)
+        ropt = ReservePolicy(kind="global_opt")
+        left_out = heads = 0
+        for k in range(40):
+            truth = helpers.random_directed_profile(rng, n_max=8)
+            d = UNI if k % 2 else TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
+            pot = build_pot(build_graph(truth))
+            enumerated.clear()
+            fast = check_dsic(truth, d, ropt, DeviationGrid(5))
+            assert fast == helpers.slow_check_dsic(truth, d, ropt, DeviationGrid(5)), truth
+            assert sorted(enumerated) == sorted(pot.ids)
+            for a in pot.ids:
+                below, head = helpers.ddg(pot, a), helpers.dcs(pot, a)[0]
+                links = sorted(truth.action(a).neighbors & set(pot.ids) - {a})
+                live = [w for w in links if w in below or helpers.dcs(pot, w)[0] != head]
+                outer = [w for w in live if w not in below]
+                assert all(helpers.dcs(pot, w) == (w,) for w in outer), (truth, a)
+                assert [pot.ids[w] for w in enumerated[a]] == live, (truth, a)
+                left_out += len(links) - len(live)
+                heads += len(outer)
+        assert left_out > 0 and heads > 0
+
     def test_step_probes_pick_what_the_scan_picks(self):
         # against the bid-major scan of every candidate and utility, on
         # random profiles, tie-heavy bids, reserves at 0, at vbar and at a

@@ -8,6 +8,7 @@ cells are exact rationals.
 import csv
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -276,6 +277,41 @@ class TestAgainstRecursiveSimpson:
         # one call on the first three points of every integral, one per tree
         # level (11 here) and one for F(r): a second call on any level shows
         assert len(calls) == 13
+
+
+class TestAgainstQuad:
+    """Markets of up to 200 bidders with repeated branch sizes against
+    scipy's quad, one integral per distinct size, weighted by its count."""
+
+    PROFILES = [
+        (1,) * 200,
+        (1,) * 138,
+        (1,) * 100 + (50,) + (25,) * 2,
+        (3,) * 60 + (20,),
+    ]
+
+    @staticmethod
+    def _quad_total(prof, d, r):
+        n = prof.n
+        total = 0.0
+        for kx, count in sorted(Counter(prof.sizes).items()):
+            c = kx / n
+
+            def integrand(v, c=c, kx=kx):
+                F = float(d.cdf(v))
+                return (c - 1.0) * F**n + F ** (n - kx)
+
+            tail, _ = quad(integrand, r, d.vbar, epsabs=1e-14, epsrel=1e-13, limit=200)
+            total += count * (c * (d.vbar - r * float(d.cdf(r)) ** n) - tail)
+        return total
+
+    @pytest.mark.parametrize("sizes", PROFILES, ids=lambda s: f"n{sum(s)}_m{len(s)}")
+    @pytest.mark.parametrize("d", [NORM, EXPD], ids=["normal", "exp"])
+    def test_total_revenue_matches(self, sizes, d):
+        prof = SubtreeProfile.from_sizes(sizes)
+        for r in (0.0, gamma_general(1, d), 60.0):
+            want = self._quad_total(prof, d, r)
+            assert expected_total_revenue(prof, d, r) == pytest.approx(want, rel=5e-8)
 
 
 class TestQuadratureDigest:

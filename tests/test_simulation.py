@@ -473,6 +473,10 @@ def _diff_templates():
         helpers.random_large_profile(np.random.default_rng(n), n, extra)
         for n, extra in ((1000, 0.3), (2000, 0.1), (3000, 0.05))
     ]
+    leaves = [f"l{i:03d}" for i in range(600)]
+    star = helpers.truthful_from_values(
+        dict.fromkeys(["h", *leaves], 1.0), {helpers.SELLER: ["h"], "h": leaves}
+    )
     return [
         ("one_chain", chains_profile((4,)), 16_384 + 5),
         ("one_bidder", chains_profile((1,)), 300),
@@ -485,6 +489,9 @@ def _diff_templates():
         ("cols_max_one_chain", chains_profile((_COLS_MAX,)), 16_384 + 5),
         ("cols_max_mixed", chains_profile((_COLS_MAX - 10, 5, 3, 1, 1)), 16_384 + 9),
         ("cols_max_plus_one", chains_profile((_COLS_MAX - 9, 4, 3, 2, 1)), 16_384 + 13),
+        # one branch above the threshold: its second value is the mask's 0
+        ("one_chain_40", chains_profile((40,)), 16_384 + 11),
+        ("star_600", star, 1_000_000 // 601 + 7),
     ]
 
 
