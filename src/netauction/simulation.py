@@ -95,28 +95,138 @@ def _bin_edges(vbar: float) -> np.ndarray:
     return np.linspace(0.0, vbar, 101)
 
 
-def _bin_counts(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """``np.histogram(values, bins=100, range=(0, vbar))[0]`` for values in
-    [0, vbar], with ``edges = _bin_edges(vbar)``.
+def _bin_fixups(edges: np.ndarray) -> tuple[np.ndarray, float]:
+    """What ``_bin_counts`` reads besides the edges, built once per Monte
+    Carlo call: each bin's right edge (inf for the last bin, which holds
+    vbar), and the slack within which a value's fractional index must lie
+    of an integer for numpy's edge corrections to move it.
 
-    This is numpy's own rule for equal bins: scale each value to an index,
-    put vbar in the last bin, step the index down by one where the value
-    lies below its bin's left edge and up by one where it reaches the next
-    bin's, but never past the last bin, then count. So a value on an edge
-    lands in the bin ``np.histogram`` puts it in.
+    The slack is the largest distance of an edge's own index from the
+    integer it stands for, scaled as the values are. Both distances are
+    exact (a float minus a nearby integer loses nothing), so the margin
+    added to it, a doubling and 1e-12 of a bin, only flags more values.
     """
-    scaled = values / edges[-1]
-    scaled *= 100
-    idx = scaled.astype(np.intp)
-    np.minimum(idx, 99, out=idx)
-    idx -= values < edges.take(idx)
-    idx += values >= np.append(edges[1:-1], np.inf).take(idx)
+    index = edges / edges[-1]
+    index *= 100
+    slack = float(np.abs(index - np.arange(edges.size)).max())
+    return np.append(edges[1:-1], np.inf), 2.0 * slack + 1e-12
+
+
+def _bin_counts(
+    values: np.ndarray, edges: np.ndarray, fixups: tuple[np.ndarray, float] | None = None
+) -> np.ndarray:
+    """``np.histogram(values, bins=100, range=(0, vbar))[0]`` for values in
+    [0, vbar], with ``edges = _bin_edges(vbar)`` and ``fixups =
+    _bin_fixups(edges)`` (built here when not given).
+
+    This is numpy's own rule for equal bins: scale each value to an index
+    ``values / vbar * 100`` (dividing first: ``100 / vbar`` overflows for
+    vbar below about 1e-306), put vbar in the last bin, step the index down
+    by one where the value lies below its bin's left edge and up by one
+    where it reaches the next bin's, but never past the last bin, then
+    count. So a value on an edge lands in the bin ``np.histogram`` puts it
+    in. The index is nondecreasing in the value, so a correction can fire
+    only where the index lies within the slack of an integer: on a value
+    below edge j the index is at most edge j's, and on a value at or above
+    edge j + 1 at least edge j + 1's. Only those values are corrected.
+    """
+    upper, slack = _bin_fixups(edges) if fixups is None else fixups
+    index = values / edges[-1]
+    index *= 100
+    idx = index.astype(np.intp)
+    off = np.rint(index)
+    np.subtract(index, off, out=off)
+    near = np.flatnonzero(np.abs(off, out=off) <= slack)
+    if near.size:
+        # vbar's index, 100, is an integer: only near values reach it
+        j = np.minimum(idx[near], 99)
+        v = values[near]
+        j -= v < edges.take(j)
+        j += v >= upper.take(j)
+        idx[near] = j
     return np.bincount(idx, minlength=100)
 
 
 # Largest market whose Monte Carlo batches are reduced over column views of
-# the draw rather than with a branch mask (see monte_carlo).
-_COLS_MAX = 24
+# the draw rather than with argmax passes (see monte_carlo).
+_COLS_MAX = 31
+
+
+def _top_two_step(branch: np.ndarray):
+    """The top-two step of a Monte Carlo batch on a market whose column j
+    lies in branch ``branch[j]`` (branches numbered 0..m-1): a function of
+    (u, m1, m2) that writes each row's largest draw of u into m1 and, with
+    two or more branches, the largest draw outside that draw's branch into
+    m2. The draws must be >= 0; u may be overwritten, and with one branch
+    m2 is left as it was. See ``monte_carlo`` for the paths."""
+    n = branch.size
+    sizes = np.bincount(branch)
+    if n <= _COLS_MAX:
+        # the largest branch first: its maximum is built in m1, and the
+        # one-column branches after it are read as views
+        first, *others = sorted(
+            (np.flatnonzero(branch == b).tolist() for b in range(sizes.size)), key=len, reverse=True
+        )
+        wide = any(len(cols) > 1 for cols in others)
+
+        def branch_max(ut, cols, out):
+            c0, *rest = cols
+            if not rest:
+                return ut[c0]
+            np.maximum(ut[c0], ut[rest[0]], out=out)
+            for c in rest[1:]:
+                np.maximum(out, ut[c], out=out)
+            return out
+
+        def columns(u, m1, m2):
+            ut = u.T
+            top = branch_max(ut, first, m1)
+            if not others:
+                m1[:] = top
+                return
+            spare = np.empty_like(m1) if wide else None
+            x = branch_max(ut, others[0], spare)
+            np.minimum(top, x, out=m2)
+            np.maximum(top, x, out=m1)
+            for cols in others[1:]:
+                x = branch_max(ut, cols, spare)
+                # m2 <= m1, so max(m2, min(m1, x)) = min(m1, max(m2, x))
+                np.maximum(m2, x, out=m2)
+                np.minimum(m2, m1, out=m2)
+                np.maximum(m1, x, out=m1)
+
+        return columns
+    if sizes.size == 1:
+        return lambda u, m1, m2: u.max(axis=1, out=m1)
+
+    def outside(u, k, out=None):
+        # each row's largest draw outside the branch of its draw k (0 where
+        # there is none, as the draws are >= 0)
+        return u.max(axis=1, out=out, where=branch != branch[k][:, None], initial=0.0)
+
+    def mask(u, m1, m2):
+        k = u.argmax(axis=1)
+        m1[:] = u[np.arange(u.shape[0]), k]
+        outside(u, k, m2)
+
+    # sum (k_b / n)**2 is the chance that a row's top two draws share a
+    # branch, which sends the row to the mask after all
+    if 3 * int(np.square(sizes).sum()) > n * n:
+        return mask
+
+    def runner_up(u, m1, m2):
+        rows = np.arange(u.shape[0])
+        k = u.argmax(axis=1)
+        m1[:] = u[rows, k]
+        u[rows, k] = 0.0
+        k2 = u.argmax(axis=1)
+        m2[:] = u[rows, k2]
+        # a runner-up in the top draw's own branch says nothing of the rest
+        same = np.flatnonzero(branch[k2] == branch[k])
+        if same.size:
+            m2[same] = outside(u[same], k[same])
+
+    return runner_up
 
 
 def _balanced(total: int, parts: int) -> list[int]:
@@ -281,6 +391,13 @@ class Market:
         return cls(branch=branch, profile=SubtreeProfile.from_sizes(sizes.tolist()))
 
 
+def _check_seed(seed) -> None:
+    """A seed is an int >= 0, as ``np.random.default_rng`` takes it; a bool
+    is refused, as it is not meant as one."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def monte_carlo(
     template: ActionProfile | Market,
     d: ValueDistribution,
@@ -327,18 +444,41 @@ def monte_carlo(
     (as for a peak density of millions), and the band widens to every row:
     the batch then maps both top uniforms. Revenue above r is binned with
     numpy's own rule for equal bins (the counts are ``np.histogram``'s),
-    and the sales at r are added to r's bin.
+    whose edge corrections are applied only to values near an edge (see
+    ``_bin_counts``), and the sales at r are added to r's bin. Above a
+    reserve of 0 every mapped second value is at least r, and one at r
+    lands in r's bin, so the mapped values are binned as they are.
 
-    The top two uniforms are found on one of two paths, which agree bit for
-    bit because max and min are exact. Markets of at most ``_COLS_MAX`` (24)
-    bidders take each branch's maximum over its column views of the draw,
-    then keep a running top two of the branch maxima. Larger markets take
-    each row's largest draw, zero that draw's branch with a mask and take
-    the largest draw left. The column path makes one numpy call per column,
-    which pays while a batch stays in cache: on 2 cores, one 16,384-row
-    batch took 0.2-2.5 ms against the mask's 1.8-6.2 ms for 9-28 bidders,
-    but from 32 bidders up the two paths were about even, and the mask was
-    the faster with one bidder per branch.
+    The top two uniforms are found on one of four paths (``_top_two_step``),
+    which agree bit for bit because max, min and argmax are exact:
+
+    - Markets of at most ``_COLS_MAX`` (31) bidders read the draw's columns
+      as views. The largest branch's maximum is built in m1, the next
+      branch's maximum x sets m2 = min(m1, x) and m1 = max(m1, x), and each
+      later one keeps the running top two. Nothing is filled or copied.
+    - Above 31 bidders, a market of one branch takes only the row maxima:
+      with one branch m2 is never read.
+    - Otherwise each row's largest draw k is read and zeroed, and a second
+      argmax gives the runner-up. It is the largest draw outside k's branch
+      unless it lies in that branch; only those rows fall back to a mask, a
+      row maximum over the draws outside k's branch.
+    - A row falls back with about the chance that two draws share a branch,
+      the sum of (k_b / n)**2 over the branch sizes k_b. Where that exceeds
+      1/3, every row takes the mask: the runner-up costs two argmax passes
+      plus the mask on the rows that fall back, against the mask's argmax,
+      one comparison and one masked maximum.
+
+    On 2 shared cores (CPython 3.11, numpy 2.4), a 16,384-row (3, 6) batch
+    under the uniform prior takes about 625 us: 320 drawing, 85 the top
+    two, 25 the quantile, 47 binning and about 150 on masks, gather,
+    scatter and sums (the normal prior's quantile takes 230). At 65,536
+    runs the column path beat the argmax paths on every shape tried up to
+    31 bidders: by 1.1x at 16 bidders one per branch, whose 128-byte rows
+    alias in the cache, and by 1.7-3.6x elsewhere. It lost first at 32
+    bidders one per branch (17.9 against 12.1 ms). With the share at 1/2, as
+    for (30, 30), (50, 50) and (5000, 5000), the mask ran 4-10% faster than
+    the runner-up; at 1/3 the two were even; with one bidder per branch the
+    runner-up took 0.65 of the mask's time.
 
     Each batch draws only the rows it uses. The generator fills the array
     in C order, so a short last batch is the prefix of a full one, and
@@ -349,8 +489,9 @@ def monte_carlo(
     stream, so every draw is the one a single call would give, and memory
     stays bounded however large the market.
     """
-    if not isinstance(runs, int) or runs < 1:
+    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
         raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
+    _check_seed(master_seed)
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     market = template if isinstance(template, Market) else Market.from_profile(template)
@@ -363,30 +504,7 @@ def monte_carlo(
     vbar = d.vbar
     B = _batch_rows(n)
     n_batches = (runs + B - 1) // B
-    if n <= _COLS_MAX:
-        branch_cols = [np.flatnonzero(branch == b).tolist() for b in range(m)]
-
-    def top_two(u: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> None:
-        """Fill m1 with the largest draw of each row of u, and m2 with the
-        largest outside its branch (zeros when there is one branch)."""
-        if n <= _COLS_MAX:
-            # draws are >= 0, so the running top two may start at zeros
-            ut = u.T
-            m1.fill(0.0)
-            m2.fill(0.0)
-            for c0, *rest in branch_cols:
-                x = ut[c0].copy()
-                for c in rest:
-                    np.maximum(x, ut[c], out=x)
-                np.maximum(m2, np.minimum(m1, x), out=m2)
-                np.maximum(m1, x, out=m1)
-        else:
-            k = u.argmax(axis=1)
-            m1[:] = u[np.arange(u.shape[0]), k]
-            # zero the top branch's draws in place; what is left peaks at
-            # the best draw of every other branch
-            np.copyto(u, 0.0, where=branch == branch[k][:, None])
-            u.max(axis=1, out=m2)
+    top_two = _top_two_step(branch)
 
     # the top uniforms whose values may lie either side of the reserve
     p = d.cdf(reserve)
@@ -395,9 +513,10 @@ def monte_carlo(
     if (lo > 0.0 and q_lo >= reserve) or (hi < 1.0 and q_hi < reserve):
         lo, hi = 0.0, 1.0  # the prior's cdf and quantile disagree: every row
     edges = _bin_edges(vbar)
+    fixups = _bin_fixups(edges)
     # the bin of a sale at the reserve (at a reserve of 0 a sale nets 0 and
     # counts with the zeros)
-    at_reserve = _bin_counts(np.array([reserve] if reserve > 0.0 else []), edges)
+    at_reserve = _bin_counts(np.array([reserve] if reserve > 0.0 else []), edges, fixups)
 
     block = max(1, _BLOCK_CELLS // n)
 
@@ -414,21 +533,25 @@ def monte_carlo(
         # cost small markets about 20% in time and 0.5 MB of peak RSS
         del u, part
         sold = m1 >= hi
-        near = (m1 >= lo) ^ sold  # lo <= m1 < hi
-        if near.any():
+        n_sold = np.count_nonzero(sold)
+        reach = m1 >= lo
+        if np.count_nonzero(reach) != n_sold:  # some rows have lo <= m1 < hi
+            near = reach ^ sold
             sold[near] = d.quantile(m1[near]) >= reserve
+            n_sold = np.count_nonzero(sold)
         revenue = sold * reserve  # r where sold, else 0.0
         if m >= 2:
             # a sale whose second uniform lies below the band nets r
             paid = np.flatnonzero(sold & (m2 >= lo))
             second = np.maximum(d.quantile(m2[paid]), reserve)
             revenue[paid] = second
-            above = second[second > reserve]
+            # with r > 0 every mapped second is at least r, and one at r
+            # lands in r's bin; with r = 0 a second of 0 counts as a zero
+            above = second if reserve > 0.0 else second[second > 0.0]
         else:
             above = np.empty(0)  # the second bid is 0: every sale nets r
-        # the sales above the reserve are binned, the rest share its bin
-        n_sold = np.count_nonzero(sold)
-        hist = _bin_counts(above, edges) + (n_sold - above.size) * at_reserve
+        # the mapped sales are binned, the rest share r's bin
+        hist = _bin_counts(above, edges, fixups) + (n_sold - above.size) * at_reserve
         return (
             float(revenue.sum()),
             float(np.square(revenue).sum()),
@@ -482,6 +605,7 @@ def draw_replicate(
     one the aggregate run consumed. Unreachable bidders bid 0."""
     if i < 0:
         raise ValidationError(f"replicate index must be >= 0, got {i}")
+    _check_seed(master_seed)
     _, order = _reach(template)  # the columns: the bidders reached, in id order
     n = len(order)
     if n < 1:
@@ -743,6 +867,7 @@ def load_edge_list(path) -> Network:
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:
     """Uniformly random node of degree exactly rho under the seed."""
+    _check_seed(seed)
     candidates = np.flatnonzero(np.diff(network.indptr) == rho)
     if not candidates.size:
         raise LookupError(f"no node of degree {rho} in the network")

@@ -71,6 +71,25 @@ class TestBasics:
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--net", "mer:n=9,pct=40", "--dist", "uniform:vbar=100",
+             "--reserve", "none", "--runs", "100"],
+            ["simulate", "--net", "{net}", "--rho", "3", "--dist", "uniform:vbar=100",
+             "--reserve", "none", "--runs", "100"],
+            ["dsic", "--net", "mer:n=9,pct=40", "--dist", "uniform:vbar=100", "--reserve", "none"],
+            ["dsic", "--net", "{net}", "--rho", "3", "--dist", "uniform:vbar=100", "--reserve", "none"],
+            ["ingest", "--net", "{net}", "--rho", "3"],
+        ],
+        ids=["simulate", "simulate_edge_list", "dsic", "dsic_edge_list", "ingest"],
+    )
+    def test_negative_seed_is_one_line_error(self, argv, edge_list, capsys):
+        # ingest has printed its census by the time it picks the seller
+        code = main([a.format(net=edge_list) for a in argv] + ["--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
     def test_commands_in_one_process_match_each_alone(self, tmp_path, capsys):
         # the shared parser must carry nothing from one call to the next
         net = tmp_path / "net.txt"

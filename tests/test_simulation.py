@@ -37,6 +37,7 @@ from netauction.simulation import (
     _batch_rows,
     _bin_counts,
     _bin_edges,
+    _top_two_step,
     template_from_network,
     write_histogram_csv,
 )
@@ -339,6 +340,30 @@ class TestMonteCarlo:
             monte_carlo(template, UNI, NONE, runs=10, master_seed=1, threads=0)
         with pytest.raises(ValidationError):
             draw_replicate(template, UNI, 1, -1)
+        with pytest.raises(ValidationError, match="runs must be an integer >= 1, got True"):
+            monte_carlo(template, UNI, NONE, runs=True, master_seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, True, False, 1.0, "3", None])
+    def test_seed_validation(self, seed, tmp_path):
+        template = chains_profile((2,))
+        path = tmp_path / "net.txt"
+        path.write_text("a b\nb c\n")
+        net = load_edge_list(path)
+        message = f"seed must be an integer >= 0, got {seed!r}"
+        with pytest.raises(ValidationError, match=message):
+            monte_carlo(template, UNI, NONE, runs=10, master_seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            draw_replicate(template, UNI, seed, 0)
+        with pytest.raises(ValidationError, match=message):
+            pick_seller(net, 2, seed)
+
+    def test_seed_zero_is_a_seed(self, tmp_path):
+        template = chains_profile((2,))
+        path = tmp_path / "net.txt"
+        path.write_text("a b\nb c\n")
+        assert monte_carlo(template, UNI, NONE, runs=10, master_seed=0).master_seed == 0
+        assert draw_replicate(template, UNI, 0, 0) == draw_replicate(template, UNI, 0, 0)
+        assert pick_seller(load_edge_list(path), 2, 0) == "b"
 
     def test_template_with_no_reachable_bidders(self):
         from netauction.graphs import ActionProfile, AgentAction
@@ -420,7 +445,24 @@ class TestMonteCarlo:
 class TestBinCounts:
     """The batch's binning against np.histogram, value by value."""
 
-    @pytest.mark.parametrize("vbar", [100.0, 7.0, 0.3, 123.456])
+    @pytest.mark.parametrize(
+        "vbar",
+        [
+            100.0,
+            7.0,
+            0.3,
+            123.456,
+            # the smallest normal float and subnormals, where 100 / vbar
+            # overflows and an edge's index can lie far from its integer
+            2.2250738585072014e-308,
+            1e-310,
+            1e-315,
+            1e-318,
+            1e-320,
+            1e-300,
+            1e300,
+        ],
+    )
     def test_edges_and_their_neighbours(self, vbar):
         edges = _bin_edges(vbar)
         values = np.concatenate(
@@ -428,6 +470,8 @@ class TestBinCounts:
                 edges,
                 np.nextafter(edges, -np.inf),
                 np.nextafter(edges, np.inf),
+                edges * (1.0 - 1e-12),
+                edges * (1.0 + 1e-12),
                 np.arange(101) * (vbar / 100),  # the edges of a scaled step
                 np.random.default_rng(5).uniform(0.0, vbar, 200),
                 [vbar],
@@ -442,6 +486,132 @@ class TestBinCounts:
             one = np.array([v])
             got = _bin_counts(one, edges)
             assert np.array_equal(got, np.histogram(one, bins=100, range=(0.0, vbar))[0]), v
+
+
+def _top_two_oracle(u, branch):
+    """Each row's largest branch maximum, and the next one (None with one
+    branch), from the sorted branch maxima."""
+    maxima = np.stack([u[:, branch == b].max(axis=1) for b in range(branch.max() + 1)], axis=1)
+    maxima.sort(axis=1)
+    return maxima[:, -1], (maxima[:, -2] if maxima.shape[1] > 1 else None)
+
+
+def _assert_same_bits(got, want, what):
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), what
+
+
+# branch sizes across the column path (n <= _COLS_MAX), one branch, and the
+# share rule: sum (k/n)**2 against 1/3, and below, at and above 1/2
+_TOP_TWO_SIZES = [
+    (1,),
+    (1, 1),
+    (2,),
+    (3, 6),
+    (9,),
+    (6, 6, 6, 6),
+    (1,) * 25,
+    (20, 5),
+    (_COLS_MAX,),
+    (_COLS_MAX - 9, 4, 3, 2, 1),
+    (_COLS_MAX - 8, 4, 3, 2, 1),
+    (60,),
+    (1,) * 60,
+    (10,) * 6,
+    (20, 20, 20),  # share 1/3
+    (21, 20, 20),
+    (30, 30),  # share 1/2
+    (59, 1),
+    (50, 10),
+    (600,),
+    (1,) * 600,
+    (200, 200, 200),
+    (300, 300),
+]
+
+
+class TestTopTwo:
+    """The batch's top-two step against per-row branch maxima, sorted, bit
+    for bit: m1 always, m2 with two or more branches."""
+
+    @staticmethod
+    def _branch(sizes, rng):
+        # columns of a branch need not be adjacent
+        return rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+
+    @staticmethod
+    def _draws(branch, rng, rows=96):
+        n = branch.size
+        fine = rng.random((rows, n))
+        # coarse draws tie often, in a branch and across branches, and hit 0
+        coarse = rng.integers(0, 4, (rows, n)) / 4.0
+        u = np.concatenate((fine, coarse, np.zeros((2, n)), fine[:8]))
+        last = len(u) - 8
+        for r in range(last, len(u)):
+            k = int(u[r].argmax())
+            own = np.flatnonzero(branch == branch[k])
+            other = np.flatnonzero(branch != branch[k])
+            if r % 2 and other.size:
+                u[r, rng.choice(other)] = u[r, k]  # the top ties another branch
+            elif own.size > 1:
+                u[r, rng.choice(own[own != k])] = u[r, k]  # and its own
+        u[len(fine) + len(coarse), rng.integers(n)] = 0.5  # one draw above zeros
+        return u
+
+    @pytest.mark.parametrize("sizes", _TOP_TWO_SIZES, ids=lambda s: f"{len(s)}:{'+'.join(map(str, s[:4]))}")
+    def test_against_sorted_branch_maxima(self, sizes):
+        rng = np.random.default_rng(sum(sizes) * 31 + len(sizes))
+        branch = self._branch(sizes, rng)
+        u = self._draws(branch, rng)
+        want1, want2 = _top_two_oracle(u, branch)
+        m1 = np.full(len(u), np.nan)
+        m2 = np.full(len(u), np.nan)
+        _top_two_step(branch)(u.copy(), m1, m2)
+        _assert_same_bits(m1, want1, sizes)
+        if want2 is not None:
+            _assert_same_bits(m2, want2, sizes)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocks_of_a_batch(self, threads, monkeypatch):
+        """Through monte_carlo: each block's draws give the oracle's top two,
+        and the blocks of a batch fill its arrays without overlap."""
+        real = simulation._top_two_step
+        calls = []
+
+        def recording(branch):
+            step = real(branch)
+
+            def recorded(u, m1, m2):
+                drawn = u.copy()
+                step(u, m1, m2)
+                calls.append((drawn, m1, m2))
+
+            return recorded
+
+        monkeypatch.setattr(simulation, "_BLOCK_CELLS", 5_000)
+        rng = np.random.default_rng(77)
+        for sizes in ((3, 6), (1,) * 60, (30, 30), (70,), (300, 300)):
+            calls.clear()
+            branch = self._branch(sizes, rng)
+            market = Market(branch=branch, profile=SubtreeProfile.from_sizes(sizes))
+            n = branch.size
+            runs = 2 * _batch_rows(n) + 3
+            want = monte_carlo(market, UNI, FIX50, runs, master_seed=12)
+            with monkeypatch.context() as spied:
+                spied.setattr(simulation, "_top_two_step", recording)
+                got = monte_carlo(market, UNI, FIX50, runs, master_seed=12, threads=threads)
+            assert got == want
+            assert sum(len(drawn) for drawn, _, _ in calls) == runs
+            batches = {}
+            for drawn, m1, m2 in calls:
+                batches.setdefault(id(m1.base), []).append((drawn, m1.base, m2.base))
+            assert len(batches) == 3
+            assert max(len(blocks) for blocks in batches.values()) > 1
+            for blocks in batches.values():
+                drawn = np.concatenate([b[0] for b in blocks])
+                want1, want2 = _top_two_oracle(drawn, branch)
+                _assert_same_bits(blocks[0][1], want1, (sizes, threads))
+                if want2 is not None:
+                    _assert_same_bits(blocks[0][2], want2, (sizes, threads))
 
 
 _DIFF_PRIORS = [
