@@ -348,10 +348,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NetAuctionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, LookupError) as exc:
+    except (NetAuctionError, OSError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

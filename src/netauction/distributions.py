@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_positive
 
 __all__ = [
     "Uniform",
@@ -124,8 +124,7 @@ class Uniform(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        if not (self.vbar > 0 and math.isfinite(self.vbar)):
-            raise DomainError(f"vbar must be positive and finite, got {self.vbar}")
+        check_positive("vbar", self.vbar)
 
     def cdf(self, v):
         return self._check_value(v) / self.vbar
@@ -150,10 +149,8 @@ class TruncatedNormal(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        if not (self.vbar > 0 and math.isfinite(self.vbar)):
-            raise DomainError(f"vbar must be positive and finite, got {self.vbar}")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
+        check_positive("vbar", self.vbar)
+        check_positive("sigma", self.sigma)
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
@@ -224,10 +221,8 @@ class TruncatedExponential(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        if not (self.vbar > 0 and math.isfinite(self.vbar)):
-            raise DomainError(f"vbar must be positive and finite, got {self.vbar}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError(f"lambda must be positive and finite, got {self.lam}")
+        check_positive("vbar", self.vbar)
+        check_positive("lambda", self.lam)
         # the untruncated mass of [0, vbar], through the same expm1 as cdf so
         # that cdf(vbar) is exactly 1.0
         object.__setattr__(self, "_mass", -float(np.expm1(-self.lam * self.vbar)))

@@ -34,13 +34,12 @@ a fixed number of numpy passes, none of which follows the tree's depth.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_counts, check_nonnegative
 
 __all__ = [
     "AgentAction",
@@ -69,8 +68,7 @@ class AgentAction:
     def __post_init__(self):
         if not isinstance(self.agent, str) or not self.agent:
             raise ValidationError(f"agent id must be a non-empty string, got {self.agent!r}")
-        if not math.isfinite(self.bid) or self.bid < 0.0:
-            raise ValidationError(f"bid for {self.agent!r} must be finite and >= 0, got {self.bid}")
+        check_nonnegative(f"bid for {self.agent!r}", self.bid, ValidationError)
         object.__setattr__(self, "neighbors", frozenset(self.neighbors))
 
 
@@ -483,11 +481,7 @@ class SubtreeProfile:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(map(int, self.sizes)))
-        if not self.sizes:
-            raise ValidationError("a branch profile needs at least one branch")
-        if min(self.sizes) < 1:
-            raise ValidationError(f"every branch size must be >= 1, got {self.sizes}")
+        object.__setattr__(self, "sizes", check_counts("branch size", self.sizes))
         object.__setattr__(self, "n", sum(self.sizes))
         object.__setattr__(self, "m", len(self.sizes))
 

@@ -39,7 +39,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from .distributions import Uniform, ValueDistribution
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_count
 from .graphs import (
     ActionProfile,
     AgentAction,
@@ -75,8 +75,7 @@ class DeviationGrid:
     points: int = 21
 
     def __post_init__(self):
-        if not isinstance(self.points, int) or isinstance(self.points, bool) or self.points < 2:
-            raise ValidationError(f"grid needs an integer of at least 2 points, got {self.points!r}")
+        object.__setattr__(self, "points", check_count("points", self.points, least=2))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ValidationError, check_nonnegative
 from .graphs import ActionProfile, Pot, build_graph, build_pot
 
 __all__ = [
@@ -52,11 +52,6 @@ class Outcome:
 
 def _failed_outcome() -> Outcome:
     return Outcome(winner=None, payments={}, revenue=0.0, failed=True)
-
-
-def _check_reserve(reserve: float) -> None:
-    if not math.isfinite(reserve) or reserve < 0.0:
-        raise DomainError(f"reserve must be finite and >= 0, got {reserve}")
 
 
 def run_apx_r(profile: ActionProfile, reserve: float) -> Outcome:
@@ -109,7 +104,7 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     ``bids[v]`` is the bid of bidder ``pot.ids[v]``, so one tree serves any
     number of bid vectors over the same reported links.
     """
-    _check_reserve(reserve)
+    check_nonnegative("reserve", reserve, DomainError)
     n = len(bids)
     if not n:
         return _failed_outcome()
@@ -179,7 +174,7 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
     ``Pot.cut`` lists it, to ``(u, breaks)``: u changes only at the bids in
     ``breaks``, the reserve, the others' top bid and ``beside`` if it is set.
     """
-    _check_reserve(reserve)
+    check_nonnegative("reserve", reserve, DomainError)
     chain = _chain(pot.up, slot)
     for z, below in zip(chain, chain[1:]):
         if bids[z] >= reserve and bids[z] == max(0.0, tops(below)[0]):

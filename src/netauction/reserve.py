@@ -35,6 +35,7 @@ import numpy as np
 
 from .distributions import Uniform, ValueDistribution, regularity_check
 from .errors import ConfigError, DomainError, SolverError, ValidationError
+from .errors import check_count, check_nonnegative, check_positive
 from .graphs import SubtreeProfile
 
 __all__ = [
@@ -62,13 +63,11 @@ class ReservePolicy:
         if self.kind not in _POLICY_KINDS:
             raise ValidationError(f"unknown policy kind {self.kind!r}")
         if self.kind == "fixed":
-            if self.r is None or not math.isfinite(self.r) or self.r < 0.0:
-                raise ValidationError(f"fixed policy needs a finite r >= 0, got {self.r}")
+            check_nonnegative("fixed r", self.r, ValidationError)
         elif self.r is not None:
             raise ValidationError(f"policy {self.kind!r} takes no fixed r")
         if self.kind in ("uniform_gamma", "general_gamma"):
-            if not isinstance(self.kmin, int) or self.kmin < 1:
-                raise ValidationError(f"policy {self.kind!r} needs integer kmin >= 1, got {self.kmin}")
+            object.__setattr__(self, "kmin", check_count("kmin", self.kmin))
         elif self.kmin is not None:
             raise ValidationError(f"policy {self.kind!r} takes no kmin")
 
@@ -103,29 +102,19 @@ def _bisect(f, vbar: float) -> float:
     )
 
 
-def _check_count(name: str, value: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_vbar(vbar: float) -> None:
-    if not math.isfinite(vbar) or vbar <= 0.0:
-        raise DomainError(f"vbar must be finite and > 0, got {vbar}")
-
-
 def gamma_uniform(kmin: int, vbar: float) -> float:
     """Near-optimal DSIC-safe reserve for uniform values:
     vbar / (kmin+1)^(1/kmin). At kmin=1 this is the Myerson reserve vbar/2.
     """
-    _check_count("kmin", kmin)
-    _check_vbar(vbar)
+    kmin = check_count("kmin", kmin, error=DomainError)
+    check_positive("vbar", vbar)
     return vbar * (kmin + 1) ** (-1.0 / kmin)
 
 
 def gamma_general(kmin: int, d: ValueDistribution) -> float:
     """Near-optimal reserve for a general regular distribution: the root of
     the subtree critical value phi(v; kmin)."""
-    _check_count("kmin", kmin)
+    kmin = check_count("kmin", kmin, error=DomainError)
 
     def phi(v: float) -> float:
         F = d.cdf(v)
@@ -142,8 +131,7 @@ def gamma_general(kmin: int, d: ValueDistribution) -> float:
 def subtree_optimal_reserve(k: int, d: ValueDistribution) -> float:
     """Revenue-maximising reserve for one branch of k bidders."""
     if isinstance(d, Uniform):
-        _check_count("k", k)
-        return gamma_uniform(k, d.vbar)
+        return gamma_uniform(check_count("k", k, error=DomainError), d.vbar)
     return gamma_general(k, d)
 
 
@@ -211,20 +199,18 @@ def parse_policy(text: str) -> ReservePolicy:
         raise ConfigError(f"unknown reserve policy {text!r}")
     if kind == "fixed":
         try:
-            r = float(arg)
+            fields = {"r": float(arg)}
         except ValueError:
             raise ConfigError(f"fixed reserve wants a number, got {arg!r}") from None
-        try:
-            return ReservePolicy("fixed", r=r)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-    if kind in ("ugamma", "ggamma"):
+    elif kind in ("ugamma", "ggamma"):
         key, eq, val = arg.partition("=")
         if key != "k" or not eq or not val.isdigit():
             raise ConfigError(f"{kind} wants k=<int>, got {arg!r}")
-        mapped = "uniform_gamma" if kind == "ugamma" else "general_gamma"
-        try:
-            return ReservePolicy(mapped, kmin=int(val))
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-    raise ConfigError(f"unknown reserve policy {text!r}")
+        kind = "uniform_gamma" if kind == "ugamma" else "general_gamma"
+        fields = {"kmin": int(val)}
+    else:
+        raise ConfigError(f"unknown reserve policy {text!r}")
+    try:
+        return ReservePolicy(kind, **fields)
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from None

@@ -25,16 +25,15 @@ the reserve, which is an interval endpoint here.
 from __future__ import annotations
 
 import csv
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Uniform, ValueDistribution
-from .errors import DomainError, PropertyViolation, ValidationError
+from .errors import DomainError, PropertyViolation, ValidationError, check_count, check_counts
 from .graphs import SubtreeProfile
-from .reserve import _check_count, gamma_uniform, subtree_optimal_reserve
+from .reserve import gamma_uniform, subtree_optimal_reserve
 
 __all__ = [
     "OrderingReport",
@@ -125,18 +124,6 @@ def _adaptive_simpson(f, a, b: float, count: int):
     return out
 
 
-def _check_branch(kx: int, n: int) -> None:
-    _check_count("kx", kx)
-    _check_count("n", n)
-    if kx > n:
-        raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
-
-
-def _check_reserve(r: float, vbar: float) -> None:
-    if not math.isfinite(r) or r < 0.0 or r > vbar:
-        raise DomainError(f"reserve must lie in [0, {vbar}], got {r}")
-
-
 def _subtree_closed_uniform(kx: int, n: int, vbar: float, r: float) -> float:
     t = r / vbar
     head = vbar * (1 + kx) / (n + 1) * (1.0 - t ** (n + 1))
@@ -151,10 +138,13 @@ def _subtree_revenues(
     market of n bidders: one row per reserve in `reserves`, one column per
     size, with the quadrature integrals of every (reserve, size) pair in one
     call."""
-    for kx in sizes:
-        _check_branch(kx, n)
+    sizes = check_counts("kx", sizes, error=DomainError)
+    n = check_count("n", n, error=DomainError)
+    if max(sizes) > n:
+        raise DomainError(f"kx must not exceed n, got kx={max(sizes)}, n={n}")
     for r in reserves:
-        _check_reserve(r, d.vbar)
+        if not 0.0 <= r <= d.vbar:  # NaN and inf too
+            raise DomainError(f"reserve must lie in [0, {d.vbar}], got {r}")
     if method not in ("auto", "closed", "quadrature"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "closed" and not isinstance(d, Uniform):
@@ -228,8 +218,8 @@ def ratio_lower_bound(rho: int, kmin: int) -> float:
     """Guaranteed fraction of the optimal revenue at reserve gamma(kmin):
     1 - 1/(rho*kmin - kmin + 1). Degenerates to 1 - 1/rho at kmin=1 and to
     0 at rho=1."""
-    _check_count("rho", rho)
-    _check_count("kmin", kmin)
+    rho = check_count("rho", rho, error=DomainError)
+    kmin = check_count("kmin", kmin, error=DomainError)
     return 1.0 - 1.0 / (rho * kmin - kmin + 1)
 
 
@@ -237,8 +227,9 @@ def worst_partition(n: int, m: int, kmin: int) -> tuple[int, ...]:
     """Branch-size split of n bidders into m branches (each >= kmin) that
     maximises sum k_x/(n-k_x+1), i.e. the worst case for the approximation
     ratio: m-1 branches at the minimum and one taking the rest."""
-    for name, val in (("n", n), ("m", m), ("kmin", kmin)):
-        _check_count(name, val)
+    n = check_count("n", n, error=DomainError)
+    m = check_count("m", m, error=DomainError)
+    kmin = check_count("kmin", kmin, error=DomainError)
     if m * kmin > n:
         raise DomainError(
             f"infeasible split: {m} branches of at least {kmin} need more than {n} bidders"
@@ -270,8 +261,8 @@ def revenue_ordering_report(
     """
     if not isinstance(d, Uniform):
         raise DomainError("the revenue ordering chain is proven for uniform values only")
-    _check_count("rho", rho)
-    _check_count("kmin", kmin)
+    rho = check_count("rho", rho, error=DomainError)
+    kmin = check_count("kmin", kmin, error=DomainError)
     if profile.n <= rho:
         raise DomainError(f"the chain needs n > rho, got n={profile.n}, rho={rho}")
     if kmin > min(profile.sizes):

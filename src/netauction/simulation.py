@@ -35,7 +35,8 @@ from .errors import (
     DomainError,
     EdgeListFormatError,
     ScenarioError,
-    ValidationError,
+    check_count,
+    check_counts,
 )
 from .graphs import (
     ActionProfile,
@@ -113,11 +114,11 @@ def _bin_fixups(edges: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _bin_counts(
-    values: np.ndarray, edges: np.ndarray, fixups: tuple[np.ndarray, float] | None = None
+    values: np.ndarray, edges: np.ndarray, fixups: tuple[np.ndarray, float]
 ) -> np.ndarray:
     """``np.histogram(values, bins=100, range=(0, vbar))[0]`` for values in
     [0, vbar], with ``edges = _bin_edges(vbar)`` and ``fixups =
-    _bin_fixups(edges)`` (built here when not given).
+    _bin_fixups(edges)``.
 
     This is numpy's own rule for equal bins: scale each value to an index
     ``values / vbar * 100`` (dividing first: ``100 / vbar`` overflows for
@@ -130,7 +131,7 @@ def _bin_counts(
     below edge j the index is at most edge j's, and on a value at or above
     edge j + 1 at least edge j + 1's. Only those values are corrected.
     """
-    upper, slack = _bin_fixups(edges) if fixups is None else fixups
+    upper, slack = fixups
     index = values / edges[-1]
     index *= 100
     idx = index.astype(np.intp)
@@ -236,18 +237,13 @@ def _balanced(total: int, parts: int) -> list[int]:
     return [q + 1] * rem + [q] * (parts - rem)
 
 
-def _agent_ids(n: int) -> list[str]:
-    width = len(str(n))
-    return [f"a{i:0{width}d}" for i in range(1, n + 1)]
-
-
 def chains_profile(sizes) -> ActionProfile:
     """Truthful template under seller "s": one chain of bidders per branch
     size, all bids 0."""
-    sizes = tuple(int(k) for k in sizes)
-    if not sizes or any(k < 1 for k in sizes):
-        raise ScenarioError(f"branch sizes must be >= 1, got {sizes}")
-    ids = _agent_ids(sum(sizes))
+    sizes = check_counts("branch size", sizes, error=ScenarioError)
+    n = sum(sizes)
+    width = len(str(n))
+    ids = [f"a{i:0{width}d}" for i in range(1, n + 1)]
     agents = []
     heads = []
     at = 0
@@ -296,8 +292,7 @@ def parse_scenario(text: str) -> tuple[int, ...]:
     if kind != "symmetry" and n < 1:
         raise ScenarioError(f"scenario needs integer n >= 1, got {n}")
     if kind == "symmetry":
-        if any(k < 1 for k in sizes):
-            raise ScenarioError(f"branch sizes must be >= 1, got {sizes}")
+        sizes = check_counts("branch size", sizes, error=ScenarioError)
     elif kind == "mer":
         if x not in _MER_STEPS:
             raise ScenarioError(f"market expansion ratio must be one of {_MER_STEPS}, got {x}")
@@ -391,13 +386,6 @@ class Market:
         return cls(branch=branch, profile=SubtreeProfile.from_sizes(sizes.tolist()))
 
 
-def _check_seed(seed) -> None:
-    """A seed is an int >= 0, as ``np.random.default_rng`` takes it; a bool
-    is refused, as it is not meant as one."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
-
-
 def monte_carlo(
     template: ActionProfile | Market,
     d: ValueDistribution,
@@ -489,11 +477,9 @@ def monte_carlo(
     stream, so every draw is the one a single call would give, and memory
     stays bounded however large the market.
     """
-    if not isinstance(runs, int) or isinstance(runs, bool) or runs < 1:
-        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
-    _check_seed(master_seed)
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    runs = check_count("runs", runs)
+    master_seed = check_count("seed", master_seed, least=0)
+    threads = check_count("threads", threads)
     market = template if isinstance(template, Market) else Market.from_profile(template)
     prof = market.profile
     reserve = resolve_reserve(policy, prof, d)
@@ -603,9 +589,8 @@ def draw_replicate(
 ) -> ActionProfile:
     """The truthful profile of Monte Carlo replicate i, bit-identical to the
     one the aggregate run consumed. Unreachable bidders bid 0."""
-    if i < 0:
-        raise ValidationError(f"replicate index must be >= 0, got {i}")
-    _check_seed(master_seed)
+    i = check_count("replicate index", i, least=0)
+    master_seed = check_count("seed", master_seed, least=0)
     _, order = _reach(template)  # the columns: the bidders reached, in id order
     n = len(order)
     if n < 1:
@@ -867,7 +852,7 @@ def load_edge_list(path) -> Network:
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:
     """Uniformly random node of degree exactly rho under the seed."""
-    _check_seed(seed)
+    seed = check_count("seed", seed, least=0)
     candidates = np.flatnonzero(np.diff(network.indptr) == rho)
     if not candidates.size:
         raise LookupError(f"no node of degree {rho} in the network")

@@ -20,6 +20,8 @@ from netauction.errors import (
     DomainError,
     EdgeListFormatError,
     ValidationError,
+    check_count,
+    check_positive,
 )
 from netauction.graphs import (
     ActionProfile,
@@ -27,7 +29,7 @@ from netauction.graphs import (
     SubtreeProfile,
 )
 from netauction.mechanism import Outcome
-from netauction.reserve import _check_count, _check_vbar, resolve_reserve
+from netauction.reserve import resolve_reserve
 from netauction.revenue import _subtree_revenues
 from netauction.simulation import Network, RevenueStats, _batch_rows
 
@@ -638,9 +640,9 @@ def sup_gamma_x(n: int, kx: int, vbar: float) -> float:
     kx in a market of n bidders: vbar * ((n+1)/((kx+1)(n-kx+1)))^(1/kx).
     Nondecreasing in kx and equal to vbar at kx=n.
     """
-    _check_count("n", n)
-    _check_count("kx", kx)
-    _check_vbar(vbar)
+    n = check_count("n", n, error=DomainError)
+    kx = check_count("kx", kx, error=DomainError)
+    check_positive("vbar", vbar)
     if kx > n:
         raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
     return vbar * ((n + 1) / ((kx + 1) * (n - kx + 1))) ** (1.0 / kx)
@@ -959,10 +961,8 @@ def slow_monte_carlo(
     threads=1,
 ):
     """Estimate expected revenue under truthful play."""
-    if not isinstance(runs, int) or runs < 1:
-        raise ValidationError(f"runs must be an integer >= 1, got {runs!r}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
+    runs = check_count("runs", runs)
+    threads = check_count("threads", threads)
     graph = slow_graph(template)
     if not graph.reachable:
         raise DomainError("the template reaches no bidders")

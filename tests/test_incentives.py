@@ -46,7 +46,7 @@ class TestEnumeration:
     @pytest.mark.parametrize("points", [0, -3, 2.5, 21.0, True, "21", None])
     def test_grid_needs_an_integer(self, points):
         # 2.5 used to fail with a TypeError from inside the grid
-        with pytest.raises(ValidationError, match="integer of at least 2 points"):
+        with pytest.raises(ValidationError, match="points must be an integer >= 2, got "):
             DeviationGrid(points=points)
 
     def test_grid_is_linspace_to_the_bit(self):

@@ -37,6 +37,7 @@ from netauction.simulation import (
     _batch_rows,
     _bin_counts,
     _bin_edges,
+    _bin_fixups,
     _top_two_step,
     template_from_network,
     write_histogram_csv,
@@ -465,6 +466,7 @@ class TestBinCounts:
     )
     def test_edges_and_their_neighbours(self, vbar):
         edges = _bin_edges(vbar)
+        fixups = _bin_fixups(edges)
         values = np.concatenate(
             (
                 edges,
@@ -480,11 +482,11 @@ class TestBinCounts:
         # one ulp below 0 and above vbar lie outside the support
         values = values[(values >= 0.0) & (values <= vbar)]
         assert np.array_equal(
-            _bin_counts(values, edges), np.histogram(values, bins=100, range=(0.0, vbar))[0]
+            _bin_counts(values, edges, fixups), np.histogram(values, bins=100, range=(0.0, vbar))[0]
         )
         for v in values:
             one = np.array([v])
-            got = _bin_counts(one, edges)
+            got = _bin_counts(one, edges, fixups)
             assert np.array_equal(got, np.histogram(one, bins=100, range=(0.0, vbar))[0]), v
 
 
