@@ -18,17 +18,18 @@ that does not read the profile the search enumerates only the subsets of
 the bidder's links into its own subtree (each is the first of the reported
 subsets that keep it), rebuilds only that subtree, on the truth's integer
 indices, and reads every bid's utility off the two dominator chains that
-can hold the winner, by ``mechanism.clear``'s own rule. The global optimum
-reads the branch sizes, which only live links move: those into the subtree,
-and those into another top-level branch, entered at its head (any path
-through the others passed the bidder's own head). So under it every subset
-of the live links is enumerated and reruns the data-flow for the sizes.
+can hold the winner, by ``mechanism.clear``'s own rule; the truth, the
+last subset, is scored by that rule too. The global optimum reads the
+branch sizes, which only live links move: those into the subtree, and those
+into another top-level branch, entered at its head (any path through the
+others passed the bidder's own head). So under it every subset of the live
+links is enumerated and reruns the data-flow for the sizes.
 
 The search confirms truthfulness for the deployable reserve policies and
 demonstrates its failure for the profile-dependent global optimum: on the
 three-chain counterexample network, the agent controlling one branch can
 shrink the market, drag the optimal reserve down past its own value, and
-buy at the lower price.
+buy at the lower price; ``ropt_counterexample`` reads that off the search.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .graphs import (
     build_pot,
     subtree_profile,
 )
-from .mechanism import _outside_tops, _relay_rule, clear, run_apx_r, utilities
+from .mechanism import _outside_tops, _relay_rule
 from .reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 __all__ = [
@@ -135,7 +136,8 @@ def check_dsic(
     ``deviations_tested`` counts the whole product.
     ``tests/helpers.enumerate_deviations`` lists that order and is the
     reference. The search itself tries only the subsets and candidates that
-    can come first in it (see the module docstring).
+    can come first in it, and scores the truth by the rule it scores them
+    by (see the module docstring).
     """
     grid = grid or DeviationGrid()
     values = truth.bids()
@@ -152,7 +154,6 @@ def check_dsic(
     base_profile = subtree_profile(pot)
     base_reserve = resolve_reserve(policy, base_profile, d)
     bids = [values[a] for a in pot.ids]
-    truth_utils = utilities(truth, values, clear(pot, bids, base_reserve))
     candidates = _bid_candidates(grid, d.vbar, values.values(), base_reserve)
     tops = _outside_tops(pot, bids)
     slot_of = {a: i for i, a in enumerate(pot.ids)}
@@ -174,7 +175,7 @@ def check_dsic(
     reports = []
     for action in sorted(truth.bidders(), key=attrgetter("agent")):
         agent, value = action.agent, action.bid
-        u_truth = truth_utils[agent]
+        u_truth = 0.0  # kept when the seller never reaches it or a member above wins
         best_gain, best_bid, best_report = 0.0, value, action.neighbors
         tested = 0
         if agent in slot_of:
@@ -193,6 +194,8 @@ def check_dsic(
                 subsets = _subsets(agent, inner, "links into its own subtree")
                 reserves = [base_reserve] * len(subsets)
             firsts = _first_utilities(pot, bids, tops, slot, inner, subsets, reserves)
+            if (tuple(inner), base_reserve) in firsts:  # + 0.0: clear's 0.0, not -0.0
+                u_truth = firsts[tuple(inner), base_reserve][0](value) + 0.0
             best = _best_deviation(candidates, list(firsts.values()), u_truth)
             if best is not None:
                 best_gain, best_bid, subset = best
@@ -279,36 +282,24 @@ class CounterexampleReport:
 
 
 def ropt_counterexample() -> CounterexampleReport:
-    """Demonstrate the profitable silence of agent c, end to end.
+    """Agent c's profitable silence, as the deviation search finds it.
 
     Under full propagation the market is three branches of two and the
     optimal reserve sits above c's value, so the auction fails and c earns
     nothing. Withholding the sale information from f shrinks one branch,
     pulls the optimal reserve below c's value, and c wins at that lower
-    reserve for a strictly positive utility.
+    reserve for a strictly positive utility: c's report's best gain.
     """
     truth = counterexample_instance()
-    r_full = global_optimal_reserve(_CE_FULL, _CE_DIST)
-    r_less = global_optimal_reserve(_CE_WITHHELD, _CE_DIST)
-    value = truth.action("c").bid
-
-    truthful = run_apx_r(truth, r_full)
-    u_truth = utilities(truth, truth.bids(), truthful)["c"]
-
-    deviated = truth.replace_action("c", value, frozenset())
-    sizes = subtree_profile(build_pot(build_graph(deviated)))
-    outcome = run_apx_r(deviated, global_optimal_reserve(sizes, _CE_DIST))
-    paid = outcome.payments.get("c", 0.0)
-    u_dev = value - paid if outcome.winner == "c" else -paid
-
+    c = {r.agent: r for r in check_dsic(truth, _CE_DIST, ReservePolicy("global_opt"))}["c"]
     return CounterexampleReport(
         agent="c",
-        value=value,
-        reserve_full=r_full,
-        reserve_withheld=r_less,
-        truthful_utility=u_truth,
-        deviant_utility=u_dev,
-        gain=u_dev - u_truth,
+        value=truth.action("c").bid,
+        reserve_full=global_optimal_reserve(_CE_FULL, _CE_DIST),
+        reserve_withheld=global_optimal_reserve(_CE_WITHHELD, _CE_DIST),
+        truthful_utility=c.truthful_utility,
+        deviant_utility=c.truthful_utility + c.best_gain,
+        gain=c.best_gain,
     )
 
 

@@ -204,7 +204,7 @@ def opt_upper_bound(n: int, d: ValueDistribution) -> float:
     """Revenue of the optimal direct auction run over all n bidders: the
     ceiling no diffusion mechanism can beat. It is the revenue of the star
     network, n singleton branches, at the Myerson reserve."""
-    rhat = subtree_optimal_reserve(1, d)
+    n, rhat = check_count("n", n, error=DomainError), subtree_optimal_reserve(1, d)
     return n * _subtree_revenues([1], n, d, [rhat], "auto")[0][0]
 
 

@@ -289,8 +289,8 @@ def parse_scenario(text: str) -> tuple[int, ...]:
             n, x = int(fields["n"]), int(fields[wanted[1]])
     except ValueError as exc:
         raise ConfigError(f"scenario {text!r}: {exc}") from None
-    if kind != "symmetry" and n < 1:
-        raise ScenarioError(f"scenario needs integer n >= 1, got {n}")
+    if kind != "symmetry":
+        check_count("n", n, error=ScenarioError)
     if kind == "symmetry":
         sizes = check_counts("branch size", sizes, error=ScenarioError)
     elif kind == "mer":

@@ -1,6 +1,7 @@
 """Deviation search tests: truthfulness holds where proven, fails where not."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from netauction.mechanism import _outside_tops, clear, run_apx_r, utilities
 from netauction.reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 UNI = Uniform(vbar=100.0)
+NORM = TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
 
 DSIC_POLICIES = [
     ReservePolicy(kind="none"),
@@ -624,6 +626,43 @@ class TestAgainstSlowReference:
         # reserve away from the truth's
         assert moved > 50, moved
 
+    # criterion 6's cases, a reserve above most bids, and the global optimum
+    SIGN_CASES = CRITERION6_POLICIES + [
+        (ReservePolicy(kind="fixed", r=80.0), UNI),
+        (ReservePolicy(kind="global_opt"), UNI),
+        (ReservePolicy(kind="global_opt"), NORM),
+    ]
+
+    def test_truthful_utilities_carry_the_sign_of_the_auction(self):
+        # == holds between 0.0 and -0.0, so the fields are compared as
+        # float.hex: a losing or zero-paid bidder gets 0.0, as clear pays it
+        # seller -> a -> b, with x reporting a link to a that nobody returns:
+        # x is never reached, and a wins whatever b bids
+        links = {"s": ["a"], "a": ["b"], "x": ["a"]}
+        fixture = helpers.truthful_from_values({"a": 90.0, "b": 10.0, "x": 50.0}, links)
+        assert "x" not in build_graph(fixture).reachable
+        for b in (0.0, 10.0, 90.0, 100.0):
+            assert run_apx_r(fixture.replace_action("b", b, frozenset()), 0.0).winner == "a"
+        rng = np.random.default_rng(113)
+        makers = [
+            helpers.random_sparse_profile,
+            helpers.random_directed_profile,
+            helpers.random_connected_profile,
+        ]
+        profiles = [fixture] + [makers[k % 3](rng, n_max=6) for k in range(30)]
+        signs = set()
+        for truth in profiles:
+            for policy, d in self.SIGN_CASES:
+                fast = check_dsic(truth, d, policy, DeviationGrid(4))
+                slow = helpers.slow_check_dsic(truth, d, policy, DeviationGrid(4))
+                got = [(r.agent, r.truthful_utility.hex()) for r in fast]
+                assert got == [(r.agent, r.truthful_utility.hex()) for r in slow], (policy, truth)
+                signs.update(math.copysign(1.0, r.truthful_utility) for r in fast)
+                if truth is fixture:
+                    assert [r.truthful_utility for r in fast if r.agent != "a"] == [0.0, 0.0]
+        # no report carries -0.0
+        assert signs == {1.0}
+
     def test_counterexample(self):
         truth = counterexample_instance()
         d = Uniform(vbar=1.0)
@@ -668,6 +707,18 @@ class TestCounterexample:
         ce = ropt_counterexample()
         assert reports["c"].best_gain >= ce.gain - 1e-12
         assert "f" not in reports["c"].best_report
+
+    def test_report_matches_the_slow_search(self):
+        # the slow search clears the truth and every deviation through
+        # run_apx_r, so it witnesses the report independently of check_dsic
+        reports = helpers.slow_check_dsic(
+            counterexample_instance(), Uniform(vbar=1.0), ReservePolicy(kind="global_opt")
+        )
+        slow = {r.agent: r for r in reports}["c"]
+        rep = ropt_counterexample()
+        assert rep.truthful_utility.hex() == slow.truthful_utility.hex()
+        assert rep.deviant_utility.hex() == (slow.truthful_utility + slow.best_gain).hex()
+        assert rep.gain.hex() == slow.best_gain.hex()
 
     def test_search_clears_deployable_policies_on_the_same_network(self):
         truth = counterexample_instance()

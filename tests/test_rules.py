@@ -22,6 +22,7 @@ from netauction.reserve import (
     subtree_optimal_reserve,
 )
 from netauction.revenue import (
+    mys_lower_bound,
     opt_upper_bound,
     ratio_lower_bound,
     revenue_ordering_report,
@@ -95,7 +96,10 @@ def test_count_rule_refuses(site, error, name, least, call, good):
 
 @pytest.mark.parametrize("site, error, name, least, call, good", COUNT_SITES, ids=COUNT_IDS)
 def test_numpy_integer_count_is_the_int(site, error, name, least, call, good):
-    assert call(np.int64(good)) == call(good)
+    got = call(np.int64(good))
+    assert got == call(good)
+    if isinstance(got, float):  # np.float64 is a float too
+        assert type(got) is float, type(got)
 
 
 def test_counts_are_stored_as_python_ints():
@@ -109,6 +113,7 @@ def test_counts_are_stored_as_python_ints():
     prof = SubtreeProfile.from_sizes(np.array([2, 3], dtype=np.int64))
     assert all(type(k) is int for k in prof.sizes) and prof == PROFILE
     assert type(DeviationGrid(points=np.int64(5)).points) is int
+    assert type(mys_lower_bound(np.int64(3), NORM)) is float
 
 
 def test_sizes_from_a_generator():
