@@ -158,7 +158,7 @@ def _cmd_revenue(args) -> int:
             raise ConfigError(
                 f"--sweep wants start:stop:count, got {args.sweep!r}"
             ) from None
-        write_revenue_csv(args.out, prof, d, grid)
+        write_revenue_csv(args.out, prof, d, grid, args.method)
     elif args.out:
         _write_json(
             args.out,

@@ -52,14 +52,13 @@ __all__ = [
     "network_dominators",
     "subtree_profile",
     "profile_to_dict",
-    "profile_from_dict",
     "load_profile",
 ]
 
 
 @dataclass(frozen=True)
 class AgentAction:
-    """One report: a bid and the neighbours the reporter informs."""
+    """One report: a bid, stored as a float, and the neighbours it informs."""
 
     agent: str
     bid: float
@@ -69,6 +68,7 @@ class AgentAction:
         if not isinstance(self.agent, str) or not self.agent:
             raise ValidationError(f"agent id must be a non-empty string, got {self.agent!r}")
         check_nonnegative(f"bid for {self.agent!r}", self.bid, ValidationError)
+        object.__setattr__(self, "bid", float(self.bid))
         object.__setattr__(self, "neighbors", frozenset(self.neighbors))
 
 
@@ -104,27 +104,8 @@ class ActionProfile:
                 return a.neighbors
         return frozenset()
 
-    def ids(self) -> frozenset[str]:
-        """Bidder ids; the seller's report row is not a bidder."""
-        return frozenset(a.agent for a in self.agents if a.agent != self.seller)
-
     def bids(self) -> dict[str, float]:
         return {a.agent: a.bid for a in self.agents if a.agent != self.seller}
-
-    def action(self, agent: str) -> AgentAction:
-        for a in self.agents:
-            if a.agent == agent and agent != self.seller:
-                return a
-        raise KeyError(agent)
-
-    def replace_action(self, agent: str, bid: float, neighbors) -> "ActionProfile":
-        """Copy of the profile with one bidder's action swapped out."""
-        self.action(agent)  # KeyError for unknown or seller ids
-        replaced = tuple(
-            AgentAction(agent, bid, frozenset(neighbors)) if a.agent == agent else a
-            for a in self.agents
-        )
-        return ActionProfile(self.seller, replaced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -523,17 +504,12 @@ def profile_from_dict(data: dict) -> ActionProfile:
     for entry in raw_agents:
         try:
             bid, neighbors = entry["bid"], entry["neighbors"]
-            # float() would read true as 1.0 and "70" as 70.0, and
-            # frozenset() a string as its letters
-            if isinstance(bid, bool):
-                raise TypeError("bid must be a number, not a boolean")
-            if not isinstance(bid, (int, float)):
-                raise TypeError(f"bid must be a number, not {bid!r}")
+            # frozenset() would read a string as its letters
             if not isinstance(neighbors, list):
                 raise TypeError("neighbors must be an array of ids")
             if not all(isinstance(v, str) and v for v in neighbors):
                 raise TypeError("every neighbor must be a non-empty string id")
-            agents.append(AgentAction(entry["id"], float(bid), frozenset(neighbors)))
+            agents.append(AgentAction(entry["id"], bid, neighbors))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed agent entry {entry!r}: {exc}") from None
     return ActionProfile(seller=seller, agents=tuple(agents))

@@ -294,7 +294,7 @@ def ropt_counterexample() -> CounterexampleReport:
     c = {r.agent: r for r in check_dsic(truth, _CE_DIST, ReservePolicy("global_opt"))}["c"]
     return CounterexampleReport(
         agent="c",
-        value=truth.action("c").bid,
+        value=truth.bids()["c"],
         reserve_full=global_optimal_reserve(_CE_FULL, _CE_DIST),
         reserve_withheld=global_optimal_reserve(_CE_WITHHELD, _CE_DIST),
         truthful_utility=c.truthful_utility,

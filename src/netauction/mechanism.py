@@ -22,14 +22,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import DomainError, ValidationError, check_nonnegative
+from .errors import DomainError, check_nonnegative
 from .graphs import ActionProfile, Pot, build_graph, build_pot
 
 __all__ = [
     "Outcome",
     "run_apx_r",
     "clear",
-    "utilities",
 ]
 
 
@@ -214,24 +213,3 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
         return u, ((reserve, top) if beside is None else (reserve, top, beside))
 
     return rule
-
-
-def utilities(
-    profile: ActionProfile,
-    true_values: dict[str, float],
-    outcome: Outcome,
-) -> dict[str, float]:
-    """Quasilinear utilities: allocation value minus payment, per bidder.
-
-    Bidders absent from the outcome's payment map paid nothing and get 0.
-    """
-    ids = profile.ids()
-    if set(true_values) != set(ids):
-        raise ValidationError("true value ids do not match the profile's bidders")
-    stray = set(outcome.payments) - set(ids)
-    if stray or (outcome.winner is not None and outcome.winner not in ids):
-        raise ValidationError("outcome does not belong to this profile")
-    out = {i: 0.0 - outcome.payments.get(i, 0.0) for i in ids}
-    if outcome.winner is not None:
-        out[outcome.winner] = true_values[outcome.winner] - outcome.payments[outcome.winner]
-    return out

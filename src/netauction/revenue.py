@@ -294,16 +294,18 @@ def revenue_ordering_report(
     return report
 
 
-def write_revenue_csv(path, profile: SubtreeProfile, d: ValueDistribution, r_values) -> list[float]:
-    """One (sizes, r, analytic revenue) row per reserve, for plotting;
-    returns the revenues in row order.
+def write_revenue_csv(
+    path, profile: SubtreeProfile, d: ValueDistribution, r_values, method: str = "auto"
+) -> list[float]:
+    """One (sizes, r, analytic revenue) row per reserve, for plotting, by
+    ``expected_total_revenue``'s ``method``; returns the revenues in row order.
 
     The whole grid is one quadrature pass (chunked at _CAP_INTEGRALS), and
     every reserve is checked and every revenue computed before the file is
     opened, so a reserve outside [0, vbar] leaves no file behind.
     """
     reserves = [float(r) for r in r_values]
-    revenues = _total_revenues(profile, d, reserves)
+    revenues = _total_revenues(profile, d, reserves, method)
     sizes = "+".join(str(k) for k in profile.sizes)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

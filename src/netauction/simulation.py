@@ -852,6 +852,7 @@ def load_edge_list(path) -> Network:
 
 def pick_seller(network: Network, rho: int, seed: int) -> str:
     """Uniformly random node of degree exactly rho under the seed."""
+    rho = check_count("rho", rho)
     seed = check_count("seed", seed, least=0)
     candidates = np.flatnonzero(np.diff(network.indptr) == rho)
     if not candidates.size:

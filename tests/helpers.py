@@ -269,6 +269,34 @@ def run_spa_reserve(bids: dict[str, float], reserve: float) -> Outcome:
     return Outcome(winner=winner, payments=payments, revenue=price, failed=False)
 
 
+def action(profile: ActionProfile, agent: str) -> AgentAction:
+    """Bidder ``agent``'s report; KeyError for the seller and unknown ids."""
+    for a in profile.bidders():
+        if a.agent == agent:
+            return a
+    raise KeyError(agent)
+
+
+def replace_action(profile: ActionProfile, agent: str, bid, neighbors) -> ActionProfile:
+    """Copy of the profile with one bidder's action swapped out."""
+    action(profile, agent)  # KeyError for unknown or seller ids
+    agents = tuple(
+        AgentAction(agent, bid, neighbors) if a.agent == agent else a for a in profile.agents
+    )
+    return ActionProfile(profile.seller, agents)
+
+
+def utilities(profile: ActionProfile, true_values, outcome: Outcome) -> dict[str, float]:
+    """Quasilinear utilities: allocation value minus payment, per bidder.
+
+    Bidders absent from the outcome's payment map paid nothing and get 0.
+    """
+    out = {i: 0.0 - outcome.payments.get(i, 0.0) for i in profile.bids()}
+    if outcome.winner is not None:
+        out[outcome.winner] = true_values[outcome.winner] - outcome.payments[outcome.winner]
+    return out
+
+
 def truthful_from_values(values, reports, seller=SELLER):
     """Assemble a truthful ActionProfile from value and report dicts."""
     agents = [AgentAction(seller, 0.0, frozenset(reports.get(seller, ())))]
@@ -298,7 +326,7 @@ def slow_graph(profile: ActionProfile) -> SlowGraph:
     """BFS the reported links outward from the seller, on ids: the graph
     the package built before it compiled profiles to integer links, kept so
     that the oracles share no reachability code with the package."""
-    known = profile.ids()
+    known = frozenset(profile.bids())
     reports = {a.agent: a.neighbors for a in profile.bidders()}
     seller_out = tuple(sorted(v for v in profile.seller_report() if v in known))
     succ: dict[str, tuple[str, ...]] = {profile.seller: seller_out}
@@ -472,7 +500,7 @@ def slow_check_dsic(truth, d, policy, grid=None):
     ``slow_graph`` and ``slow_build_pot``.
     """
     from netauction.incentives import DeviationGrid, DeviationReport
-    from netauction.mechanism import run_apx_r, utilities
+    from netauction.mechanism import run_apx_r
     from netauction.reserve import global_optimal_reserve, resolve_reserve
 
     grid = grid or DeviationGrid()
@@ -498,12 +526,12 @@ def slow_check_dsic(truth, d, policy, grid=None):
     for agent in sorted(values):
         u_truth = truth_utils[agent]
         best_gain, best_bid = 0.0, values[agent]
-        best_report = truth.action(agent).neighbors
+        best_report = action(truth, agent).neighbors
         deviations = ()
         if agent in graph.reachable:
             deviations = enumerate_deviations(
                 values[agent],
-                truth.action(agent).neighbors,
+                action(truth, agent).neighbors,
                 grid,
                 d.vbar,
                 others_bids=[b for a, b in values.items() if a != agent],
@@ -511,7 +539,7 @@ def slow_check_dsic(truth, d, policy, grid=None):
                 seller=truth.seller,
             )
         for bid, subset in deviations:
-            deviated = truth.replace_action(agent, bid, subset)
+            deviated = replace_action(truth, agent, bid, subset)
             r = reserve_for(slow_subtree_profile(slow_graph(deviated)))
             outcome = run_apx_r(deviated, r)
             paid = outcome.payments.get(agent, 0.0)

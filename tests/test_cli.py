@@ -40,8 +40,8 @@ from netauction.simulation import (
 def chain_profile_json(tmp_path):
     # s knows A; A relays to B; bids 30 and 70
     profile = chains_profile((2,))
-    profile = profile.replace_action("a1", 30.0, profile.action("a1").neighbors)
-    profile = profile.replace_action("a2", 70.0, profile.action("a2").neighbors)
+    profile = helpers.replace_action(profile, "a1", 30.0, helpers.action(profile, "a1").neighbors)
+    profile = helpers.replace_action(profile, "a2", 70.0, helpers.action(profile, "a2").neighbors)
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(profile_to_dict(profile)), encoding="utf-8")
     return str(path)
@@ -310,6 +310,18 @@ class TestRevenue:
         assert lines[0] == "sizes,r,revenue"
         assert len(lines) == 6
 
+    def test_sweep_uses_the_method(self, tmp_path, capsys):
+        # the uniform prior's closed form and its quadrature differ in the
+        # last digits, so the row shows which one wrote it
+        out = tmp_path / "sweep.csv"
+        argv = ["revenue", "--sizes", "3,6", "--dist", "uniform:vbar=100", "--r", "30"]
+        code = main(argv + ["--method", "quadrature", "--sweep", "30:30:1", "--out", str(out)])
+        assert code == 0
+        prof, d = SubtreeProfile.from_sizes((3, 6)), parse_distribution("uniform:vbar=100")
+        want = expected_total_revenue(prof, d, 30.0, "quadrature")
+        assert want != expected_total_revenue(prof, d, 30.0)
+        assert out.read_text().splitlines()[1] == f"3+6,30.0,{want!r}"
+
     def test_sweep_past_vbar_writes_no_csv(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(
@@ -389,7 +401,7 @@ class TestAuction:
             json.dump(data, fh)
         assert main(["auction", "--profile", chain_profile_json, "--r", "50"]) == 1
         err = capsys.readouterr().err
-        assert "bid must be a number, not '70'" in err
+        assert "bid for 'a2' must be finite and >= 0, got 70" in err
 
     @pytest.mark.parametrize(
         "content",

@@ -50,6 +50,10 @@ class TestActionValidation:
     def test_zero_bid_allowed(self):
         AgentAction("a", 0.0, frozenset())
 
+    def test_bid_is_stored_as_a_float(self):
+        bid = AgentAction("a", 70, frozenset()).bid
+        assert type(bid) is float and bid == 70.0
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
             _profile(["a"], [("a", 1.0, []), ("a", 2.0, [])])
@@ -70,31 +74,12 @@ class TestActionProfile:
     def test_seller_row_is_not_a_bidder(self):
         p = _profile(["a"], [("a", 10.0, ["b"]), ("b", 20.0, [])])
         assert p.seller_report() == frozenset({"a"})
-        assert p.ids() == frozenset({"a", "b"})
         assert p.bids() == {"a": 10.0, "b": 20.0}
         assert {a.agent for a in p.bidders()} == {"a", "b"}
 
     def test_missing_seller_row_means_empty_report(self):
         p = ActionProfile("s", (AgentAction("a", 5.0, frozenset()),))
         assert p.seller_report() == frozenset()
-
-    def test_action_lookup(self):
-        p = _profile(["a"], [("a", 10.0, [])])
-        assert p.action("a").bid == 10.0
-        with pytest.raises(KeyError):
-            p.action("s")
-        with pytest.raises(KeyError):
-            p.action("zz")
-
-    def test_replace_action(self):
-        p = _profile(["a"], [("a", 10.0, ["b"]), ("b", 20.0, [])])
-        q = p.replace_action("a", 55.0, frozenset())
-        assert q.action("a").bid == 55.0
-        assert q.action("a").neighbors == frozenset()
-        assert q.seller_report() == frozenset({"a"})
-        assert p.action("a").bid == 10.0
-        with pytest.raises(KeyError):
-            p.replace_action("s", 1.0, frozenset())
 
 
 class TestBuildGraph:
@@ -125,7 +110,7 @@ class TestBuildGraph:
 
     def test_withholding_changes_reachability(self):
         p = _profile(["A"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
-        q = p.replace_action("A", 30.0, frozenset())
+        q = helpers.replace_action(p, "A", 30.0, frozenset())
         g = build_graph(q)
         assert g.reachable == ["A"]
         assert g.succ == [[], [0]]
@@ -134,7 +119,7 @@ class TestBuildGraph:
         # B is linked both by the seller and by A; A dropping its report
         # must not disconnect B.
         p = _profile(["A", "B"], [("A", 30.0, ["B"]), ("B", 70.0, [])])
-        q = p.replace_action("A", 30.0, frozenset())
+        q = helpers.replace_action(p, "A", 30.0, frozenset())
         assert build_graph(q).reachable == ["A", "B"]
 
     def test_successors_sorted_and_deterministic(self):
@@ -277,7 +262,7 @@ class TestCut:
         index = {a: i for i, a in enumerate(pot.ids)}
         below, up = pot.cut(slot, [index[v] for v in sorted(subset) if v in index])
 
-        deviated = truth.replace_action(agent, truth.action(agent).bid, subset)
+        deviated = helpers.replace_action(truth, agent, truth.bids()[agent], subset)
         dev_pot = build_pot(build_graph(deviated))
         dev = helpers.parents(dev_pot)
         assert set(dev) - inside == set(pot.ids) - inside
@@ -314,9 +299,9 @@ class TestCut:
                 continue
             pot = build_pot(graph)
             for agent in pot.ids:
-                for subset in self._subsets(rng, truth.action(agent).neighbors, 8):
+                for subset in self._subsets(rng, helpers.action(truth, agent).neighbors, 8):
                     self._check(truth, pot, agent, subset)
-                    deviated = truth.replace_action(agent, 0.0, subset)
+                    deviated = helpers.replace_action(truth, agent, 0.0, subset)
                     cut_off += len(build_graph(deviated).reachable) < len(pot.ids)
         assert cut_off > 100
 
@@ -328,7 +313,7 @@ class TestCut:
         agents = rng.choice(heads, size=24, replace=False).tolist()
         agents += rng.choice(pot.ids, size=6, replace=False).tolist()
         for agent in agents:
-            for subset in self._subsets(rng, truth.action(agent).neighbors, 3):
+            for subset in self._subsets(rng, helpers.action(truth, agent).neighbors, 3):
                 self._check(truth, pot, agent, subset)
 
     def test_truth_links_give_the_truth_subtree(self):
@@ -798,7 +783,26 @@ class TestSerialization:
             )
 
     def test_boolean_bid_is_rejected(self):
-        with pytest.raises(ValidationError, match="boolean"):
+        with pytest.raises(ValidationError, match="bid for 'a' must be finite and >= 0, got True"):
             profile_from_dict(
                 {"seller": "s", "agents": [{"id": "a", "bid": True, "neighbors": []}]}
             )
+
+    @staticmethod
+    def _one_bid_file(tmp_path, bid):
+        path = tmp_path / "profile.json"
+        row = {"id": "a", "bid": bid, "neighbors": []}
+        path.write_text(json.dumps({"seller": "s", "agents": [row]}), encoding="utf-8")
+        return path
+
+    def test_json_int_bid_loads_as_a_float(self, tmp_path):
+        p = load_profile(self._one_bid_file(tmp_path, 70))
+        assert type(p.bids()["a"]) is float
+        assert json.dumps(profile_to_dict(p)) == (
+            '{"seller": "s", "agents": [{"id": "a", "bid": 70.0, "neighbors": []}]}'
+        )
+
+    @pytest.mark.parametrize("bad", [True, "70", None], ids=["bool", "str", "null"])
+    def test_bid_that_is_no_number_is_refused_on_load(self, bad, tmp_path):
+        with pytest.raises(ValidationError, match="bid for 'a' must be finite and >= 0"):
+            load_profile(self._one_bid_file(tmp_path, bad))

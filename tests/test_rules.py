@@ -51,6 +51,7 @@ COUNT_SITES = [
     ("draw_replicate seed", ValidationError, "seed", 0,
      lambda v: draw_replicate(TEMPLATE, UNI, v, 0), 2),
     ("pick_seller seed", ValidationError, "seed", 0, lambda v: pick_seller(PATH, 2, v), 5),
+    ("pick_seller rho", ValidationError, "rho", 1, lambda v: pick_seller(PATH, v, 5), 2),
     ("gamma_uniform kmin", DomainError, "kmin", 1, lambda v: gamma_uniform(v, 100.0), 3),
     ("gamma_general kmin", DomainError, "kmin", 1, lambda v: gamma_general(v, NORM), 3),
     ("subtree_optimal_reserve k", DomainError, "k", 1,
