@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import parse_distribution
-from .errors import ConfigError, NetAuctionError
+from .errors import ConfigError, NetAuctionError, check_count, config_kind, config_number
 from .golden import reference_checksum
 from .graphs import (
     SubtreeProfile,
@@ -48,6 +48,7 @@ from .revenue import (
     write_revenue_csv,
 )
 from .simulation import (
+    SCENARIO_FIELDS,
     Market,
     chains_profile,
     draw_replicate,
@@ -74,11 +75,17 @@ def _require_file(path: str) -> str:
 
 
 def _parse_sizes(text: str) -> SubtreeProfile:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--sizes wants comma-separated integers, got {text!r}") from None
-    return SubtreeProfile.from_sizes(sizes)
+    return SubtreeProfile.from_sizes([config_number("branch size", k, text, int) for k in text.split(",")])
+
+
+def _parse_sweep(text: str, out: str | None) -> np.ndarray:
+    if not out:
+        raise ConfigError("--sweep needs --out to receive the CSV")
+    if text.count(":") != 2:
+        raise ConfigError(f"--sweep wants start:stop:count, got {text!r}")
+    start, stop, count = text.split(":")
+    count = check_count("--sweep count", config_number("count", count, text, int), error=ConfigError)
+    return np.linspace(config_number("start", start, text), config_number("stop", stop, text), count)
 
 
 def _load_template(spec: str, rho: int | None, seed: int, market: bool = False):
@@ -87,7 +94,7 @@ def _load_template(spec: str, rho: int | None, seed: int, market: bool = False):
     With ``market`` an edge list compiles straight to the Monte Carlo's
     ``Market``, without a profile row per node.
     """
-    if spec.startswith(("mer:", "md:", "symmetry:")):
+    if ":" in spec and config_kind(spec) in SCENARIO_FIELDS:
         return chains_profile(parse_scenario(spec))
     _require_file(spec)
     if spec.endswith(".json"):
@@ -146,24 +153,16 @@ def _cmd_reserve(args) -> int:
 def _cmd_revenue(args) -> int:
     d = parse_distribution(args.dist)
     prof = _parse_sizes(args.sizes)
+    grid = _parse_sweep(args.sweep, args.out) if args.sweep else None
     total = expected_total_revenue(prof, d, args.r, method=args.method)
-    print(_fmt(total))
-    if args.sweep:
-        if not args.out:
-            raise ConfigError("--sweep needs --out to receive the CSV")
-        try:
-            start, stop, count = args.sweep.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
-        except ValueError:
-            raise ConfigError(
-                f"--sweep wants start:stop:count, got {args.sweep!r}"
-            ) from None
+    if grid is not None:
         write_revenue_csv(args.out, prof, d, grid, args.method)
     elif args.out:
         _write_json(
             args.out,
             {"sizes": list(prof.sizes), "dist": args.dist, "r": args.r, "revenue": total},
         )
+    print(_fmt(total))
     return 0
 
 

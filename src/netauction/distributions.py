@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, check_positive
+from .errors import ConfigError, DomainError, check_amount, config_number, read_config
 
 __all__ = [
     "Uniform",
@@ -124,7 +124,7 @@ class Uniform(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        check_positive("vbar", self.vbar)
+        check_amount("vbar", self.vbar, positive=True)
 
     def cdf(self, v):
         return self._check_value(v) / self.vbar
@@ -149,8 +149,8 @@ class TruncatedNormal(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        check_positive("vbar", self.vbar)
-        check_positive("sigma", self.sigma)
+        check_amount("vbar", self.vbar, positive=True)
+        check_amount("sigma", self.sigma, positive=True)
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
@@ -221,8 +221,8 @@ class TruncatedExponential(ValueDistribution):
     vbar: float = 100.0
 
     def __post_init__(self):
-        check_positive("vbar", self.vbar)
-        check_positive("lambda", self.lam)
+        check_amount("vbar", self.vbar, positive=True)
+        check_amount("lambda", self.lam, positive=True)
         # the untruncated mass of [0, vbar], through the same expm1 as cdf so
         # that cdf(vbar) is exactly 1.0
         object.__setattr__(self, "_mass", -float(np.expm1(-self.lam * self.vbar)))
@@ -247,12 +247,10 @@ def regularity_check(d: ValueDistribution) -> bool:
     return isinstance(d, (Uniform, TruncatedNormal, TruncatedExponential))
 
 
-# config strings look like "normal:mu=50,sigma=16.67,vbar=100"
-_DIST_FIELDS = {
-    "uniform": {"vbar"},
-    "normal": {"mu", "sigma", "vbar"},
-    "exp": {"lambda", "vbar"},
-}
+# config strings look like "normal:mu=50,sigma=16.67,vbar=100"; the keys
+# of each family are its fields, in order
+_FAMILIES = {"uniform": Uniform, "normal": TruncatedNormal, "exp": TruncatedExponential}
+_DIST_FIELDS = {"uniform": ("vbar",), "normal": ("mu", "sigma", "vbar"), "exp": ("lambda", "vbar")}
 
 
 def parse_distribution(cfg: str) -> ValueDistribution:
@@ -261,35 +259,9 @@ def parse_distribution(cfg: str) -> ValueDistribution:
     Accepted forms: ``uniform:vbar=100``, ``normal:mu=50,sigma=16.67,vbar=100``,
     ``exp:lambda=0.08,vbar=100``.
     """
-    kind, sep, rest = cfg.strip().partition(":")
-    kind = kind.strip().lower()
-    if kind not in _DIST_FIELDS:
-        raise ConfigError(f"unknown distribution kind {kind!r} in {cfg!r}")
-    params: dict[str, float] = {}
-    if sep:
-        for item in rest.split(","):
-            if not item.strip():
-                continue
-            key, eq, val = item.partition("=")
-            key = key.strip().lower()
-            if not eq or key not in _DIST_FIELDS[kind]:
-                raise ConfigError(f"unexpected parameter {item.strip()!r} in {cfg!r}")
-            if key in params:
-                raise ConfigError(f"duplicate parameter {key!r} in {cfg!r}")
-            try:
-                params[key] = float(val)
-            except ValueError:
-                raise ConfigError(f"non-numeric value for {key!r} in {cfg!r}") from None
-    missing = _DIST_FIELDS[kind] - set(params)
-    if missing:
-        raise ConfigError(f"missing parameters {sorted(missing)} in {cfg!r}")
+    kind, raw = read_config(cfg, _DIST_FIELDS, "distribution kind")
+    params = [config_number(key, raw[key], cfg) for key in _DIST_FIELDS[kind]]
     try:
-        if kind == "uniform":
-            return Uniform(vbar=params["vbar"])
-        if kind == "normal":
-            return TruncatedNormal(
-                mu=params["mu"], sigma=params["sigma"], vbar=params["vbar"]
-            )
-        return TruncatedExponential(lam=params["lambda"], vbar=params["vbar"])
+        return _FAMILIES[kind](*params)
     except DomainError as exc:
         raise ConfigError(f"invalid parameters in {cfg!r}: {exc}") from None

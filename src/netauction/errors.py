@@ -8,7 +8,8 @@ files). Unknown-id lookups raise plain KeyError.
 
 The argument rules are stated once here, each raising the class its caller
 names: a count is an int or numpy integer of at least a floor, and an amount
-a finite real number > 0 or >= 0. Neither is a bool.
+a finite real number >= 0 (or > 0) and at most a bound if one is set. Neither
+is a bool. So is the grammar of ``kind:key=value,...`` config strings.
 """
 
 import math
@@ -40,7 +41,7 @@ class EdgeListFormatError(NetAuctionError, ValueError):
 
 
 class ConfigError(NetAuctionError, ValueError):
-    """Malformed configuration string (distribution or reserve policy)."""
+    """Malformed configuration string (distribution, reserve policy, scenario)."""
 
 
 class PropertyViolation(NetAuctionError):
@@ -75,21 +76,55 @@ def check_counts(name: str, values, least: int = 1, error=ValidationError) -> tu
     return counts
 
 
-def check_positive(name: str, x) -> None:
-    """DomainError unless x is a finite number > 0, not a bool."""
-    try:
-        ok = x > 0 and math.isfinite(x) and not isinstance(x, bool)
-    except TypeError:
+def check_amount(name: str, x, error=DomainError, positive: bool = False, most=None) -> None:
+    """`error` unless x is a finite real number >= 0, or > 0 if `positive`,
+    and at most `most` if it is set; a bool is refused."""
+    try:  # OverflowError: an int past the float range
+        ok = (x > 0 if positive else x >= 0) and math.isfinite(x) and not isinstance(x, bool)
+        ok = ok and (most is None or x <= most)
+    except (TypeError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"{name} must be positive and finite, got {x}")
+        rule = "be positive and finite" if positive else "be finite and >= 0"
+        rule = rule if most is None else f"lie in [0, {most}]"
+        raise error(f"{name} must {rule}, got {x!r}")
 
 
-def check_nonnegative(name: str, x, error) -> None:
-    """`error` unless x is a finite real number >= 0, not a bool."""
+def config_kind(text: str) -> str:
+    """The text before the first colon, without case or surrounding spaces."""
+    return text.partition(":")[0].strip().lower()
+
+
+def read_config(text: str, kinds: dict, what: str) -> tuple[str, dict[str, str] | str]:
+    """The config_kind of a ``kind:key=value,...`` string and its raw values.
+    ``kinds`` maps a kind to its keys, each to be given once, or to None if
+    its one value is the whole text after the colon. Keys are read as kinds
+    are, and blank items are skipped; ConfigError names ``what``."""
+    kind, body = config_kind(text), text.partition(":")[2]
+    if kind not in kinds:
+        raise ConfigError(f"unknown {what} {kind!r} in {text!r}")
+    keys = kinds[kind]
+    if keys is None:
+        return kind, body
+    raw: dict[str, str] = {}
+    for item in filter(str.strip, body.split(",")):
+        key, eq, value = item.partition("=")
+        key = key.strip().lower()
+        if not eq or key not in keys:
+            raise ConfigError(f"unexpected parameter {item.strip()!r} in {text!r}")
+        if key in raw:
+            raise ConfigError(f"duplicate parameter {key!r} in {text!r}")
+        raw[key] = value
+    if len(raw) < len(keys):
+        raise ConfigError(f"missing parameters {[k for k in keys if k not in raw]} in {text!r}")
+    return kind, raw
+
+
+def config_number(name: str, raw: str, text: str, to=float):
+    """raw as a float, or an int if `to` is int; else ConfigError naming
+    `name` and the config string `text`."""
     try:
-        ok = x >= 0 and math.isfinite(x) and not isinstance(x, bool)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise error(f"{name} must be finite and >= 0, got {x}")
+        return to(raw)
+    except ValueError:
+        noun = "an integer" if to is int else "a number"
+        raise ConfigError(f"{name} must be {noun}, got {raw!r} in {text!r}") from None

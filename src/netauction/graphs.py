@@ -39,7 +39,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import ValidationError, check_counts, check_nonnegative
+from .errors import ValidationError, check_amount, check_counts
 
 __all__ = [
     "AgentAction",
@@ -67,7 +67,7 @@ class AgentAction:
     def __post_init__(self):
         if not isinstance(self.agent, str) or not self.agent:
             raise ValidationError(f"agent id must be a non-empty string, got {self.agent!r}")
-        check_nonnegative(f"bid for {self.agent!r}", self.bid, ValidationError)
+        check_amount(f"bid for {self.agent!r}", self.bid, ValidationError)
         object.__setattr__(self, "bid", float(self.bid))
         object.__setattr__(self, "neighbors", frozenset(self.neighbors))
 
@@ -510,7 +510,7 @@ def profile_from_dict(data: dict) -> ActionProfile:
             if not all(isinstance(v, str) and v for v in neighbors):
                 raise TypeError("every neighbor must be a non-empty string id")
             agents.append(AgentAction(entry["id"], bid, neighbors))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed agent entry {entry!r}: {exc}") from None
     return ActionProfile(seller=seller, agents=tuple(agents))
 

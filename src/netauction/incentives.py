@@ -40,7 +40,7 @@ from itertools import combinations
 from operator import attrgetter
 
 from .distributions import Uniform, ValueDistribution
-from .errors import DomainError, ValidationError, check_count
+from .errors import DomainError, ValidationError, check_amount, check_count
 from .graphs import (
     ActionProfile,
     AgentAction,
@@ -142,8 +142,7 @@ def check_dsic(
     grid = grid or DeviationGrid()
     values = truth.bids()
     for agent, v in values.items():
-        if v > d.vbar:
-            raise ValidationError(f"true value {v} of {agent!r} exceeds vbar={d.vbar}")
+        check_amount(f"true value of {agent!r}", v, ValidationError, most=d.vbar)
 
     graph = build_graph(truth)
     if not graph.reachable:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .errors import DomainError, check_nonnegative
+from .errors import check_amount
 from .graphs import ActionProfile, Pot, build_graph, build_pot
 
 __all__ = [
@@ -103,7 +103,7 @@ def clear(pot: Pot, bids: list[float], reserve: float) -> Outcome:
     ``bids[v]`` is the bid of bidder ``pot.ids[v]``, so one tree serves any
     number of bid vectors over the same reported links.
     """
-    check_nonnegative("reserve", reserve, DomainError)
+    check_amount("reserve", reserve)
     n = len(bids)
     if not n:
         return _failed_outcome()
@@ -173,7 +173,7 @@ def _relay_rule(pot: Pot, bids: list[float], tops, slot: int, reserve: float, va
     ``Pot.cut`` lists it, to ``(u, breaks)``: u changes only at the bids in
     ``breaks``, the reserve, the others' top bid and ``beside`` if it is set.
     """
-    check_nonnegative("reserve", reserve, DomainError)
+    check_amount("reserve", reserve)
     chain = _chain(pot.up, slot)
     for z, below in zip(chain, chain[1:]):
         if bids[z] >= reserve and bids[z] == max(0.0, tops(below)[0]):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .distributions import Uniform, ValueDistribution, regularity_check
 from .errors import ConfigError, DomainError, SolverError, ValidationError
-from .errors import check_count, check_nonnegative, check_positive
+from .errors import check_amount, check_count, config_number, read_config
 from .graphs import SubtreeProfile
 
 __all__ = [
@@ -63,7 +63,7 @@ class ReservePolicy:
         if self.kind not in _POLICY_KINDS:
             raise ValidationError(f"unknown policy kind {self.kind!r}")
         if self.kind == "fixed":
-            check_nonnegative("fixed r", self.r, ValidationError)
+            check_amount("fixed r", self.r, ValidationError)
         elif self.r is not None:
             raise ValidationError(f"policy {self.kind!r} takes no fixed r")
         if self.kind in ("uniform_gamma", "general_gamma"):
@@ -107,7 +107,7 @@ def gamma_uniform(kmin: int, vbar: float) -> float:
     vbar / (kmin+1)^(1/kmin). At kmin=1 this is the Myerson reserve vbar/2.
     """
     kmin = check_count("kmin", kmin, error=DomainError)
-    check_positive("vbar", vbar)
+    check_amount("vbar", vbar, positive=True)
     return vbar * (kmin + 1) ** (-1.0 / kmin)
 
 
@@ -174,8 +174,7 @@ def resolve_reserve(
     if policy.kind == "none":
         return 0.0
     if policy.kind == "fixed":
-        if policy.r > d.vbar:
-            raise DomainError(f"fixed reserve {policy.r} exceeds vbar={d.vbar}")
+        check_amount("fixed reserve", policy.r, most=d.vbar)
         return float(policy.r)
     if policy.kind == "uniform_gamma":
         return gamma_uniform(policy.kmin, d.vbar)
@@ -187,30 +186,19 @@ def resolve_reserve(
     return global_optimal_reserve(profile, d)
 
 
+# config strings: "fixed" takes its number without a key
+_POLICY_FIELDS = {"none": (), "fixed": None, "ugamma": ("k",), "ggamma": ("k",), "ropt": ()}
+_POLICY_KINDS_BY_NAME = {"ugamma": "uniform_gamma", "ggamma": "general_gamma", "ropt": "global_opt"}
+
+
 def parse_policy(text: str) -> ReservePolicy:
     """Parse `none | fixed:50 | ugamma:k=3 | ggamma:k=3 | ropt`."""
-    body = text.strip()
-    if body == "none":
-        return ReservePolicy("none")
-    if body == "ropt":
-        return ReservePolicy("global_opt")
-    kind, sep, arg = body.partition(":")
-    if not sep or not arg:
-        raise ConfigError(f"unknown reserve policy {text!r}")
+    kind, raw = read_config(text, _POLICY_FIELDS, "reserve policy")
     if kind == "fixed":
-        try:
-            fields = {"r": float(arg)}
-        except ValueError:
-            raise ConfigError(f"fixed reserve wants a number, got {arg!r}") from None
-    elif kind in ("ugamma", "ggamma"):
-        key, eq, val = arg.partition("=")
-        if key != "k" or not eq or not val.isdigit():
-            raise ConfigError(f"{kind} wants k=<int>, got {arg!r}")
-        kind = "uniform_gamma" if kind == "ugamma" else "general_gamma"
-        fields = {"kmin": int(val)}
+        fields = {"r": config_number("fixed reserve", raw, text)}
     else:
-        raise ConfigError(f"unknown reserve policy {text!r}")
+        fields = {"kmin": config_number("k", raw["k"], text, int)} if raw else {}
     try:
-        return ReservePolicy(kind, **fields)
+        return ReservePolicy(_POLICY_KINDS_BY_NAME.get(kind, kind), **fields)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from None

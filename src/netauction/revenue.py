@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Uniform, ValueDistribution
-from .errors import DomainError, PropertyViolation, ValidationError, check_count, check_counts
+from .errors import DomainError, PropertyViolation, ValidationError
+from .errors import check_amount, check_count, check_counts
 from .graphs import SubtreeProfile
 from .reserve import gamma_uniform, subtree_optimal_reserve
 
@@ -143,8 +144,7 @@ def _subtree_revenues(
     if max(sizes) > n:
         raise DomainError(f"kx must not exceed n, got kx={max(sizes)}, n={n}")
     for r in reserves:
-        if not 0.0 <= r <= d.vbar:  # NaN and inf too
-            raise DomainError(f"reserve must lie in [0, {d.vbar}], got {r}")
+        check_amount("reserve", r, most=d.vbar)
     if method not in ("auto", "closed", "quadrature"):
         raise ValidationError(f"unknown method {method!r}")
     if method == "closed" and not isinstance(d, Uniform):

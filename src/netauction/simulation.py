@@ -31,12 +31,13 @@ import numpy as np
 
 from .distributions import ValueDistribution
 from .errors import (
-    ConfigError,
     DomainError,
     EdgeListFormatError,
     ScenarioError,
     check_count,
     check_counts,
+    config_number,
+    read_config,
 )
 from .graphs import (
     ActionProfile,
@@ -54,6 +55,7 @@ __all__ = [
     "RevenueStats",
     "Market",
     "Network",
+    "SCENARIO_FIELDS",
     "parse_scenario",
     "chains_profile",
     "monte_carlo",
@@ -258,6 +260,10 @@ def chains_profile(sizes) -> ActionProfile:
     return ActionProfile(seller="s", agents=tuple(agents))
 
 
+# the keys of each scenario kind; parse_scenario reads n first
+SCENARIO_FIELDS = {"mer": ("n", "pct"), "md": ("n", "depth"), "symmetry": ("sizes",)}
+
+
 def parse_scenario(text: str) -> tuple[int, ...]:
     """The chain sizes of a scenario spec: `mer:n=9,pct=30 | md:n=9,depth=4 |
     symmetry:sizes=3+3`.
@@ -268,32 +274,14 @@ def parse_scenario(text: str) -> tuple[int, ...]:
     lengthened only as required. A malformed spec raises ConfigError, and
     parameters that no network realises raise ScenarioError.
     """
-    kind, sep, body = text.strip().partition(":")
-    if not sep or kind not in ("mer", "md", "symmetry"):
-        raise ConfigError(f"unknown scenario {text!r}")
-    fields: dict[str, str] = {}
-    for part in body.split(","):
-        key, eq, val = part.partition("=")
-        if not eq or not key or key in fields:
-            raise ConfigError(f"malformed scenario parameter {part!r} in {text!r}")
-        fields[key] = val
-    wanted = {"mer": ("n", "pct"), "md": ("n", "depth"), "symmetry": ("sizes",)}[kind]
-    if set(fields) != set(wanted):
-        raise ConfigError(
-            f"scenario {text!r}: expected parameters {', '.join(wanted)}"
-        )
-    try:
-        if kind == "symmetry":
-            sizes = tuple(int(k) for k in fields["sizes"].split("+"))
-        else:
-            n, x = int(fields["n"]), int(fields[wanted[1]])
-    except ValueError as exc:
-        raise ConfigError(f"scenario {text!r}: {exc}") from None
-    if kind != "symmetry":
-        check_count("n", n, error=ScenarioError)
+    kind, raw = read_config(text, SCENARIO_FIELDS, "scenario")
     if kind == "symmetry":
+        sizes = [config_number("sizes", k, text, int) for k in raw["sizes"].split("+")]
         sizes = check_counts("branch size", sizes, error=ScenarioError)
-    elif kind == "mer":
+    else:
+        n, x = (config_number(key, raw[key], text, int) for key in SCENARIO_FIELDS[kind])
+        check_count("n", n, error=ScenarioError)
+    if kind == "mer":
         if x not in _MER_STEPS:
             raise ScenarioError(f"market expansion ratio must be one of {_MER_STEPS}, got {x}")
         if (x * (n + 1)) % 100 != 0:
@@ -305,7 +293,7 @@ def parse_scenario(text: str) -> tuple[int, ...]:
         if rho < 1:
             raise ScenarioError(f"mer {x}% with n={n} leaves no neighbors")
         sizes = tuple(_balanced(n, rho))
-    else:
+    elif kind == "md":
         if not 1 <= x <= MAX_DEPTH:
             raise ScenarioError(
                 f"market depth must lie in 1..{MAX_DEPTH} (information dies out "

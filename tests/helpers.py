@@ -20,8 +20,8 @@ from netauction.errors import (
     DomainError,
     EdgeListFormatError,
     ValidationError,
+    check_amount,
     check_count,
-    check_positive,
 )
 from netauction.graphs import (
     ActionProfile,
@@ -670,7 +670,7 @@ def sup_gamma_x(n: int, kx: int, vbar: float) -> float:
     """
     n = check_count("n", n, error=DomainError)
     kx = check_count("kx", kx, error=DomainError)
-    check_positive("vbar", vbar)
+    check_amount("vbar", vbar, positive=True)
     if kx > n:
         raise DomainError(f"kx must not exceed n, got kx={kx}, n={n}")
     return vbar * ((n + 1) / ((kx + 1) * (n - kx + 1))) ** (1.0 / kx)

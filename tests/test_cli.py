@@ -213,6 +213,13 @@ class TestReserve:
     def test_bad_distribution_is_usage_error(self, capsys):
         assert main(["reserve", "--dist", "cauchy:vbar=1", "--policy", "none"]) == 2
 
+    def test_non_decimal_digit_is_one_line_usage_error(self, capsys):
+        # "²" passes str.isdigit but not int()
+        assert main(["reserve", "--dist", "uniform:vbar=100", "--policy", "ugamma:k=²"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be an integer, got '²' in 'ugamma:k=²'\n"
+
     def test_out_json(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         main(
@@ -359,6 +366,20 @@ class TestRevenue:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "sweep, code",
+        [("0:100:0", 2), ("0:100:-3", 2), ("0:100:2.5", 2), ("0:100", 2), ("a:100:3", 2),
+         ("0:120:3", 1)],
+    )
+    def test_refused_sweep_prints_and_writes_nothing(self, sweep, code, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        argv = ["revenue", "--sizes", "3,6", "--dist", "uniform:vbar=100", "--r", "50"]
+        assert main([*argv, "--sweep", sweep, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestAuction:
     def test_explicit_reserve(self, chain_profile_json, capsys):
@@ -401,7 +422,7 @@ class TestAuction:
             json.dump(data, fh)
         assert main(["auction", "--profile", chain_profile_json, "--r", "50"]) == 1
         err = capsys.readouterr().err
-        assert "bid for 'a2' must be finite and >= 0, got 70" in err
+        assert "bid for 'a2' must be finite and >= 0, got '70'" in err
 
     @pytest.mark.parametrize(
         "content",

@@ -1,34 +1,52 @@
-"""The three argument rules of ``netauction.errors`` at every entry point
-that applies them: each site raises its own class with the shared message,
-and a numpy integer count gives the result of the Python int it equals."""
+"""The argument rules of ``netauction.errors`` at every entry point that
+applies them: each site raises its own class with the shared message, and a
+numpy integer count gives the result of the Python int it equals. Then the
+one grammar of config strings, through each of its three parsers."""
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
-from netauction.distributions import TruncatedExponential, TruncatedNormal, Uniform
-from netauction.errors import DomainError, ScenarioError, ValidationError
-from netauction.graphs import AgentAction, SubtreeProfile, build_graph, build_pot
-from netauction.incentives import DeviationGrid
+from netauction.cli import main
+from netauction.distributions import (
+    TruncatedExponential,
+    TruncatedNormal,
+    Uniform,
+    parse_distribution,
+)
+from netauction.errors import ConfigError, DomainError, ScenarioError, ValidationError, config_kind
+from netauction.graphs import AgentAction, SubtreeProfile, build_graph, build_pot, profile_from_dict
+from netauction.incentives import DeviationGrid, check_dsic
 from netauction.mechanism import clear
 from netauction.reserve import (
     ReservePolicy,
     gamma_general,
     gamma_uniform,
+    parse_policy,
     resolve_reserve,
     subtree_optimal_reserve,
 )
 from netauction.revenue import (
+    expected_total_revenue,
     mys_lower_bound,
     opt_upper_bound,
     ratio_lower_bound,
     revenue_ordering_report,
     worst_partition,
 )
-from netauction.simulation import Network, chains_profile, draw_replicate, monte_carlo, pick_seller
+from netauction.simulation import (
+    SCENARIO_FIELDS,
+    Network,
+    chains_profile,
+    draw_replicate,
+    monte_carlo,
+    parse_scenario,
+    pick_seller,
+)
 
 UNI = Uniform(vbar=100.0)
 NORM = TruncatedNormal(mu=50.0, sigma=16.67, vbar=100.0)
@@ -154,44 +172,164 @@ def test_holes_now_raise(hole, error, call):
         call()
 
 
-NOT_AMOUNTS = [-1, -1.0, math.inf, -math.inf, math.nan, None, True, "5"]
-
-# (site, name in the message, call with the amount); each raises DomainError
-POSITIVE_SITES = [
-    ("Uniform vbar", "vbar", lambda x: Uniform(vbar=x)),
-    ("TruncatedNormal vbar", "vbar", lambda x: TruncatedNormal(mu=50.0, sigma=10.0, vbar=x)),
-    ("TruncatedNormal sigma", "sigma", lambda x: TruncatedNormal(mu=50.0, sigma=x, vbar=100.0)),
-    ("TruncatedExponential vbar", "vbar", lambda x: TruncatedExponential(lam=0.08, vbar=x)),
-    ("TruncatedExponential lambda", "lambda", lambda x: TruncatedExponential(lam=x, vbar=100.0)),
-    ("gamma_uniform vbar", "vbar", lambda x: gamma_uniform(2, x)),
-    ("sup_gamma_x vbar", "vbar", lambda x: helpers.sup_gamma_x(5, 2, x)),
-]
+NOT_AMOUNTS = [-1, -1.0, math.inf, -math.inf, math.nan, None, True, "5", 10**400]
+# amounts past vbar = 100.0 that every other rule lets through
+PAST_VBAR = [100.5, 1e300]
 
 _POT = build_pot(build_graph(TEMPLATE))
-# (site, error class, name in the message, call with the amount)
-NONNEGATIVE_SITES = [
-    ("AgentAction bid", ValidationError, "bid for 'a'", lambda x: AgentAction("a", x, frozenset())),
-    ("clear reserve", DomainError, "reserve", lambda x: clear(_POT, [10.0] * 5, x)),
-    ("ReservePolicy fixed r", ValidationError, "fixed r", lambda x: ReservePolicy("fixed", r=x)),
+_A1_LINKS = helpers.action(TEMPLATE, "a1").neighbors
+# (site, error class, name in the message, rule, call with the amount); a
+# bounded site's bound is vbar = 100.0
+AMOUNT_SITES = [
+    ("Uniform vbar", DomainError, "vbar", "positive", lambda x: Uniform(vbar=x)),
+    ("TruncatedNormal vbar", DomainError, "vbar", "positive",
+     lambda x: TruncatedNormal(mu=50.0, sigma=10.0, vbar=x)),
+    ("TruncatedNormal sigma", DomainError, "sigma", "positive",
+     lambda x: TruncatedNormal(mu=50.0, sigma=x, vbar=100.0)),
+    ("TruncatedExponential vbar", DomainError, "vbar", "positive",
+     lambda x: TruncatedExponential(lam=0.08, vbar=x)),
+    ("TruncatedExponential lambda", DomainError, "lambda", "positive",
+     lambda x: TruncatedExponential(lam=x, vbar=100.0)),
+    ("gamma_uniform vbar", DomainError, "vbar", "positive", lambda x: gamma_uniform(2, x)),
+    ("sup_gamma_x vbar", DomainError, "vbar", "positive", lambda x: helpers.sup_gamma_x(5, 2, x)),
+    ("AgentAction bid", ValidationError, "bid for 'a'", "nonnegative",
+     lambda x: AgentAction("a", x, frozenset())),
+    ("clear reserve", DomainError, "reserve", "nonnegative", lambda x: clear(_POT, [10.0] * 5, x)),
+    ("ReservePolicy fixed r", ValidationError, "fixed r", "nonnegative",
+     lambda x: ReservePolicy("fixed", r=x)),
+    ("resolve_reserve fixed", DomainError, "fixed reserve", "bounded",
+     lambda x: resolve_reserve(ReservePolicy("fixed", r=x), None, UNI)),
+    ("check_dsic true value", ValidationError, "true value of 'a1'", "bounded",
+     lambda x: check_dsic(helpers.replace_action(TEMPLATE, "a1", x, _A1_LINKS), UNI, NONE,
+                          DeviationGrid(points=2))),
+    ("expected_total_revenue reserve", DomainError, "reserve", "bounded",
+     lambda x: expected_total_revenue(PROFILE, NORM, x)),
 ]
 
 
-@pytest.mark.parametrize("site, name, call", POSITIVE_SITES, ids=[s[0] for s in POSITIVE_SITES])
-def test_positive_rule(site, name, call):
+def _amount_sites(rule):
+    sites = [(site, error, name, call) for site, error, name, r, call in AMOUNT_SITES if r == rule]
+    return pytest.mark.parametrize("site, error, name, call", sites, ids=[s[0] for s in sites])
+
+
+@_amount_sites("positive")
+def test_positive_rule(site, error, name, call):
     for x in [0, 0.0, *NOT_AMOUNTS]:
-        message = f"{name} must be positive and finite, got {x}"
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        message = f"{name} must be positive and finite, got {x!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(x)
     assert call(np.float64(7.5)) == call(7.5)
 
 
-@pytest.mark.parametrize(
-    "site, error, name, call", NONNEGATIVE_SITES, ids=[s[0] for s in NONNEGATIVE_SITES]
-)
+@_amount_sites("nonnegative")
 def test_nonnegative_rule(site, error, name, call):
     for x in NOT_AMOUNTS:
-        message = f"{name} must be finite and >= 0, got {x}"
+        message = f"{name} must be finite and >= 0, got {x!r}"
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(x)
     call(0.0)
     call(0)
+
+
+@_amount_sites("bounded")
+def test_bounded_rule(site, error, name, call):
+    # only the revenue's reserve reaches its site unchecked; the others pass
+    # AgentAction's or ReservePolicy's rule first
+    refused = [*NOT_AMOUNTS, *PAST_VBAR] if site.startswith("expected") else PAST_VBAR
+    for x in refused:
+        message = f"{name} must lie in [0, 100.0], got {x!r}"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(x)
+    call(0.0)
+    call(100.0)
+
+
+def test_profile_json_bid_past_the_float_range():
+    with pytest.raises(ValidationError, match="must be finite and >= 0, got 1000"):
+        profile_from_dict({"seller": "s", "agents": [{"id": "a", "bid": 10**400, "neighbors": []}]})
+
+
+# --- config strings ----------------------------------------------------------
+
+# one canonical string per parser, and how each reads it
+CONFIGS = [
+    ("normal:mu=50,sigma=16.67,vbar=100", parse_distribution),
+    ("ugamma:k=3", parse_policy),
+    ("mer:n=9,pct=30", parse_scenario),
+]
+# spellings the grammar reads as the string itself: kind and keys without
+# case or surrounding spaces, blank items skipped
+SPELLINGS = {
+    "upper case": str.upper,
+    "title case": str.title,
+    "spaces around": lambda s: f"  {s}\t",
+    "spaces inside": lambda s: s.replace(":", " : ").replace(",", " , ").replace("=", " = "),
+    "trailing comma": lambda s: s + ",",
+    "blank items": lambda s: s.replace(":", ":, ,").replace(",", ",,"),
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS.values(), ids=SPELLINGS.keys())
+@pytest.mark.parametrize("text, parse", CONFIGS, ids=[c[1].__name__ for c in CONFIGS])
+def test_spellings_read_alike(text, parse, spelling):
+    assert parse(spelling(text)) == parse(text)
+
+
+@pytest.mark.parametrize("text", ["FIXED:50", " fixed : 50 ", "Fixed:\t50"])
+def test_fixed_reserve_spellings(text):
+    assert parse_policy(text) == ReservePolicy("fixed", r=50.0)
+
+
+# refused shape -> (message pattern, a string of that shape per parser in
+# the order of CONFIGS)
+REFUSED_SHAPES = {
+    "unknown kind": ("^unknown ", ["triangle:vbar=100", "gamma:k=3", "star:n=9"]),
+    "no kind": ("^unknown ", ["", " ", ":k=3"]),
+    "item without =": ("^unexpected parameter ", ["uniform:vbar", "ugamma:k", "mer:n=9,pct"]),
+    "unknown key": ("^unexpected parameter ", ["uniform:vbar=1,mu=2", "ugamma:j=2", "md:n=9,pct=4"]),
+    "repeated key": ("^duplicate parameter ", ["uniform:vbar=1,VBAR=2", "ggamma:k=2,k=2",
+                                               "mer:n=9,n=9,pct=30"]),
+    "missing key": ("^missing parameters ", ["exp:lambda=0.08", "ugamma", "symmetry:"]),
+    "not a number": (" must be (a number|an integer), got ", ["uniform:vbar=abc", "ugamma:k=2.5",
+                                                            "symmetry:sizes=3;3"]),
+    "not a decimal digit": (" must be (a number|an integer), got ", ["uniform:vbar=²",
+                                                                   "ugamma:k=²", "md:n=9,depth=²"]),
+}
+
+
+@pytest.mark.parametrize("shape", REFUSED_SHAPES, ids=REFUSED_SHAPES.keys())
+def test_refused_shapes_are_config_errors(shape):
+    pattern, texts = REFUSED_SHAPES[shape]
+    for text, (_, parse) in zip(texts, CONFIGS, strict=True):
+        with pytest.raises(ConfigError, match=pattern):
+            parse(text)
+
+
+def test_fixed_reserve_wants_a_number():
+    for text in ["fixed", "fixed:", "fixed:abc", "fixed:50,60", "fixed:r=50"]:
+        with pytest.raises(ConfigError, match="^fixed reserve must be a number, got "):
+            parse_policy(text)
+
+
+def test_cli_routes_a_scenario_spelling_to_the_scenario(capsys):
+    argv = ["--dist", "uniform:vbar=100", "--reserve", "ugamma:k=2", "--runs", "500", "--seed", "3"]
+    assert main(["simulate", "--net", "mer:n=9,pct=40", *argv]) == 0
+    want = capsys.readouterr().out
+    assert main(["simulate", "--net", " MER:n=9,pct=40", *argv]) == 0
+    assert capsys.readouterr().out == want
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# every config string README's examples pass, by flag
+README_CONFIGS = re.findall(r"--(dist|reserve|policy|spec|net) (\S+)", README)
+_READERS = {"dist": parse_distribution, "reserve": parse_policy, "policy": parse_policy,
+            "spec": parse_scenario, "net": parse_scenario}
+
+
+def test_readme_config_strings_parse():
+    flags = {flag for flag, _ in README_CONFIGS}
+    assert flags == set(_READERS), flags
+    for flag, text in README_CONFIGS:
+        if flag == "net" and config_kind(text) not in SCENARIO_FIELDS:
+            continue  # a file
+        _READERS[flag](text)
